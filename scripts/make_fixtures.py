@@ -5,7 +5,7 @@ random-glyph frame, and a multi-frame noise sequence.  The files feed
 the CLI directly:
 
     python scripts/make_fixtures.py --out fixtures
-    python -m intralab run fixtures/ui-tiles.yuv --width 256 --height 256
+    python -m intralab run --input fixtures/ui-tiles.yuv --width 256 --height 256
 """
 
 from __future__ import annotations

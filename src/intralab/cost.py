@@ -63,17 +63,23 @@ def _tile_satd(diffs: np.ndarray, tile: int) -> np.ndarray:
     return per_tile.reshape(n, -1).sum(axis=1)
 
 
+def satd_tiling(h: int, w: int) -> tuple[int, int, int]:
+    """(tile, tiled height, tiled width) of an h x w SATD region; tile 0 means plain SAD."""
+    if h < 4 or w < 4:
+        return 0, 0, 0
+    tile = 8 if (h % 8 == 0 and w % 8 == 0) else 4
+    return tile, (h // tile) * tile, (w // tile) * tile
+
+
 def satd_batch(diffs: np.ndarray) -> np.ndarray:
     """SATD of a batch of (N, h, w) difference arrays (int64 result)."""
     diffs = np.asarray(diffs, dtype=np.int64)
     n, h, w = diffs.shape
     if n == 0:
         return np.zeros(0, dtype=np.int64)
-    if h < 4 or w < 4:
+    tile, th, tw = satd_tiling(h, w)
+    if not tile:
         return np.abs(diffs).sum(axis=(1, 2))
-    tile = 8 if (h % 8 == 0 and w % 8 == 0) else 4
-    th = (h // tile) * tile
-    tw = (w // tile) * tile
     total = _tile_satd(diffs[:, :th, :tw], tile)
     if th < h:
         total = total + np.abs(diffs[:, th:, :]).sum(axis=(1, 2))

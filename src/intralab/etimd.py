@@ -34,7 +34,7 @@ from .cost import sad, satd, satd_batch
 from .grid import BlockRef, ReconBuffer, reconstruct_block
 from .hog import transform_mode_for_block
 from .intra import ALL_MODES, MODE_DC, MODE_PLANAR, build_reference_samples, predict_mode
-from .tmp import BlockVector, SearchResult, bv_predict, template_cost_at, template_rects, tmp_search
+from .tmp import BlockVector, SearchResult, bv_predict, template_costs, template_rects, tmp_search
 from .transforms import TRANSFORM_SIZES, apply_transform, energy_compaction, transform_class
 
 _KIND_RANK = {"angular": 0, "planar": 1, "dc": 2, "bv": 3}
@@ -122,7 +122,9 @@ def evaluate_candidates(
     Every candidate is costed on the identical template geometry: the
     frame-clipped above/left strips of the block.  Template predictions
     come from predicting the template-extended block from its own
-    references; BV candidates copy the displaced template.
+    references; BV candidates copy the displaced template and go through
+    tmp_search's batched strip kernel, so a BV costs the same on both
+    sides of the TMP competition.
     """
     above_rect, left_rect = template_rects(block, t, buf.width, buf.height)
     if above_rect is None and left_rect is None:
@@ -160,9 +162,12 @@ def evaluate_candidates(
         ModeCandidate(kind=kind_of.get(mode, "angular"), cost=int(c), mode=mode)
         for mode, c in zip(ALL_MODES, costs)
     ]
-    for i, cand in enumerate(bv_list):
-        cost = template_cost_at(buf, block, cand.bv, t, metric)
-        out.append(ModeCandidate(kind="bv", cost=cost, bv=cand.bv, list_index=i))
+    if bv_list:
+        bv_costs = template_costs(buf, block, [c.bv for c in bv_list], t, metric)
+        out.extend(
+            ModeCandidate(kind="bv", cost=int(c), bv=cand.bv, list_index=i)
+            for i, (cand, c) in enumerate(zip(bv_list, bv_costs))
+        )
     return out
 
 
@@ -325,9 +330,15 @@ def derive_block_modes(
 
     if cfg.use_bv_list and cfg.tmp_compete:
         found = tmp_search(
-            ctx.buf, block, cfg.search_range, cfg.template, cfg.metric, strict_template=True
+            ctx.buf,
+            block,
+            cfg.search_range,
+            cfg.template,
+            cfg.metric,
+            strict_template=True,
+            below=fusion.modes[0].cost,
         )
-        if found is not None and found.cost < fusion.modes[0].cost:
+        if found is not None:
             cand = ModeCandidate(kind="bv", cost=found.cost, bv=found.bv, list_index=0)
             return "intratmp", FusionSet([cand], [1.0]), bv_list, found
     return "etimd", fusion, bv_list, None

@@ -268,11 +268,13 @@ def compare_runs(a: Report, b: Report) -> RunDelta:
     """Per-block deltas between two runs over the identical grid.
 
     Raises ValidationError unless both runs partitioned the same frames
-    into the same blocks.  Lower prediction SAD in run B counts as a
-    win for B.
+    into the same blocks, and at least one.  Lower prediction SAD in run
+    B counts as a win for B.
     """
     if len(a.records) != len(b.records):
         raise ValidationError("runs cover different block counts")
+    if not a.records:
+        raise ValidationError("runs hold no blocks to compare")
     for ra, rb in zip(a.records, b.records):
         if (ra.frame, ra.scan_index, ra.x0, ra.y0, ra.w, ra.h) != (
             rb.frame,

@@ -13,8 +13,8 @@ import csv
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field
-from typing import Any, Sequence
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -228,8 +228,62 @@ def _csv_row(r: BlockRecord) -> list[str]:
     ]
 
 
+def _is_int(v: Any) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v: Any) -> bool:
+    return _is_int(v) or isinstance(v, float)
+
+
+def _is_str(v: Any) -> bool:
+    return isinstance(v, str)
+
+
+def _list_of(check: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda v: isinstance(v, list) and all(check(x) for x in v)
+
+
+def _optional(check: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda v: v is None or check(v)
+
+
+# JSON type check per BlockRecord annotation (postponed, so a string).
+_TYPE_CHECKS: dict[str, Callable[[Any], bool]] = {
+    "int": _is_int,
+    "str": _is_str,
+    "list[str]": _list_of(_is_str),
+    "list[float]": _list_of(_is_number),
+    "list[int]": _list_of(_is_int),
+    "list[int] | None": _optional(_list_of(_is_int)),
+    "str | None": _optional(_is_str),
+    "float | None": _optional(_is_number),
+}
+_RECORD_CHECKS = {f.name: _TYPE_CHECKS[f.type] for f in fields(BlockRecord)}
+_REPORT_KEYS = {"config": dict, "records": list, "aggregates": dict, "timing": dict}
+
+
+def _record_from_json(path: str, index: int, doc: Any) -> BlockRecord:
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: record {index} is not an object")
+    missing = _RECORD_CHECKS.keys() - doc.keys()
+    extra = doc.keys() - _RECORD_CHECKS.keys()
+    if missing or extra:
+        raise FormatError(
+            f"{path}: record {index} is missing {sorted(missing)} / has unknown {sorted(extra)}"
+        )
+    for name, check in _RECORD_CHECKS.items():
+        if not check(doc[name]):
+            raise FormatError(f"{path}: record {index} field {name!r} has the wrong type")
+    return BlockRecord(**doc)
+
+
 def read_report(path: str) -> Report:
-    """Load a JSON report written by write_report."""
+    """Load a JSON report written by write_report.
+
+    Raises FormatError unless the document has every report key and every
+    record has exactly the BlockRecord fields with their JSON types.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -237,7 +291,12 @@ def read_report(path: str) -> Report:
             raise FormatError(f"{path}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION:
         raise FormatError(f"{path}: not a schema-{SCHEMA_VERSION} report")
-    records = [BlockRecord(**r) for r in doc["records"]]
+    for key, kind in _REPORT_KEYS.items():
+        if not isinstance(doc.get(key), kind):
+            raise FormatError(f"{path}: {key!r} is missing or not a JSON {kind.__name__}")
+    records = [_record_from_json(path, i, r) for i, r in enumerate(doc["records"])]
+    if records and not _is_number(doc["aggregates"].get("psnr_db")):
+        raise FormatError(f"{path}: aggregates lack a numeric 'psnr_db'")
     return Report(
         config=doc["config"],
         records=records,

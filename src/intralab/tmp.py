@@ -16,21 +16,45 @@ be cost-comparable against template predictions, additionally rejects
 candidates whose displaced strips fall outside the frame.
 
 Ties in the search are broken toward smaller |dx| + |dy|, then smaller
-dy, then smaller dx, making results order-independent and repeatable.
+dy, then smaller dx, making results order-independent and repeatable:
+the result is the valid candidate with the least (cost, |dx| + |dy|,
+dy, dx).
+
+The search is exact but does not cost every candidate (successive
+elimination, after Li & Salari, IEEE TIP 1995).  The DC coefficient of
+a Hadamard tile is the sum of the tile's differences, so (|sum d| + 1)
+>> 1 for a 4x4 tile, or (|sum d| + 2) >> 2 for an 8x8 tile, is a lower
+bound on that tile's SATD; |sum d| bounds the SAD of the remainder
+strips and, over 4x4 pieces, the sad metric.  Summed over the usable
+strips this bounds a candidate's cost, and the sums come in O(1) from an
+integral image of the window's committed samples.  Candidates are
+costed in ascending bound order until the next bound is strictly above
+the best cost found; a candidate that could tie with the best always
+has a bound no higher than it, so the tie order is unaffected.
+
+tmp_search(..., below=c) returns the best candidate among those that
+cost strictly less than c, or None when no valid candidate does.
+Candidates whose bound reaches c are never costed.  A caller that only
+uses a result cheaper than a known cost passes that cost, which is how
+the E-TIMD TMP competition runs.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cost import block_cost, satd_batch
+from .cost import METRICS, satd_batch, satd_tiling
+from .errors import CausalityError
 from .grid import BlockRef, ReconBuffer
 
 DEFAULT_TEMPLATE = 4
 DEFAULT_SEARCH_RANGE = 64
+# Candidates costed per batched kernel call; bounds the search's peak memory.
+SEARCH_CHUNK = 512
+_NO_LIMIT = np.iinfo(np.int64).max
 
 
 class BlockVector(NamedTuple):
@@ -114,6 +138,44 @@ def candidate_valid(
     return True
 
 
+def template_costs(
+    buf: ReconBuffer,
+    block: BlockRef,
+    bvs: Sequence[BlockVector],
+    t: int,
+    metric: str,
+) -> np.ndarray:
+    """Matching cost of each candidate, with one batched kernel call per strip.
+
+    A displaced strip fully outside the frame contributes nothing; any
+    other displaced strip must be committed, or CausalityError is raised.
+    """
+    _check_metric(metric)
+    costs = np.zeros(len(bvs), dtype=np.int64)
+    if not bvs:
+        return costs
+    dxs = np.array([bv.dx for bv in bvs], dtype=np.int64)
+    dys = np.array([bv.dy for bv in bvs], dtype=np.int64)
+    for rect in template_rects(block, t, buf.width, buf.height):
+        if rect is None:
+            continue
+        sx, sy, sw, sh = rect
+        use = np.array(
+            [not _fully_outside(_shift(rect, bv), buf.width, buf.height) for bv in bvs]
+        )
+        if not use.any():
+            continue
+        for dx, dy in zip(dxs[use].tolist(), dys[use].tolist()):
+            if not buf.region_available(sx + dx, sy + dy, sw, sh):
+                raise CausalityError(
+                    f"template strip at ({sx + dx},{sy + dy}) {sw}x{sh} is not committed"
+                )
+            buf.note_read(sx + dx, sy + dy, sw, sh)
+        cur = buf.read_region(*rect).astype(np.int64)
+        costs[use] += _strip_costs(buf, rect, cur, dxs[use], dys[use], metric)
+    return costs
+
+
 def template_cost_at(
     buf: ReconBuffer,
     block: BlockRef,
@@ -121,54 +183,124 @@ def template_cost_at(
     t: int,
     metric: str,
 ) -> int:
-    """Matching cost of a valid candidate, strip by strip."""
-    total = 0
-    for rect in template_rects(block, t, buf.width, buf.height):
-        if rect is None:
-            continue
-        moved = _shift(rect, bv)
-        if _fully_outside(moved, buf.width, buf.height):
-            continue
-        cur = buf.read_region(*rect)
-        ref = buf.read_region(*moved)
-        total += block_cost(ref, cur, metric)
-    return total
+    """Matching cost of one valid candidate."""
+    return int(template_costs(buf, block, [bv], t, metric)[0])
 
 
-def _integral(available: np.ndarray) -> np.ndarray:
-    h, w = available.shape
+def _integral(values: np.ndarray) -> np.ndarray:
+    h, w = values.shape
     ii = np.zeros((h + 1, w + 1), dtype=np.int64)
-    ii[1:, 1:] = available.cumsum(0).cumsum(1)
+    np.cumsum(values, axis=0, out=ii[1:, 1:])
+    np.cumsum(ii[1:, 1:], axis=1, out=ii[1:, 1:])
     return ii
 
 
-def _rect_full(ii: np.ndarray, x, y, w: int, h: int):
-    return (ii[y + h, x + w] - ii[y, x + w] - ii[y + h, x] + ii[y, x]) == w * h
+def _box_sums(ii: np.ndarray, x: int, y: int, w: int, h: int, nx: int, ny: int) -> np.ndarray:
+    """(ny, nx) sums of the w x h boxes at (x + i, y + j) of an integral image."""
+    return (
+        ii[y + h : y + h + ny, x + w : x + w + nx]
+        - ii[y : y + ny, x + w : x + w + nx]
+        - ii[y + h : y + h + ny, x : x + nx]
+        + ii[y : y + ny, x : x + nx]
+    )
 
 
-def _strip_state(ii, frame_w, frame_h, rect, dxs, dys):
-    """Per-candidate strip classification arrays (usable, fully_out)."""
+def _bound_pieces(sw: int, sh: int, metric: str) -> list[tuple[int, int, int, int, int]]:
+    """Pieces (x, y, w, h, shift) of a strip for the matching-cost lower bound.
+
+    The strip's cost is at least the sum over pieces of
+    (|sum of differences| + rounding) >> shift: the Hadamard DC
+    coefficient of a SATD tile is the tile's difference sum, and SAD
+    over any region is at least the absolute value of that sum.
+    """
+    tile, th, tw = satd_tiling(sh, sw) if metric == "satd" else (0, 0, 0)
+    if not tile:
+        return [
+            (x, y, min(4, sw - x), min(4, sh - y), 0)
+            for y in range(0, sh, 4)
+            for x in range(0, sw, 4)
+        ]
+    shift = 1 if tile == 4 else 2
+    pieces = [(x, y, tile, tile, shift) for y in range(0, th, tile) for x in range(0, tw, tile)]
+    if th < sh:
+        pieces.append((0, th, sw, sh - th, 0))
+    if tw < sw:
+        pieces.append((tw, 0, sw - tw, th, 0))
+    return pieces
+
+
+def _check_metric(metric: str) -> None:
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+
+
+def _strip_costs(buf, rect, cur, dxs, dys, metric):
+    """Matching cost of one strip for each (dx, dy) candidate; cur is the int64 template."""
     sx, sy, sw, sh = rect
-    x = sx + dxs
-    y = sy + dys
-    fully_out = (x + sw <= 0) | (y + sh <= 0) | (x >= frame_w) | (y >= frame_h)
-    fully_in = (x >= 0) & (y >= 0) & (x + sw <= frame_w) & (y + sh <= frame_h)
-    xc = np.clip(x, 0, frame_w - sw)
-    yc = np.clip(y, 0, frame_h - sh)
-    usable = fully_in & _rect_full(ii, xc, yc, sw, sh)
-    return usable, fully_out
-
-
-def _strip_costs(buf, rect, dxs, dys, metric):
-    """Matching cost of one strip for each (dx, dy) candidate."""
-    sx, sy, sw, sh = rect
-    cur = buf.read_region(*rect).astype(np.int64)
     wins = sliding_window_view(buf.samples, (sh, sw))
-    refs = wins[sy + dys, sx + dxs].astype(np.int64)
-    diffs = refs - cur[None]
-    if metric == "sad" or sh < 4 or sw < 4:
+    diffs = wins[sy + dys, sx + dxs] - cur[None]
+    if metric == "sad":
         return np.abs(diffs).sum(axis=(1, 2))
     return satd_batch(diffs)
+
+
+def _window_integrals(buf: ReconBuffer, x0: int, y0: int, x1: int, y1: int) -> tuple[np.ndarray, np.ndarray]:
+    """Integral images of availability and of committed samples over [x0, x1) x [y0, y1).
+
+    Positions outside the frame count as unavailable, and uncommitted
+    samples as zero, so neither can reach a bound.
+    """
+    fx0, fy0 = max(x0, 0), max(y0, 0)
+    fx1, fy1 = min(x1, buf.width), min(y1, buf.height)
+    flags = buf.available[fy0:fy1, fx0:fx1]
+    avail = np.zeros((y1 - y0, x1 - x0), dtype=np.int64)
+    committed = np.zeros((y1 - y0, x1 - x0), dtype=np.int64)
+    inner = (slice(fy0 - y0, fy1 - y0), slice(fx0 - x0, fx1 - x0))
+    avail[inner] = flags
+    committed[inner] = np.where(flags, buf.samples[fy0:fy1, fx0:fx1], 0)
+    return _integral(avail), _integral(committed)
+
+
+def _window_bounds(buf, block, rects, curs, dx_lo, dx_hi, dy_lo, dy_hi, metric, strict_template):
+    """Validity, cost lower bound and per-strip usability over the (ny, nx) candidate grid."""
+    nx, ny = dx_hi - dx_lo + 1, dy_hi - dy_lo + 1
+    # The bounding box of every displaced rectangle; it may overhang the
+    # frame by up to t samples to the left and top.
+    shapes = rects + [(block.x0, block.y0, block.w, block.h)]
+    bx0 = min(r[0] for r in shapes) + dx_lo
+    by0 = min(r[1] for r in shapes) + dy_lo
+    bx1 = max(r[0] + r[2] for r in shapes) + dx_hi
+    by1 = max(r[1] + r[3] for r in shapes) + dy_hi
+    avail_ii, sample_ii = _window_integrals(buf, bx0, by0, bx1, by1)
+
+    def over_window(ii, rx, ry, rw, rh):
+        return _box_sums(ii, rx + dx_lo - bx0, ry + dy_lo - by0, rw, rh, nx, ny)
+
+    valid = over_window(avail_ii, block.x0, block.y0, block.w, block.h) == block.w * block.h
+    bounds = np.zeros((ny, nx), dtype=np.int64)
+    strip_use = []
+    for rect, cur in zip(rects, curs):
+        sx, sy, sw, sh = rect
+        usable = over_window(avail_ii, *rect) == sw * sh
+        if strict_template:
+            valid &= usable
+        else:
+            xs = sx + np.arange(dx_lo, dx_hi + 1)
+            ys = sy + np.arange(dy_lo, dy_hi + 1)
+            x_out = (xs + sw <= 0) | (xs >= buf.width)
+            y_out = (ys + sh <= 0) | (ys >= buf.height)
+            valid &= usable | x_out[None, :] | y_out[:, None]
+        strip_bound = np.zeros((ny, nx), dtype=np.int64)
+        for px, py, pw, ph, shift in _bound_pieces(sw, sh, metric):
+            cur_sum = int(cur[py : py + ph, px : px + pw].sum())
+            piece = np.abs(over_window(sample_ii, sx + px, sy + py, pw, ph) - cur_sum)
+            if shift:
+                piece += 1 << (shift - 1)
+                piece >>= shift
+            strip_bound += piece
+        bounds += strip_bound * usable
+        strip_use.append(usable.ravel())
+    return valid.ravel(), bounds.ravel(), strip_use
 
 
 def tmp_search(
@@ -178,11 +310,23 @@ def tmp_search(
     t: int = DEFAULT_TEMPLATE,
     metric: str = "satd",
     strict_template: bool = False,
+    below: int | None = None,
 ) -> SearchResult | None:
     """Best causal block vector within the window, or None when none exists.
 
-    search_range None searches the whole causal area of the frame.
+    search_range None searches the whole causal area of the frame.  With
+    below set, only candidates whose cost is < below compete: the result
+    is the best of those under the usual tie order, or None if there are
+    none.  Without it every valid candidate competes.
+
+    The result is exact.  Every valid candidate gets an O(1) lower bound
+    on its cost from integral images of the window's committed samples
+    (see the module docstring).  Candidates are costed in chunks of
+    SEARCH_CHUNK, in ascending bound order, until the next bound is
+    strictly above the best cost found, so every candidate that could tie
+    with the best is still costed.
     """
+    _check_metric(metric)
     x0, y0, w, h = block.x0, block.y0, block.w, block.h
     frame_w, frame_h = buf.width, buf.height
     rects = [r for r in template_rects(block, t, frame_w, frame_h) if r is not None]
@@ -199,41 +343,47 @@ def tmp_search(
         dy_lo, dy_hi = max(-search_range, -y0), min(search_range, frame_h - h - y0)
     if dx_lo > dx_hi or dy_lo > dy_hi:
         return None
-
-    dxs, dys = np.meshgrid(
-        np.arange(dx_lo, dx_hi + 1, dtype=np.int64),
-        np.arange(dy_lo, dy_hi + 1, dtype=np.int64),
-    )
-    dxs = dxs.ravel()
-    dys = dys.ravel()
-
-    ii = _integral(buf.available)
-    valid = _rect_full(ii, x0 + dxs, y0 + dys, w, h)
-    strip_use = []
-    for rect in rects:
-        usable, fully_out = _strip_state(ii, frame_w, frame_h, rect, dxs, dys)
-        if strict_template:
-            valid &= usable
-        else:
-            valid &= usable | fully_out
-        strip_use.append(usable)
-    if not valid.any():
+    limit = _NO_LIMIT if below is None else below - 1  # accepted costs are <= limit
+    if limit < 0:
         return None
 
-    sel = np.flatnonzero(valid)
-    dxs, dys = dxs[sel], dys[sel]
-    costs = np.zeros(len(sel), dtype=np.int64)
-    for rect, usable in zip(rects, strip_use):
-        use = usable[sel]
-        if not use.any():
-            continue
-        costs[use] += _strip_costs(buf, rect, dxs[use], dys[use], metric)
-        if buf.read_hook is not None:
-            sx, sy, sw, sh = rect
-            for cx, cy in zip(dxs[use], dys[use]):
-                buf.note_read(int(sx + cx), int(sy + cy), sw, sh)
+    nx = dx_hi - dx_lo + 1
+    curs = [buf.read_region(*rect).astype(np.int64) for rect in rects]
+    valid, bounds, strip_use = _window_bounds(
+        buf, block, rects, curs, dx_lo, dx_hi, dy_lo, dy_hi, metric, strict_template
+    )
+    if buf.read_hook is not None:
+        for (sx, sy, sw, sh), usable in zip(rects, strip_use):
+            for i in np.flatnonzero(valid & usable).tolist():
+                buf.note_read(sx + dx_lo + i % nx, sy + dy_lo + i // nx, sw, sh)
 
-    l1 = np.abs(dxs) + np.abs(dys)
-    order = np.lexsort((dxs, dys, l1, costs))
-    best = order[0]
-    return SearchResult(BlockVector(int(dxs[best]), int(dys[best])), int(costs[best]))
+    sel = np.flatnonzero(valid & (bounds <= limit))
+    sel = sel[np.argsort(bounds[sel], kind="stable")]
+    bounds = bounds[sel]
+    best = None
+    start = 0
+    while start < len(sel):
+        stop = start + int(np.searchsorted(bounds[start : start + SEARCH_CHUNK], limit, side="right"))
+        if stop == start:
+            break
+        chunk = sel[start:stop]
+        dxs = dx_lo + chunk % nx
+        dys = dy_lo + chunk // nx
+        costs = np.zeros(len(chunk), dtype=np.int64)
+        for rect, cur, usable in zip(rects, curs, strip_use):
+            use = usable[chunk]
+            if use.all():
+                costs += _strip_costs(buf, rect, cur, dxs, dys, metric)
+            elif use.any():
+                costs[use] += _strip_costs(buf, rect, cur, dxs[use], dys[use], metric)
+        l1 = np.abs(dxs) + np.abs(dys)
+        i = np.lexsort((dxs, dys, l1, costs))[0]
+        key = (int(costs[i]), int(l1[i]), int(dys[i]), int(dxs[i]))
+        if key[0] <= limit and (best is None or key < best):
+            best = key
+            limit = key[0]
+        start = stop
+    if best is None:
+        return None
+    cost, _, dy, dx = best
+    return SearchResult(BlockVector(dx, dy), cost)

@@ -120,3 +120,13 @@ def test_boolean_optional_flags(glyph_yuv, tmp_path):
     assert config["use_bv_list"] is False
     assert config["measure_replay"] is False
     assert config["use_hog_transform"] is True
+
+
+def test_compare_malformed_record_exits_3(glyph_yuv, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(run_args(glyph_yuv, "--out", str(out))) == 0
+    doc = json.loads(out.read_text())
+    del doc["records"][0]["tool"]
+    out.write_text(json.dumps(doc))
+    assert main(["compare", str(out), str(out)]) == 3
+    assert "record 0" in capsys.readouterr().err

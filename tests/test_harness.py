@@ -15,6 +15,7 @@ from intralab.harness import (
     run_experiment,
     validate_config,
 )
+from intralab.reporting import Report
 from intralab.synth import noise_frame, tiled_glyph_frame
 
 
@@ -186,3 +187,9 @@ def test_full_search_range(glyph_yuv):
     config = dataclasses.replace(cfg(glyph_yuv, tool="intratmp"), search_range=None)
     report = run_experiment(config)
     assert report.aggregates["tool_usage"].get("intratmp", 0) > 0
+
+
+def test_compare_rejects_empty_runs():
+    empty = Report(config={}, records=[], aggregates={"n_blocks": 0})
+    with pytest.raises(ValidationError):
+        compare_runs(empty, empty)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -203,5 +204,37 @@ def test_read_rejects_non_json(tmp_path):
 def test_read_rejects_wrong_schema(tmp_path):
     path = tmp_path / "old.json"
     path.write_text(json.dumps({"schema": 0, "records": [], "config": {}, "aggregates": {}, "timing": {}}))
+    with pytest.raises(FormatError):
+        read_report(str(path))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda r: r.pop("pred_hash"),
+        lambda r: r.update(surprise=1),
+        lambda r: r.update(pred_sad="100"),
+        lambda r: r.update(modes="ang:30"),
+        lambda r: r.update(costs=[10, 1.5]),
+        lambda r: r.update(compaction=True),
+    ],
+    ids=["missing", "unknown", "str-for-int", "str-for-list", "float-in-int-list", "bool-for-float"],
+)
+def test_read_rejects_malformed_record(tmp_path, mutate):
+    path = tmp_path / "bad.json"
+    write_report(make_report([make_record()]), str(path))
+    doc = json.loads(path.read_text())
+    mutate(doc["records"][0])
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError):
+        read_report(str(path))
+
+
+def test_read_rejects_missing_report_keys(tmp_path):
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps({"schema": 1, "records": [asdict(make_record())]}))
+    with pytest.raises(FormatError):
+        read_report(str(path))
+    path.write_text(json.dumps({"schema": 1, "records": {}, "config": {}, "aggregates": {}, "timing": {}}))
     with pytest.raises(FormatError):
         read_report(str(path))

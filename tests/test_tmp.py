@@ -1,8 +1,15 @@
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from intralab import tmp
 from intralab.cost import block_cost
-from intralab.grid import BlockRef, ReconBuffer
+from intralab.errors import CausalityError
+from intralab.grid import BlockRef, ReconBuffer, partition
 from intralab.synth import noise_frame, tiled_glyph_frame
 from intralab.tmp import (
     BlockVector,
@@ -11,6 +18,7 @@ from intralab.tmp import (
     extract_template,
     template_at_bv,
     template_cost_at,
+    template_costs,
     template_rects,
     tmp_search,
 )
@@ -107,6 +115,28 @@ def test_template_cost_matches_block_cost(rng):
         assert template_cost_at(buf, block, bv, 4, metric) == want
 
 
+
+def test_template_costs_batch_matches_block_cost(rng):
+    samples = noise_frame(32, 32, seed=15)
+    buf, blocks = prefix_buffer(samples, 8, 10)
+    block = blocks[10]  # (16, 16)
+    # (-16, -16) moves both strips fully outside the frame: they cost nothing
+    bvs = [BlockVector(-8, -8), BlockVector(-16, -16), BlockVector(0, -8)]
+    cur_a, cur_l = extract_template(buf, block, 4)
+    for metric in ("sad", "satd"):
+        want = []
+        for bv in bvs:
+            total = 0
+            for (x, y, w, h), cur in zip(template_rects(block, 4, 32, 32), (cur_a, cur_l)):
+                x, y = x + bv.dx, y + bv.dy
+                if x >= 0 and y >= 0:
+                    total += block_cost(samples[y : y + h, x : x + w], cur, metric)
+            want.append(total)
+        assert template_costs(buf, block, bvs, 4, metric).tolist() == want
+    assert template_costs(buf, block, [], 4, "satd").tolist() == []
+    with pytest.raises(CausalityError):
+        template_costs(buf, block, [BlockVector(-8, -8), BlockVector(8, 0)], 4, "satd")
+
 def test_search_finds_exact_period_match():
     samples = tiled_glyph_frame(64, 64, period=8, seed=3)
     buf, blocks = prefix_buffer(samples, 8, 17)
@@ -185,3 +215,73 @@ def test_search_range_validation(rng):
     buf, blocks = prefix_buffer(samples, 8, 1)
     with pytest.raises(ValueError):
         tmp_search(buf, blocks[1], search_range=-1)
+
+
+# --- pruned search: exact against the oracle, bounded in memory ----------
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    width=st.integers(17, 48),
+    height=st.integers(17, 48),
+    block_size=st.sampled_from([4, 8, 16]),
+    t=st.sampled_from([1, 2, 4, 6]),
+    metric=st.sampled_from(["sad", "satd"]),
+    strict=st.booleans(),
+    search_range=st.one_of(st.none(), st.integers(1, 32)),
+    content=st.sampled_from(["noise", "glyph4", "glyph8"]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_search_with_limit_matches_oracle(
+    width, height, block_size, t, metric, strict, search_range, content, seed, data
+):
+    if content == "noise":
+        samples = noise_frame(width, height, seed=seed)
+    else:
+        # a repeated glyph gives many equal-cost candidates, so the tie
+        # order decides among candidates that share the cut-off bound
+        samples = tiled_glyph_frame(width, height, period=int(content[5:]), seed=seed)
+    n_blocks = len(partition(width, height, block_size))
+    k = data.draw(st.integers(0, n_blocks - 1), label="committed blocks")
+    buf, blocks = prefix_buffer(samples, block_size, k)
+    block = blocks[k]
+
+    want = oracle_search(buf, block, search_range, t, metric, strict)
+    top = 0 if want is None else want[1]
+    below = data.draw(
+        st.one_of(
+            st.none(), st.just(0), st.sampled_from([top, top + 1]), st.integers(0, 2 * top + 2)
+        ),
+        label="below",
+    )
+    if want is not None and below is not None and want[1] >= below:
+        want = None  # no candidate costs less than below
+
+    # small chunks make the bound cut-off decide on these small windows too
+    chunk = data.draw(st.sampled_from([1, 7, tmp.SEARCH_CHUNK]), label="chunk")
+    with mock.patch.object(tmp, "SEARCH_CHUNK", chunk):
+        got = tmp_search(buf, block, search_range, t, metric, strict_template=strict, below=below)
+    assert (None if got is None else (got.bv, got.cost)) == want
+
+
+def test_full_range_search_memory_is_bounded():
+    samples = noise_frame(384, 384, seed=14)
+    buf, blocks = prefix_buffer(samples, 16, 24 * 24 - 1)
+    tracemalloc.start()
+    try:
+        found = tmp_search(buf, blocks[-1], search_range=None, t=4, metric="satd", strict_template=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert found is not None
+    assert peak <= 32 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def test_unknown_metric_rejected():
+    samples = noise_frame(16, 16, seed=13)
+    buf, blocks = prefix_buffer(samples, 8, 1)
+    with pytest.raises(ValueError):
+        tmp_search(buf, blocks[1], search_range=8, metric="ssd")
+    with pytest.raises(ValueError):
+        template_cost_at(buf, blocks[1], BlockVector(-8, 0), 4, "ssd")
