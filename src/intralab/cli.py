@@ -37,7 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--template", type=int)
     run.add_argument("--n-max", type=int)
     run.add_argument("--quant-step", type=int)
-    run.add_argument("--seed", type=int)
     for name in (
         "use-bv-list",
         "use-ar-bv",
@@ -73,7 +72,6 @@ _RUN_FIELDS = (
     "template",
     "n_max",
     "quant_step",
-    "seed",
     "use_bv_list",
     "use_ar_bv",
     "use_hog_transform",

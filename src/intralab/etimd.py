@@ -33,7 +33,14 @@ from .bvlist import BvCandidate, BvStore, CodingRecord, Provenance, RecordTool, 
 from .cost import sad, satd, satd_batch
 from .grid import BlockRef, ReconBuffer, reconstruct_block
 from .hog import transform_mode_for_block
-from .intra import ALL_MODES, MODE_DC, MODE_PLANAR, build_reference_samples, predict_mode
+from .intra import (
+    ALL_MODES,
+    MODE_DC,
+    MODE_PLANAR,
+    build_reference_samples,
+    predict_mode,
+    predict_template,
+)
 from .tmp import BlockVector, SearchResult, bv_predict, template_costs, template_rects, tmp_search
 from .transforms import TRANSFORM_SIZES, apply_transform, energy_compaction, transform_class
 
@@ -120,11 +127,12 @@ def evaluate_candidates(
     """Template losses for Planar, DC, all angular modes, and listed BVs.
 
     Every candidate is costed on the identical template geometry: the
-    frame-clipped above/left strips of the block.  Template predictions
-    come from predicting the template-extended block from its own
-    references; BV candidates copy the displaced template and go through
-    tmp_search's batched strip kernel, so a BV costs the same on both
-    sides of the TMP competition.
+    frame-clipped above/left strips of the block.  Mode candidates
+    predict only those strips, all 67 at once, as part of the
+    template-extended block predicted from its own references; BV
+    candidates copy the displaced template and go through tmp_search's
+    batched strip kernel, so a BV costs the same on both sides of the
+    TMP competition.
     """
     above_rect, left_rect = template_rects(block, t, buf.width, buf.height)
     if above_rect is None and left_rect is None:
@@ -134,28 +142,21 @@ def evaluate_candidates(
     refs = build_reference_samples(buf, ex0, ey0, we, he)
     ah = block.y0 - ey0
     lw = block.x0 - ex0
+    preds = predict_template(refs, we, he, ah, lw, block.h)
 
-    cur_above = buf.read_region(*above_rect) if above_rect else None
-    cur_left = buf.read_region(*left_rect) if left_rect else None
-
-    above_diffs = [] if above_rect else None
-    left_diffs = [] if left_rect else None
-    for mode in ALL_MODES:
-        pred = predict_mode(refs, mode, we, he)
-        if above_rect:
-            above_diffs.append(pred[:ah, :] - cur_above)
-        if left_rect:
-            left_diffs.append(pred[ah : ah + block.h, :lw] - cur_left)
+    strips = []
+    if above_rect:
+        strips.append((preds[:, : ah * we].reshape(-1, ah, we), buf.read_region(*above_rect)))
+    if left_rect:
+        strips.append((preds[:, ah * we :].reshape(-1, block.h, lw), buf.read_region(*left_rect)))
 
     costs = np.zeros(len(ALL_MODES), dtype=np.int64)
-    for diffs in (above_diffs, left_diffs):
-        if diffs is None:
-            continue
-        stack = np.stack(diffs)
+    for pred, cur in strips:
+        diffs = pred - cur
         if metric == "satd":
-            costs += satd_batch(stack)
+            costs += satd_batch(diffs)
         else:
-            costs += np.abs(stack).sum(axis=(1, 2))
+            costs += np.abs(diffs).sum(axis=(1, 2))
 
     kind_of = {MODE_PLANAR: "planar", MODE_DC: "dc"}
     out = [

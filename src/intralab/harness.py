@@ -44,8 +44,7 @@ TOOLS = ("etimd", "timd", "intratmp", "dc-only")
 class RunConfig:
     """Resolved settings for one experiment run.
 
-    search_range None means the full causal area.  seed only feeds
-    fixture generation scripts; the encode itself is deterministic.
+    search_range None means the full causal area.
     """
 
     input_path: str
@@ -67,7 +66,6 @@ class RunConfig:
     search_range: int | None = DEFAULT_SEARCH_RANGE
     template: int = DEFAULT_TEMPLATE
     n_max: int = DEFAULT_N_MAX
-    seed: int = 0
     parallel: bool = False
     measure_replay: bool = True
 

@@ -7,6 +7,16 @@ each output sample onto the reference line at 1/32-sample precision and
 applies a 2-tap linear interpolation; negative-angle modes extend the
 main reference from the side reference the usual way.
 
+All angular samples are gathered from one reference line,
+above ‖ corner ‖ left: sample p of mode m is
+((32 - w1) * line[i0] + w1 * line[i1] + 16) >> 5 with taps (i0, i1, w1)
+that depend on the block shape alone.  _angular_taps holds the angle
+math; the tap tables of all 65 modes are built on first use per block
+shape (and, for template costing, per template geometry), kept in
+small-dtype arrays and cached in bounded LRU caches.  predict_angular
+gathers one mode over a block; predict_template gathers every mode over
+the template samples of a template-extended block only.
+
 Reference samples come from the causal reconstruction buffer.
 Unavailable positions are padded by replicating the nearest available
 sample along the reference border; a fully unavailable border pads to
@@ -16,6 +26,7 @@ mid-gray, 1 << (bit_depth - 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -147,44 +158,95 @@ def _invert_angle(angle: int) -> int:
     return round(512 * 32 / abs(angle))
 
 
-def _angular_core(main: np.ndarray, side: np.ndarray, n_scan: int, n_base: int, angle: int) -> np.ndarray:
-    """Predict (n_scan, n_base) samples from a corner-anchored main reference.
+def _angular_taps(
+    n_main: int, n_side: int, n_scan: int, n_base: int, angle: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Taps (i0, i1, w1) of an (n_scan, n_base) prediction over main ‖ side.
 
-    main[0] is the corner; main[i] runs along the main reference line.
-    side mirrors it along the other border (side[0] is the corner too)
-    and feeds the negative-index extension for angles below zero.
+    main[0] is the corner and main runs along the main reference line;
+    reads past its end clip to its last sample.  side mirrors it along
+    the other border (side[0] is the corner too) and feeds the
+    negative-index extension for angles below zero.  Sample (s, b) is
+    ((32 - w1[s]) * cat[i0[s, b]] + w1[s] * cat[i1[s, b]] + 16) >> 5 with
+    cat = main ‖ side.
     """
-    lo = n_scan
-    ext = np.empty(lo + n_base + n_scan + 2, dtype=np.int64)
-    idx = np.minimum(np.arange(n_base + n_scan + 2), len(main) - 1)
-    ext[lo:] = main[idx]
-    if angle < 0:
-        inv = _invert_angle(angle)
-        k = np.arange(1, n_scan + 1, dtype=np.int64)
-        j = np.minimum((k * inv + 256) >> 9, len(side) - 1)
-        ext[lo - 1 :: -1] = side[j]
-    else:
-        ext[:lo] = main[0]
+    proj = np.arange(1, n_scan + 1, dtype=np.int64) * angle
+    pos = np.arange(n_base, dtype=np.int64)[None, :] + (proj >> 5)[:, None] + 1
 
-    scan = np.arange(1, n_scan + 1, dtype=np.int64)
-    proj = scan * angle
-    whole = proj >> 5
-    frac = proj & 31
-    base = np.arange(n_base, dtype=np.int64)
-    at = base[None, :] + whole[:, None] + 1 + lo
-    w0 = (32 - frac)[:, None]
-    w1 = frac[:, None]
-    return (w0 * ext[at] + w1 * ext[at + 1] + 16) >> 5
+    def index(p: np.ndarray) -> np.ndarray:
+        out = np.minimum(p, n_main - 1)
+        if angle < 0:
+            j = np.minimum((-p * _invert_angle(angle) + 256) >> 9, n_side - 1)
+            out = np.where(p < 0, n_main + j, out)
+        return out
+
+    return index(pos), index(pos + 1), proj & 31
+
+
+def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Read-only arrays, safe to hand out from a cache."""
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+@lru_cache(maxsize=64)
+def _block_taps(w: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Taps of all 65 angular modes over a (h, w) block, each (65, h, w).
+
+    Indices point into the reference line above ‖ corner ‖ left.
+    Horizontal-set modes predict the transposed block with main =
+    corner ‖ left, so their indices rotate by len(above) onto that line.
+    """
+    n_above, n_left = 2 * w + 1, 2 * h + 1
+    itype = np.min_scalar_type(n_above + n_left)
+    i0 = np.empty((len(ANGULAR_MODES), h, w), dtype=itype)
+    i1 = np.empty_like(i0)
+    w1 = np.empty(i0.shape, dtype=np.uint8)
+    for k, mode in enumerate(ANGULAR_MODES):
+        if is_vertical(mode):
+            a0, a1, frac = _angular_taps(n_above, n_left, h, w, angle_of(mode))
+            i0[k], i1[k], w1[k] = a0, a1, frac[:, None]
+        else:
+            a0, a1, frac = _angular_taps(n_left, n_above, w, h, angle_of(mode))
+            i0[k] = ((a0 + n_above) % (n_above + n_left)).T
+            i1[k] = ((a1 + n_above) % (n_above + n_left)).T
+            w1[k] = frac[None, :]
+    return _frozen(i0, i1, w1)
+
+
+@lru_cache(maxsize=64)
+def _template_taps(
+    we: int, he: int, ah: int, lw: int, h: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Template positions and taps of a (he, we) template-extended block.
+
+    keep holds the raster indices of the template samples; i0, i1 and w1
+    are _block_taps(we, he) at those positions, each (65, len(keep)).
+    """
+    mask = np.zeros((he, we), dtype=bool)
+    mask[:ah] = True
+    mask[ah : ah + h, :lw] = True
+    keep = np.flatnonzero(mask)
+    n = len(ANGULAR_MODES)
+    return _frozen(keep, *(t.reshape(n, -1)[:, keep] for t in _block_taps(we, he)))
+
+
+def _reference_line(refs: RefSamples) -> np.ndarray:
+    return np.concatenate([refs.above, refs.above[:1], refs.left]).astype(np.int64, copy=False)
+
+
+def _interpolate(line: np.ndarray, i0: np.ndarray, i1: np.ndarray, w1: np.ndarray) -> np.ndarray:
+    v0 = line[i0]
+    return ((v0 << 5) + w1 * (line[i1] - v0) + 16) >> 5
 
 
 def predict_angular(refs: RefSamples, mode: int, w: int, h: int) -> np.ndarray:
     """Angular prediction of a (h, w) block from padded references."""
-    a = angle_of(mode)
-    corner = refs.above[:1]
-    left_ext = np.concatenate([corner, refs.left])
-    if is_vertical(mode):
-        return _angular_core(refs.above, left_ext, h, w, a)
-    return _angular_core(left_ext, refs.above, w, h, a).T
+    angle_of(mode)  # rejects non-angular modes
+    k = mode - ANGULAR_MODES[0]
+    i0, i1, w1 = _block_taps(w, h)
+    return _interpolate(_reference_line(refs), i0[k], i1[k], w1[k])
 
 
 def predict_dc(refs: RefSamples, w: int, h: int) -> np.ndarray:
@@ -213,3 +275,21 @@ def predict_mode(refs: RefSamples, mode: int, w: int, h: int) -> np.ndarray:
     if mode == MODE_DC:
         return predict_dc(refs, w, h)
     return predict_angular(refs, mode, w, h)
+
+
+def predict_template(refs: RefSamples, we: int, he: int, ah: int, lw: int, h: int) -> np.ndarray:
+    """Template samples of every mode, one row per mode in ALL_MODES order.
+
+    refs belong to the (he, we) template-extended block.  Each row holds
+    that block's prediction at its template positions only, in raster
+    order: the ah rows above the block (all we columns), then the lw
+    columns left of it over its h rows.  Row m equals
+    predict_mode(refs, ALL_MODES[m], we, he) at those positions; since
+    ALL_MODES[m] == m, row m is mode m.
+    """
+    keep, i0, i1, w1 = _template_taps(we, he, ah, lw, h)
+    out = np.empty((len(ALL_MODES), len(keep)), dtype=np.int64)
+    out[MODE_PLANAR] = predict_planar(refs, we, he).ravel()[keep]
+    out[MODE_DC] = predict_dc(refs, we, he).ravel()[keep]
+    out[ANGULAR_MODES[0] :] = _interpolate(_reference_line(refs), i0, i1, w1)
+    return out

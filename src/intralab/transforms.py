@@ -71,12 +71,21 @@ def apply_transform(residual: np.ndarray, klass: TransformClass) -> np.ndarray:
     return vmat @ residual @ hmat.T
 
 
+@lru_cache(maxsize=64)
+def _diagonal_scan_indices(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column index arrays of diagonal_scan(h, w)."""
+    v, u = np.divmod(np.arange(h * w), w)
+    order = np.lexsort((v, v + u))
+    rows, cols = v[order], u[order]
+    rows.setflags(write=False)
+    cols.setflags(write=False)
+    return rows, cols
+
+
 def diagonal_scan(h: int, w: int) -> list[tuple[int, int]]:
     """Coefficient scan by ascending anti-diagonal, rows first within one."""
-    return sorted(
-        ((v, u) for v in range(h) for u in range(w)),
-        key=lambda p: (p[0] + p[1], p[0]),
-    )
+    rows, cols = _diagonal_scan_indices(h, w)
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def energy_compaction(coeffs: np.ndarray, k: int) -> float:
@@ -91,6 +100,7 @@ def energy_compaction(coeffs: np.ndarray, k: int) -> float:
     total = float(energy.sum())
     if total == 0.0:
         return 1.0
-    scan = diagonal_scan(h, w)[:k]
-    head = float(sum(energy[v, u] for v, u in scan))
+    rows, cols = _diagonal_scan_indices(h, w)
+    # Sequential Python sum in scan order, not a pairwise numpy sum.
+    head = sum(energy[rows[:k], cols[:k]].tolist())
     return head / total

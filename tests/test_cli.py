@@ -130,3 +130,12 @@ def test_compare_malformed_record_exits_3(glyph_yuv, tmp_path, capsys):
     out.write_text(json.dumps(doc))
     assert main(["compare", str(out), str(out)]) == 3
     assert "record 0" in capsys.readouterr().err
+
+
+def test_seed_is_not_a_run_setting(glyph_yuv, tmp_path, capsys):
+    config_path = tmp_path / "seeded.json"
+    config_path.write_text(json.dumps({"input_path": glyph_yuv, "width": 64, "height": 64, "seed": 3}))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert "unknown config keys: seed" in capsys.readouterr().err
+    with pytest.raises(SystemExit):
+        main(run_args(glyph_yuv, "--seed", "3"))

@@ -1,12 +1,20 @@
 import dataclasses
 import math
+import os
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from intralab import harness
 from intralab.errors import ReplayMismatchError, ValidationError
 from intralab.frames import Frame, load_frame, write_pgm, write_yuv420
+from intralab.grid import BLOCK_SIZES, ReconBuffer
 from intralab.harness import (
+    TOOLS,
     RunConfig,
     compare_runs,
     config_from_dict,
@@ -15,7 +23,7 @@ from intralab.harness import (
     run_experiment,
     validate_config,
 )
-from intralab.reporting import Report
+from intralab.reporting import Report, read_report, write_report
 from intralab.synth import noise_frame, tiled_glyph_frame
 
 
@@ -193,3 +201,90 @@ def test_compare_rejects_empty_runs():
     empty = Report(config={}, records=[], aggregates={"n_blocks": 0})
     with pytest.raises(ValidationError):
         compare_runs(empty, empty)
+
+
+class AuditedBuffer(ReconBuffer):
+    """ReconBuffer that logs every read outside the blocks committed so far."""
+
+    def __init__(self, width: int, height: int, bit_depth: int) -> None:
+        super().__init__(width, height, bit_depth)
+        self.committed = np.zeros((height, width), dtype=bool)
+        self.violations: list[tuple[int, int, int, int]] = []
+        self.read_hook = self._audit
+
+    def _audit(self, x, y, w, h):
+        inside = x >= 0 and y >= 0 and x + w <= self.width and y + h <= self.height
+        if not inside or not self.committed[y : y + h, x : x + w].all():
+            self.violations.append((x, y, w, h))
+
+    def commit_block(self, block, recon):
+        super().commit_block(block, recon)
+        self.committed[block.y0 : block.y0 + block.h, block.x0 : block.x0 + block.w] = True
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    width=st.integers(1, 37),
+    height=st.integers(1, 37),
+    bit_depth=st.sampled_from([8, 10]),
+    glyphs=st.booleans(),
+    seed=st.integers(0, 2**16),
+    tool=st.sampled_from(TOOLS),
+    block_size=st.sampled_from(BLOCK_SIZES),
+    metric=st.sampled_from(["satd", "sad"]),
+    template=st.sampled_from([1, 2, 4, 6]),
+    search_range=st.sampled_from([1, 8, None]),
+    n_max=st.sampled_from([0, 2, 6]),
+    toggles=st.fixed_dictionaries(
+        {
+            name: st.booleans()
+            for name in ("use_bv_list", "use_ar_bv", "use_hog_transform", "tmp_compete", "closed_loop")
+        }
+    ),
+)
+def test_whole_loop_is_causal_replays_and_round_trips(
+    width, height, bit_depth, glyphs, seed, tool, block_size, metric, template, search_range, n_max, toggles
+):
+    if glyphs:
+        samples = tiled_glyph_frame(width, height, period=8, seed=seed, bit_depth=bit_depth)
+    else:
+        samples = noise_frame(width, height, seed=seed, bit_depth=bit_depth)
+    buffers: list[AuditedBuffer] = []
+
+    def make_buffer(*args):
+        buffers.append(AuditedBuffer(*args))
+        return buffers[-1]
+
+    with tempfile.TemporaryDirectory() as tmp:
+        frame_path = os.path.join(tmp, "frame.pgm")
+        write_pgm(Frame(width, height, bit_depth, samples), frame_path)
+        config = RunConfig(
+            input_path=frame_path,
+            input_format="pgm",
+            width=width,
+            height=height,
+            bit_depth=bit_depth,
+            block_size=block_size,
+            tool=tool,
+            metric=metric,
+            template=template,
+            search_range=search_range,
+            n_max=n_max,
+            quant_step=8,
+            **toggles,
+        )
+        with mock.patch.object(harness, "ReconBuffer", make_buffer):
+            report = run_experiment(config)  # replay raises on any divergence
+
+        encoded, replayed = buffers
+        assert encoded.violations == [] and replayed.violations == []
+        np.testing.assert_array_equal(encoded.samples, replayed.samples)
+        assert encoded.committed.all() and replayed.committed.all()
+
+        first, second = os.path.join(tmp, "a.json"), os.path.join(tmp, "b.json")
+        write_report(report, first)
+        loaded = read_report(first)
+        write_report(loaded, second)
+        assert loaded.records == report.records
+        with open(first, "rb") as fa, open(second, "rb") as fb:
+            assert fa.read() == fb.read()

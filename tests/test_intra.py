@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from intralab.grid import BlockRef, ReconBuffer
 from intralab.intra import (
+    ALL_MODES,
     ANGULAR_MODES,
     INTRA_PRED_ANGLE,
     MODE_DC,
@@ -20,6 +21,7 @@ from intralab.intra import (
     predict_dc,
     predict_mode,
     predict_planar,
+    predict_template,
 )
 
 from conftest import committed_buffer, prefix_buffer
@@ -272,3 +274,36 @@ def test_predict_mode_dispatch(rng):
         predict_mode(refs, MODE_PLANAR, 4, 4), predict_planar(refs, 4, 4)
     )
     np.testing.assert_array_equal(predict_mode(refs, 40, 4, 4), predict_angular(refs, 40, 4, 4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.sampled_from([1, 2, 4, 6]),
+    size=st.sampled_from([4, 8, 16, 32, 64]),
+    clip=st.tuples(st.integers(0, 63), st.integers(0, 63)),
+    corner=st.tuples(st.sampled_from([0, 1, 2, 3, 8]), st.sampled_from([0, 1, 2, 3, 8])),
+    bit_depth=st.sampled_from([8, 10]),
+)
+def test_template_prediction_matches_full_block(seed, t, size, clip, corner, bit_depth):
+    # A block of a size-grid partition, clipped by the frame edge to
+    # w x h, at distance (x0, y0) from the frame origin.
+    w, h = max(1, size - clip[0] % size), max(1, size - clip[1] % size)
+    x0, y0 = corner
+    lw, ah = min(x0, t), min(y0, t)
+    if lw == 0 and ah == 0:
+        return
+    we, he = lw + w, ah + h
+    rng = np.random.default_rng(seed)
+    refs = _refs(rng, we, he, hi=1 << bit_depth)
+    mask = np.zeros((he, we), dtype=bool)
+    mask[:ah] = True
+    mask[ah:, :lw] = True
+
+    got = predict_template(refs, we, he, ah, lw, h)
+    assert got.shape == (len(ALL_MODES), ah * we + h * lw)
+    for row, mode in zip(got, ALL_MODES):
+        want = predict_mode(refs, mode, we, he)[mask]
+        np.testing.assert_array_equal(row, want, err_msg=f"mode {mode}")
+        if mode in ANGULAR_MODES:
+            np.testing.assert_array_equal(row, _oracle_angular(refs, mode, we, he)[mask])

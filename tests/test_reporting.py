@@ -238,3 +238,15 @@ def test_read_rejects_missing_report_keys(tmp_path):
     path.write_text(json.dumps({"schema": 1, "records": {}, "config": {}, "aggregates": {}, "timing": {}}))
     with pytest.raises(FormatError):
         read_report(str(path))
+
+
+def test_read_accepts_config_with_retired_seed(tmp_path):
+    report = Report(
+        config={"tool": "etimd", "width": 16, "seed": 0},
+        records=[make_record()],
+        aggregates=compute_aggregates([make_record()]),
+        timing={"encode_s": 0.125},
+    )
+    path = str(tmp_path / "old.json")
+    write_report(report, path)
+    assert read_report(path).config["seed"] == 0
