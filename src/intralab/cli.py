@@ -10,9 +10,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from typing import Any, Sequence
 
+from .cost import METRICS
 from .errors import FormatError, TruncatedInputError, ValidationError
+from .frames import FORMATS
 from .harness import RunConfig, TOOLS, compare_runs, config_from_dict, run_experiment, validate_config
 from .reporting import read_report, write_report
 
@@ -24,7 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="encode frames and write a report")
     run.add_argument("--config", help="JSON file with config values; explicit flags win")
     run.add_argument("--input", help="input frame file")
-    run.add_argument("--format", choices=("yuv-planar", "pgm"), dest="input_format")
+    run.add_argument("--format", choices=FORMATS, dest="input_format")
     run.add_argument("--width", type=int)
     run.add_argument("--height", type=int)
     run.add_argument("--bit-depth", type=int, choices=(8, 10))
@@ -32,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--frame-count", type=int)
     run.add_argument("--block-size", type=int)
     run.add_argument("--tool", choices=TOOLS)
-    run.add_argument("--metric", choices=("satd", "sad"))
+    run.add_argument("--metric", choices=METRICS)
     run.add_argument("--search-range", help='window radius in samples, or "full"')
     run.add_argument("--template", type=int)
     run.add_argument("--n-max", type=int)
@@ -59,26 +62,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RUN_FIELDS = (
-    "input_format",
-    "width",
-    "height",
-    "bit_depth",
-    "frame_start",
-    "frame_count",
-    "block_size",
-    "tool",
-    "metric",
-    "template",
-    "n_max",
-    "quant_step",
-    "use_bv_list",
-    "use_ar_bv",
-    "use_hog_transform",
-    "tmp_compete",
-    "closed_loop",
-    "parallel",
-    "measure_replay",
+_RUN_FIELDS = tuple(
+    f.name for f in fields(RunConfig) if f.name not in ("input_path", "search_range")
 )
 
 
@@ -147,6 +132,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     print(f"PSNR: {delta.psnr_a_db:.2f} dB -> {delta.psnr_b_db:.2f} dB ({delta.psnr_delta_db:+.2f} dB)")
     if delta.enc_time_ratio_pct is not None:
         print(f"encode time ratio: {delta.enc_time_ratio_pct:.1f}%")
+    if delta.replay_time_ratio_pct is not None:
+        print(f"replay time ratio: {delta.replay_time_ratio_pct:.1f}%")
     return 0
 
 

@@ -20,12 +20,16 @@ Fusion weights follow the loss-proportional rule: each mode's weight is
 the sum of the other selected losses over (N-1) times the total, so a
 cheaper template predicts a larger share.  Selection and weights are
 scale-invariant in the losses.
+
+derive_fusion derives a block's fusion set from decoder-visible state
+alone and commit_fusion predicts, reconstructs and commits the block;
+the encoder and harness.replay_frame both go through the two.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -43,6 +47,9 @@ from .intra import (
 )
 from .tmp import BlockVector, SearchResult, bv_predict, template_costs, template_rects, tmp_search
 from .transforms import TRANSFORM_SIZES, apply_transform, energy_compaction, transform_class
+
+if TYPE_CHECKING:
+    from .harness import RunConfig
 
 _KIND_RANK = {"angular": 0, "planar": 1, "dc": 2, "bv": 3}
 
@@ -239,17 +246,12 @@ class BlockResult:
 
 @dataclass
 class EncodeContext:
-    """Mutable per-frame state threaded through encode_block.
-
-    config duck-types the run configuration (tool, metric, template,
-    search_range, n_max, use_bv_list, use_ar_bv, use_hog_transform,
-    tmp_compete, closed_loop, quant_step).
-    """
+    """Mutable per-frame state threaded through encode_block."""
 
     original: np.ndarray
     buf: ReconBuffer
     store: BvStore
-    config: Any
+    config: RunConfig
 
 
 def fusion_predictions(buf: ReconBuffer, block: BlockRef, fusion: FusionSet) -> list[np.ndarray]:
@@ -263,13 +265,6 @@ def fusion_predictions(buf: ReconBuffer, block: BlockRef, fusion: FusionSet) -> 
                 refs = build_reference_samples(buf, block.x0, block.y0, block.w, block.h)
             preds.append(predict_mode(refs, cand.mode, block.w, block.h))
     return preds
-
-
-def dc_fallback(buf: ReconBuffer, block: BlockRef) -> tuple[FusionSet, np.ndarray]:
-    refs = build_reference_samples(buf, block.x0, block.y0, block.w, block.h)
-    pred = predict_mode(refs, MODE_DC, block.w, block.h)
-    fusion = FusionSet([ModeCandidate(kind="dc", cost=0, mode=MODE_DC)], [1.0])
-    return fusion, pred
 
 
 def _measure_transform(
@@ -288,48 +283,76 @@ def _measure_transform(
     return modes, klass.name, compaction
 
 
+def derive_fusion(
+    buf: ReconBuffer, store: BvStore, config: RunConfig, block: BlockRef, tool: str
+) -> tuple[FusionSet, list[BvCandidate]]:
+    """Decoder-side fusion set and BV list of a block signalled as dc, timd or etimd.
+
+    Reads only the committed reconstruction and the BV store, never the
+    source, so the encoder and the replay reach the same answer.
+    """
+    if tool == "dc":
+        return FusionSet([ModeCandidate(kind="dc", cost=0, mode=MODE_DC)], [1.0]), []
+    bv_list: list[BvCandidate] = []
+    if tool == "etimd" and config.use_bv_list:
+        bv_list = build_bv_list(store, buf, block, config.template, config.n_max, use_ar=config.use_ar_bv)
+    cands = evaluate_candidates(buf, block, config.template, config.metric, bv_list)
+    select = select_modes_timd if tool == "timd" else select_modes_etimd
+    return select(cands), bv_list
+
+
+def commit_fusion(
+    buf: ReconBuffer,
+    store: BvStore,
+    config: RunConfig,
+    block: BlockRef,
+    tool: str,
+    fusion: FusionSet,
+    orig: np.ndarray,
+) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Predict, fuse, reconstruct, commit, and record one block in the BV store.
+
+    Returns the per-mode predictions, the fused prediction and the
+    committed reconstruction.
+    """
+    predictions = fusion_predictions(buf, block, fusion)
+    prediction = fuse(predictions, fusion.weights, buf.bit_depth)
+    recon = reconstruct_block(orig, prediction, config.closed_loop, config.quant_step, buf.bit_depth)
+    buf.commit_block(block, recon)
+    store.add(coding_record_for(block, tool, fusion))
+    return predictions, prediction, recon
+
+
+def _search_fusion(found: SearchResult) -> FusionSet:
+    cand = ModeCandidate(kind="bv", cost=found.cost, bv=found.bv, list_index=0)
+    return FusionSet([cand], [1.0])
+
+
 def derive_block_modes(
     ctx: EncodeContext, block: BlockRef
 ) -> tuple[str, FusionSet, list[BvCandidate], SearchResult | None]:
-    """Shared encoder/replay derivation: tool choice and fusion set.
+    """Encoder choices on top of derive_fusion: tool, IntraTMP search, TMP competition.
 
     Returns the tool label, the fusion set, the BV candidate list, and
-    the template-matching search outcome (None when no search ran).
+    the template-matching search outcome (None when no search ran or
+    none won).
     """
     cfg = ctx.config
+    if cfg.tool not in ("etimd", "timd", "intratmp", "dc-only"):
+        raise ValueError(f"unknown tool {cfg.tool!r}")
     above_rect, left_rect = template_rects(block, cfg.template, ctx.buf.width, ctx.buf.height)
     has_template = above_rect is not None or left_rect is not None
+    tool = cfg.tool if cfg.tool != "dc-only" and has_template else "dc"
 
-    if cfg.tool == "dc-only" or not has_template:
-        fusion, _ = dc_fallback(ctx.buf, block)
-        return "dc", fusion, [], None
-
-    if cfg.tool == "intratmp":
+    if tool == "intratmp":
         found = tmp_search(
             ctx.buf, block, cfg.search_range, cfg.template, cfg.metric, strict_template=False
         )
-        if found is None:
-            fusion, _ = dc_fallback(ctx.buf, block)
-            return "dc", fusion, [], None
-        cand = ModeCandidate(kind="bv", cost=found.cost, bv=found.bv, list_index=0)
-        return "intratmp", FusionSet([cand], [1.0]), [], found
-
-    if cfg.tool == "timd":
-        cands = evaluate_candidates(ctx.buf, block, cfg.template, cfg.metric)
-        return "timd", select_modes_timd(cands), [], None
-
-    if cfg.tool != "etimd":
-        raise ValueError(f"unknown tool {cfg.tool!r}")
-
-    bv_list: list[BvCandidate] = []
-    if cfg.use_bv_list:
-        bv_list = build_bv_list(
-            ctx.store, ctx.buf, block, cfg.template, cfg.n_max, use_ar=cfg.use_ar_bv
-        )
-    cands = evaluate_candidates(ctx.buf, block, cfg.template, cfg.metric, bv_list)
-    fusion = select_modes_etimd(cands)
-
-    if cfg.use_bv_list and cfg.tmp_compete:
+        if found is not None:
+            return "intratmp", _search_fusion(found), [], found
+        tool = "dc"
+    fusion, bv_list = derive_fusion(ctx.buf, ctx.store, cfg, block, tool)
+    if tool == "etimd" and cfg.use_bv_list and cfg.tmp_compete:
         found = tmp_search(
             ctx.buf,
             block,
@@ -340,27 +363,25 @@ def derive_block_modes(
             below=fusion.modes[0].cost,
         )
         if found is not None:
-            cand = ModeCandidate(kind="bv", cost=found.cost, bv=found.bv, list_index=0)
-            return "intratmp", FusionSet([cand], [1.0]), bv_list, found
-    return "etimd", fusion, bv_list, None
+            return "intratmp", _search_fusion(found), bv_list, found
+    return tool, fusion, bv_list, None
 
 
 def encode_block(ctx: EncodeContext, block: BlockRef) -> BlockResult:
-    """Derive modes, predict, reconstruct, commit, and record one block."""
-    cfg = ctx.config
+    """Derive modes, then predict, reconstruct, commit, and record one block."""
     tool, fusion, bv_list, _ = derive_block_modes(ctx, block)
-    predictions = fusion_predictions(ctx.buf, block, fusion)
-    prediction = fuse(predictions, fusion.weights, ctx.buf.bit_depth)
-
     orig = ctx.original[block.y0 : block.y0 + block.h, block.x0 : block.x0 + block.w].astype(
         np.int64
+    )
+    predictions, prediction, recon = commit_fusion(
+        ctx.buf, ctx.store, ctx.config, block, tool, fusion, orig
     )
     result = BlockResult(
         block=block,
         tool=tool,
         fusion=fusion,
         prediction=prediction,
-        recon=np.zeros(0, dtype=np.int32),
+        recon=recon,
         pred_sad=sad(prediction, orig),
         pred_satd=satd(prediction, orig),
         pred_sse=int(((prediction.astype(np.int64) - orig) ** 2).sum()),
@@ -368,16 +389,11 @@ def encode_block(ctx: EncodeContext, block: BlockRef) -> BlockResult:
         n_primary=sum(1 for c in bv_list if c.provenance == Provenance.PRIMARY),
         n_ar=sum(1 for c in bv_list if c.provenance == Provenance.AUTO_RELOCATED),
     )
-    if cfg.use_hog_transform:
+    if ctx.config.use_hog_transform:
         residual = orig - prediction.astype(np.int64)
         result.transform_modes, result.transform_class_name, result.compaction = (
             _measure_transform(block, fusion, predictions, residual)
         )
-
-    recon = reconstruct_block(orig, prediction, cfg.closed_loop, cfg.quant_step, ctx.buf.bit_depth)
-    result.recon = recon
-    ctx.buf.commit_block(block, recon)
-    ctx.store.add(coding_record_for(block, tool, fusion))
     return result
 
 

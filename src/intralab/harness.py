@@ -3,9 +3,12 @@
 A run encodes one or more frames block by block, records everything in
 a Report, and optionally replays the whole frame the way a decoder
 would: re-deriving the fused modes from the committed reconstruction
-alone and checking they match what the encoder chose.  TIMD-style
-derivation only works if both sides reach the same answer, so the
-replay is asserted, not sampled.
+alone and checking they match what the encoder chose.  Encode and
+replay share one path: etimd.derive_fusion derives a dc/timd/etimd
+block's fusion from decoder-visible state only, and etimd.commit_fusion
+predicts, reconstructs and commits every block.  TIMD-style derivation
+only works if both sides reach the same answer, so the replay is
+asserted, not sampled.
 """
 
 from __future__ import annotations
@@ -17,25 +20,14 @@ from typing import Any
 
 import numpy as np
 
-from .bvlist import DEFAULT_N_MAX, BvStore, build_bv_list
+from .bvlist import DEFAULT_N_MAX, BvStore
 from .cost import METRICS
 from .errors import ReplayMismatchError, ValidationError
-from .etimd import (
-    BlockResult,
-    EncodeContext,
-    coding_record_for,
-    dc_fallback,
-    encode_block,
-    evaluate_candidates,
-    fuse,
-    fusion_predictions,
-    select_modes_etimd,
-    select_modes_timd,
-)
+from .etimd import BlockResult, EncodeContext, FusionSet, commit_fusion, derive_fusion, encode_block
 from .frames import FORMATS, Frame, load_frame
-from .grid import BLOCK_SIZES, ReconBuffer, partition, reconstruct_block
+from .grid import BLOCK_SIZES, BlockRef, ReconBuffer, partition
 from .reporting import BlockRecord, Report, compute_aggregates
-from .tmp import DEFAULT_SEARCH_RANGE, DEFAULT_TEMPLATE, bv_predict
+from .tmp import DEFAULT_SEARCH_RANGE, DEFAULT_TEMPLATE
 
 TOOLS = ("etimd", "timd", "intratmp", "dc-only")
 
@@ -92,14 +84,29 @@ def validate_config(config: RunConfig) -> None:
     )
 
 
+_ANNOTATION_TYPES = {"str": str, "int": int, "bool": bool, "int | None": int}
+
+
+def _value_fits(annotation: str, value: Any) -> bool:
+    if value is None:
+        return annotation == "int | None"
+    if isinstance(value, bool):
+        return annotation == "bool"
+    return isinstance(value, _ANNOTATION_TYPES[annotation])
+
+
 def config_from_dict(values: dict[str, Any]) -> RunConfig:
-    """Build a RunConfig from a plain dict, rejecting unknown keys."""
-    known = {f.name for f in fields(RunConfig)}
-    unknown = sorted(set(values) - known)
+    """Build a RunConfig from a plain dict, rejecting unknown keys and
+    values whose type does not match the field's annotation."""
+    annotations = {f.name: f.type for f in fields(RunConfig)}
+    unknown = sorted(set(values) - set(annotations))
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(unknown)}")
     if "input_path" not in values:
         raise ValidationError("config needs input_path")
+    for name, value in values.items():
+        if not _value_fits(annotations[name], value):
+            raise ValidationError(f"config value {name}={value!r} must be {annotations[name]}")
     return RunConfig(**values)
 
 
@@ -117,46 +124,31 @@ def encode_frame(
 def replay_frame(frame: Frame, config: RunConfig, results: list[BlockResult]) -> ReconBuffer:
     """Re-derive every block decoder-side and check it matches the encode.
 
-    dc blocks need no derivation and intratmp blocks carry their BV as
-    coded side info; timd/etimd fusions are re-derived from scratch off
-    the committed reconstruction and must agree mode-for-mode.
+    intratmp blocks carry their BV as coded side info; dc, timd and etimd
+    fusions are re-derived by derive_fusion off the committed
+    reconstruction and must agree mode-for-mode before commit_fusion
+    commits the block.
     """
     buf = ReconBuffer(frame.width, frame.height, frame.bit_depth)
     store = BvStore(frame.width, frame.height)
     original = frame.samples.astype(np.int64)
     for res in results:
         block = res.block
-        if res.tool == "dc":
-            fusion, pred = dc_fallback(buf, block)
-            predictions = [pred]
-        elif res.tool == "intratmp":
+        if res.tool == "intratmp":
             fusion = res.fusion
-            predictions = [bv_predict(buf, block, fusion.modes[0].bv)]
         else:
-            if res.tool == "etimd" and config.use_bv_list:
-                bv_list = build_bv_list(
-                    store, buf, block, config.template, config.n_max, use_ar=config.use_ar_bv
-                )
-            else:
-                bv_list = []
-            cands = evaluate_candidates(buf, block, config.template, config.metric, bv_list)
-            fusion = select_modes_timd(cands) if res.tool == "timd" else select_modes_etimd(cands)
+            fusion, _ = derive_fusion(buf, store, config, block, res.tool)
             _check_same_fusion(block, res, fusion)
-            predictions = fusion_predictions(buf, block, fusion)
-
-        prediction = fuse(predictions, fusion.weights, buf.bit_depth)
+        orig = original[block.y0 : block.y0 + block.h, block.x0 : block.x0 + block.w]
+        _, prediction, _ = commit_fusion(buf, store, config, block, res.tool, fusion, orig)
         if not np.array_equal(prediction, res.prediction):
             raise ReplayMismatchError(
                 f"block {block.scan_index} at ({block.x0},{block.y0}): prediction diverged"
             )
-        orig = original[block.y0 : block.y0 + block.h, block.x0 : block.x0 + block.w]
-        recon = reconstruct_block(orig, prediction, config.closed_loop, config.quant_step, buf.bit_depth)
-        buf.commit_block(block, recon)
-        store.add(coding_record_for(block, res.tool, fusion))
     return buf
 
 
-def _check_same_fusion(block: Any, res: BlockResult, fusion: Any) -> None:
+def _check_same_fusion(block: BlockRef, res: BlockResult, fusion: FusionSet) -> None:
     got = [(c.label(), c.cost) for c in fusion.modes]
     want = [(c.label(), c.cost) for c in res.fusion.modes]
     if got != want or fusion.weights != res.fusion.weights:

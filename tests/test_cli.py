@@ -56,6 +56,19 @@ def test_compare_reports(glyph_yuv, tmp_path, capsys):
     assert delta["wins"] > delta["losses"]
 
 
+def test_compare_reports_replay_time_ratio(glyph_yuv, tmp_path, capsys):
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    assert main(run_args(glyph_yuv, "--tool", "timd", "--out", a)) == 0
+    assert main(run_args(glyph_yuv, "--tool", "etimd", "--out", b)) == 0
+    capsys.readouterr()
+    assert main(["compare", a, b]) == 0
+    assert "replay time ratio: " in capsys.readouterr().out
+    assert main(run_args(glyph_yuv, "--tool", "etimd", "--no-measure-replay", "--out", b)) == 0
+    capsys.readouterr()
+    assert main(["compare", a, b]) == 0
+    assert "replay time ratio" not in capsys.readouterr().out
+
+
 def test_config_file_with_flag_override(glyph_yuv, tmp_path):
     config_path = tmp_path / "run.json"
     config_path.write_text(
@@ -92,6 +105,26 @@ def test_validation_errors_exit_2(glyph_yuv, tmp_path, capsys):
     bad_json = tmp_path / "broken.json"
     bad_json.write_text("{not json")
     assert main(["run", "--config", str(bad_json), "--input", glyph_yuv]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("search_range", "full"),
+        ("width", "32"),
+        ("template", 2.5),
+        ("frame_count", 1.0),
+        ("use_bv_list", "no"),
+        ("template", True),
+        ("input_path", 5),
+    ],
+)
+def test_wrongly_typed_config_value_exits_2(glyph_yuv, tmp_path, capsys, key, value):
+    values = {"input_path": glyph_yuv, "width": 64, "height": 64, "block_size": 8, key: value}
+    config_path = tmp_path / "typed.json"
+    config_path.write_text(json.dumps(values))
+    assert main(["run", "--config", str(config_path)]) == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -107,6 +107,29 @@ def test_replay_detects_tampered_prediction(glyph_yuv):
         replay_frame(frame, config, results)
 
 
+def test_replay_detects_flipped_tool(glyph_yuv):
+    config = cfg(glyph_yuv, tool="etimd")
+    frame = load_frame(glyph_yuv, "yuv-planar", 64, 64)
+    results, _, _ = encode_frame(frame, config)
+    # TIMD never fuses a BV, so re-deriving this block as timd must disagree
+    res = next(r for r in results if r.tool == "etimd" and any(c.kind == "bv" for c in r.fusion.modes))
+    res.tool = "timd"
+    with pytest.raises(ReplayMismatchError, match="encoder derived"):
+        replay_frame(frame, config, results)
+
+
+@pytest.mark.parametrize("tool", ["timd", "etimd"])
+def test_replay_detects_changed_fused_cost(glyph_yuv, tool):
+    config = cfg(glyph_yuv, tool=tool)
+    frame = load_frame(glyph_yuv, "yuv-planar", 64, 64)
+    results, _, _ = encode_frame(frame, config)
+    res = next(r for r in results if r.tool == tool)
+    modes = res.fusion.modes
+    modes[-1] = dataclasses.replace(modes[-1], cost=modes[-1].cost + 1)
+    with pytest.raises(ReplayMismatchError, match="encoder derived"):
+        replay_frame(frame, config, results)
+
+
 def test_replay_checks_closed_loop_reconstruction(glyph_yuv):
     config = cfg(glyph_yuv, tool="etimd", closed_loop=True, quant_step=16)
     report = run_experiment(config)
