@@ -17,6 +17,7 @@ from .errors import (
     ValidationError,
 )
 from .etimd import (
+    CandidatePool,
     FusionSet,
     ModeCandidate,
     compute_weights,
@@ -41,6 +42,7 @@ __all__ = [
     "BlockVector",
     "BvCandidate",
     "BvStore",
+    "CandidatePool",
     "CausalityError",
     "CodingRecord",
     "CommitOrderError",

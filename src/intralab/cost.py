@@ -7,6 +7,16 @@ SAD.  Regions narrower than 4 in either dimension fall back to SAD
 entirely.  Per-tile sums of absolute transform coefficients use the
 conventional normalization: (s + 1) >> 1 for 4x4, (s + 2) >> 2 for 8x8.
 
+satd_batch transforms a whole batch with one float32 GEMM: each tile is
+flattened to a row of 16 (or 64) samples and multiplied by H (x) H, the
+Kronecker product of the Hadamard matrix with itself.  That is exact
+while every |difference| <= SATD_MAX_DIFF (4095, 12-bit samples): an
+8x8 tile's absolute coefficient sum is then at most 64 * 64 * 4095 <
+2^24, and float32 holds every integer up to 2^24, so every partial sum
+of the product and of the absolute sum is an exact integer.  Larger
+differences raise ValueError.  The rounding and the per-block sums run
+in int64.
+
 All kernels accept integer sample arrays of identical shape and return
 Python ints.  satd(a, b) == satd(b, a) and adding a constant to both
 inputs leaves every cost unchanged.
@@ -17,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 METRICS = ("satd", "sad")
+SATD_MAX_DIFF = 4095
 
 
 def _hadamard(n: int) -> np.ndarray:
@@ -26,8 +37,8 @@ def _hadamard(n: int) -> np.ndarray:
     return h
 
 
-_H4 = _hadamard(4)
-_H8 = _hadamard(8)
+# Row-major flattened tiles times H (x) H; both matrices are symmetric.
+_KRON = {n: np.kron(_hadamard(n), _hadamard(n)).astype(np.float32) for n in (4, 8)}
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -49,13 +60,12 @@ def sad(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def _tile_satd(diffs: np.ndarray, tile: int) -> np.ndarray:
-    """Hadamard cost of (N, th, tw) diffs fully tiled by tile x tile."""
+    """Hadamard cost of (N, th, tw) diffs fully tiled by tile x tile, by one GEMM."""
     n, th, tw = diffs.shape
-    hmat = _H4 if tile == 4 else _H8
-    t = diffs.reshape(n, th // tile, tile, tw // tile, tile)
-    t = t.transpose(0, 1, 3, 2, 4).reshape(-1, tile, tile)
-    coeffs = (hmat @ t) @ hmat.T
-    sums = np.abs(coeffs).sum(axis=(1, 2))
+    rows = diffs.reshape(n, th // tile, tile, tw // tile, tile).transpose(0, 1, 3, 2, 4)
+    rows = rows.astype(np.float32, order="C").reshape(-1, tile * tile)
+    coeffs = rows @ _KRON[tile]
+    sums = np.abs(coeffs, out=coeffs).sum(axis=1).astype(np.int64)
     if tile == 4:
         per_tile = (sums + 1) >> 1
     else:
@@ -72,11 +82,17 @@ def satd_tiling(h: int, w: int) -> tuple[int, int, int]:
 
 
 def satd_batch(diffs: np.ndarray) -> np.ndarray:
-    """SATD of a batch of (N, h, w) difference arrays (int64 result)."""
+    """SATD of a batch of (N, h, w) difference arrays (int64 result).
+
+    Raises ValueError when any |difference| exceeds SATD_MAX_DIFF, the
+    bound under which the float32 transform is exact.
+    """
     diffs = np.asarray(diffs, dtype=np.int64)
     n, h, w = diffs.shape
     if n == 0:
         return np.zeros(0, dtype=np.int64)
+    if diffs.size and (diffs.max() > SATD_MAX_DIFF or diffs.min() < -SATD_MAX_DIFF):
+        raise ValueError(f"SATD differences must lie within +-{SATD_MAX_DIFF}")
     tile, th, tw = satd_tiling(h, w)
     if not tile:
         return np.abs(diffs).sum(axis=(1, 2))
@@ -95,12 +111,3 @@ def satd(a: np.ndarray, b: np.ndarray) -> int:
         return 0
     d = a.astype(np.int64) - b.astype(np.int64)
     return int(satd_batch(d[None])[0])
-
-
-def block_cost(a: np.ndarray, b: np.ndarray, metric: str) -> int:
-    """Dispatch on the configured template-loss metric."""
-    if metric == "sad":
-        return sad(a, b)
-    if metric == "satd":
-        return satd(a, b)
-    raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")

@@ -16,6 +16,13 @@ cheapest of Planar, DC and the not-yet-selected BV candidates.  Equal
 costs rank Angular (ascending index) before Planar before DC before
 BV (list order), which makes derivation deterministic.
 
+The pool stays on arrays: evaluate_candidates returns a read-only
+CandidatePool of int64 costs (ALL_MODES order, then BV-list order) that
+builds a ModeCandidate only for an entry that is read.  Both selectors
+rank with one np.lexsort over (cost, kind rank, sub), accept a pool or
+any candidate list, and build candidates only for the selected modes;
+"not yet selected" means by position in the pool.
+
 Fusion weights follow the loss-proportional rule: each mode's weight is
 the sum of the other selected losses over (N-1) times the total, so a
 cheaper template predicts a larger share.  Selection and weights are
@@ -28,8 +35,11 @@ the encoder and harness.replay_frame both go through the two.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -52,6 +62,7 @@ if TYPE_CHECKING:
     from .harness import RunConfig
 
 _KIND_RANK = {"angular": 0, "planar": 1, "dc": 2, "bv": 3}
+_MODE_KIND = {MODE_PLANAR: "planar", MODE_DC: "dc"}
 
 
 @dataclass(frozen=True)
@@ -64,21 +75,48 @@ class ModeCandidate:
     bv: BlockVector | None = None
     list_index: int = -1
 
-    def sort_key(self) -> tuple[int, int, int]:
-        if self.kind == "angular":
-            sub = self.mode
-        elif self.kind == "bv":
-            sub = self.list_index
-        else:
-            sub = 0
-        return (self.cost, _KIND_RANK[self.kind], sub)
-
     def label(self) -> str:
         if self.kind == "angular":
             return f"ang:{self.mode}"
         if self.kind == "bv":
             return f"bv:{self.bv.dx}:{self.bv.dy}"
         return self.kind
+
+
+class CandidatePool(Sequence[ModeCandidate]):
+    """Read-only pool of template losses: ALL_MODES order, then BV-list order.
+
+    A ModeCandidate is built only when an entry is indexed or iterated.
+    """
+
+    def __init__(self, costs: np.ndarray, bv_list: Sequence[BvCandidate] = ()) -> None:
+        if len(costs) != len(ALL_MODES) + len(bv_list):
+            raise ValueError("costs must cover ALL_MODES and then every listed BV")
+        self.costs = np.array(costs, dtype=np.int64)
+        self.costs.flags.writeable = False
+        self.bv_list = tuple(bv_list)
+
+    def __len__(self) -> int:
+        return len(self.costs)
+
+    def __getitem__(self, i: int) -> ModeCandidate:
+        cost = int(self.costs[i])  # raises IndexError past either end, which ends iteration
+        i = operator.index(i) % len(self.costs)
+        if i < len(ALL_MODES):
+            mode = ALL_MODES[i]
+            return ModeCandidate(_MODE_KIND.get(mode, "angular"), cost, mode)
+        j = i - len(ALL_MODES)
+        return ModeCandidate("bv", cost, None, self.bv_list[j].bv, j)
+
+
+@lru_cache(maxsize=64)
+def _pool_rank_keys(n_bv: int) -> tuple[np.ndarray, np.ndarray]:
+    """Kind ranks and subs of every entry of a pool with n_bv listed BVs."""
+    kinds = [_MODE_KIND.get(mode, "angular") for mode in ALL_MODES] + ["bv"] * n_bv
+    ranks = np.array([_KIND_RANK[kind] for kind in kinds])
+    subs = np.array([mode if kind == "angular" else 0 for mode, kind in zip(ALL_MODES, kinds)] + list(range(n_bv)))
+    ranks.flags.writeable = subs.flags.writeable = False  # shared by every caller
+    return ranks, subs
 
 
 @dataclass
@@ -130,7 +168,7 @@ def evaluate_candidates(
     t: int,
     metric: str,
     bv_list: Sequence[BvCandidate] = (),
-) -> list[ModeCandidate]:
+) -> CandidatePool:
     """Template losses for Planar, DC, all angular modes, and listed BVs.
 
     Every candidate is costed on the identical template geometry: the
@@ -139,7 +177,8 @@ def evaluate_candidates(
     template-extended block predicted from its own references; BV
     candidates copy the displaced template and go through tmp_search's
     batched strip kernel, so a BV costs the same on both sides of the
-    TMP competition.
+    TMP competition.  The pool holds the costs in ALL_MODES order, then
+    in BV-list order.
     """
     above_rect, left_rect = template_rects(block, t, buf.width, buf.height)
     if above_rect is None and left_rect is None:
@@ -160,68 +199,75 @@ def evaluate_candidates(
     costs = np.zeros(len(ALL_MODES), dtype=np.int64)
     for pred, cur in strips:
         diffs = pred - cur
-        if metric == "satd":
-            costs += satd_batch(diffs)
-        else:
-            costs += np.abs(diffs).sum(axis=(1, 2))
+        costs += satd_batch(diffs) if metric == "satd" else np.abs(diffs).sum(axis=(1, 2))
 
-    kind_of = {MODE_PLANAR: "planar", MODE_DC: "dc"}
-    out = [
-        ModeCandidate(kind=kind_of.get(mode, "angular"), cost=int(c), mode=mode)
-        for mode, c in zip(ALL_MODES, costs)
-    ]
     if bv_list:
         bv_costs = template_costs(buf, block, [c.bv for c in bv_list], t, metric)
-        out.extend(
-            ModeCandidate(kind="bv", cost=int(c), bv=cand.bv, list_index=i)
-            for i, (cand, c) in enumerate(zip(bv_list, bv_costs))
-        )
-    return out
+        costs = np.concatenate((costs, bv_costs))
+    return CandidatePool(costs, bv_list)
 
 
-def _angulars(candidates: Sequence[ModeCandidate]) -> list[ModeCandidate]:
-    return sorted((c for c in candidates if c.kind == "angular"), key=ModeCandidate.sort_key)
+def _ranking(candidates: Sequence[ModeCandidate]) -> tuple[list[int], list[int], np.ndarray]:
+    """Positions of a pool or candidate list in ranking order, their kind ranks, and the costs.
+
+    The one ranking rule sorts on (cost, kind rank, sub), where sub is
+    the angular mode, the BV list index, or 0 for Planar/DC.
+    """
+    if isinstance(candidates, CandidatePool):
+        cost = candidates.costs
+        kind_rank, sub = _pool_rank_keys(len(candidates.bv_list))
+    else:
+        cost = np.array([c.cost for c in candidates], dtype=np.int64)
+        kind_rank = np.array([_KIND_RANK[c.kind] for c in candidates], dtype=np.int64)
+        sub = np.array([c.mode if c.kind == "angular" else c.list_index if c.kind == "bv" else 0
+                        for c in candidates])
+    order = np.lexsort((sub, kind_rank, cost))
+    return order.tolist(), kind_rank[order].tolist(), cost
+
+
+def _first_rank(ranks: list[int], kind: str, start: int = 0) -> int:
+    """The first rank from start that holds a candidate of kind, or len(ranks) if none does."""
+    try:
+        return ranks.index(_KIND_RANK[kind], start)
+    except ValueError:
+        return len(ranks)
+
+
+def _fusion_of(candidates: Sequence[ModeCandidate], order: list[int], picked: list[int]) -> FusionSet:
+    """FusionSet of the picked ranks, in ranking order; builds only those candidates."""
+    modes = [candidates[order[r]] for r in sorted(picked)]
+    return FusionSet(modes, compute_weights([c.cost for c in modes]))
 
 
 def select_modes_timd(candidates: Sequence[ModeCandidate]) -> FusionSet:
     """Baseline selection: best angular, 2x-gated runner-up, 2x-gated extra."""
-    angulars = _angulars(candidates)
-    if not angulars:
+    order, ranks, cost = _ranking(candidates)
+    first = _first_rank(ranks, "angular")
+    if first == len(ranks):
         raise ValueError("TIMD needs angular candidates")
-    best = angulars[0]
-    selected = [best]
-    if len(angulars) > 1 and angulars[1].cost < 2 * best.cost:
-        selected.append(angulars[1])
-    extras = sorted(
-        (c for c in candidates if c.kind in ("planar", "dc")), key=ModeCandidate.sort_key
-    )
-    if extras and extras[0].cost < 2 * best.cost:
-        selected.append(extras[0])
-    selected.sort(key=ModeCandidate.sort_key)
-    return FusionSet(selected, compute_weights([c.cost for c in selected]))
+    second = _first_rank(ranks, "angular", first + 1)
+    extra = min(_first_rank(ranks, "planar"), _first_rank(ranks, "dc"))
+    best = cost[order[first]]
+    picked = [first] + [r for r in (second, extra) if r < len(ranks) and cost[order[r]] < 2 * best]
+    return _fusion_of(candidates, order, picked)
 
 
 def select_modes_etimd(candidates: Sequence[ModeCandidate]) -> FusionSet:
     """Enhanced selection over the merged angular + Planar/DC + BV pool.
 
     Runner-up joins iff strictly below 1.5x the primary loss (exact in
-    integers as 2*L_sec < 3*L_fir); a third mode -- the cheapest unused
-    member of {Planar, DC} or the BV list -- joins unconditionally
-    whenever two modes were selected.
+    integers as 2*L_sec < 3*L_fir); a third mode -- the cheapest member
+    of {Planar, DC} or the BV list not yet selected (by pool position)
+    -- joins unconditionally whenever two modes were selected.
     """
-    pool = sorted(candidates, key=ModeCandidate.sort_key)
-    if not pool:
+    order, ranks, cost = _ranking(candidates)
+    if not ranks:
         raise ValueError("empty candidate pool")
-    selected = [pool[0]]
-    if len(pool) > 1 and 2 * pool[1].cost < 3 * pool[0].cost:
-        selected.append(pool[1])
-        for cand in pool:
-            if cand.kind == "angular" or cand in selected:
-                continue
-            selected.append(cand)
-            break
-    selected.sort(key=ModeCandidate.sort_key)
-    return FusionSet(selected, compute_weights([c.cost for c in selected]))
+    if len(ranks) < 2 or 2 * cost[order[1]] >= 3 * cost[order[0]]:
+        return _fusion_of(candidates, order, [0])
+    # The two selected modes hold ranks 0 and 1, so the third comes after them.
+    third = min(_first_rank(ranks, kind, 2) for kind in ("planar", "dc", "bv"))
+    return _fusion_of(candidates, order, [0, 1] if third == len(ranks) else [0, 1, third])
 
 
 @dataclass
@@ -293,6 +339,8 @@ def derive_fusion(
     """
     if tool == "dc":
         return FusionSet([ModeCandidate(kind="dc", cost=0, mode=MODE_DC)], [1.0]), []
+    if tool not in ("timd", "etimd"):
+        raise ValueError(f"unknown block label {tool!r}; expected dc, timd or etimd")
     bv_list: list[BvCandidate] = []
     if tool == "etimd" and config.use_bv_list:
         bv_list = build_bv_list(store, buf, block, config.template, config.n_max, use_ar=config.use_ar_bv)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields
+from operator import attrgetter
 from typing import Any
 
 import numpy as np
@@ -265,16 +266,9 @@ def compare_runs(a: Report, b: Report) -> RunDelta:
         raise ValidationError("runs cover different block counts")
     if not a.records:
         raise ValidationError("runs hold no blocks to compare")
-    for ra, rb in zip(a.records, b.records):
-        if (ra.frame, ra.scan_index, ra.x0, ra.y0, ra.w, ra.h) != (
-            rb.frame,
-            rb.scan_index,
-            rb.x0,
-            rb.y0,
-            rb.w,
-            rb.h,
-        ):
-            raise ValidationError("runs cover different block grids")
+    grid = attrgetter("frame", "scan_index", "x0", "y0", "w", "h")
+    if any(grid(ra) != grid(rb) for ra, rb in zip(a.records, b.records)):
+        raise ValidationError("runs cover different block grids")
 
     sad_deltas = [rb.pred_sad - ra.pred_sad for ra, rb in zip(a.records, b.records)]
     wins = sum(1 for d in sad_deltas if d < 0)

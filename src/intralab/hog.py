@@ -20,9 +20,6 @@ import numpy as np
 
 from .intra import MODE_PLANAR, mode_direction
 
-SOBEL_HOR = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.int64)
-SOBEL_VER = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.int64)
-
 N_MODES = 67
 
 
@@ -36,14 +33,6 @@ def _mode_line_angles() -> np.ndarray:
 
 
 _MODE_ANGLES = _mode_line_angles()
-
-
-def sobel_window(window: np.ndarray) -> tuple[int, int]:
-    """(g_hor, g_ver) of one 3x3 window."""
-    window = np.asarray(window, dtype=np.int64)
-    if window.shape != (3, 3):
-        raise ValueError(f"expected a 3x3 window, got {window.shape}")
-    return int((window * SOBEL_HOR).sum()), int((window * SOBEL_VER).sum())
 
 
 def gradient_field(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -65,13 +54,6 @@ def _quantize(g_hor: np.ndarray, g_ver: np.ndarray) -> np.ndarray:
     diff = np.abs(phi[:, None] - _MODE_ANGLES[None, :])
     dist = np.minimum(diff, np.pi - diff)
     return np.argmin(dist, axis=1) + 2
-
-
-def orientation_to_mode(g_hor: int, g_ver: int) -> int | None:
-    """Angular mode perpendicular to one gradient; None for zero gradient."""
-    if g_hor == 0 and g_ver == 0:
-        return None
-    return int(_quantize(np.array([g_hor], np.float64), np.array([g_ver], np.float64))[0])
 
 
 def build_hog(samples: np.ndarray, magnitude_weighted: bool = False) -> np.ndarray:

@@ -23,29 +23,6 @@ from .etimd import BlockResult
 
 SCHEMA_VERSION = 1
 
-_CSV_COLUMNS = (
-    "frame",
-    "scan_index",
-    "x0",
-    "y0",
-    "w",
-    "h",
-    "tool",
-    "modes",
-    "weights",
-    "costs",
-    "pred_sad",
-    "pred_satd",
-    "pred_sse",
-    "bv_list_len",
-    "n_primary",
-    "n_ar",
-    "transform_modes",
-    "transform_class",
-    "compaction",
-    "pred_hash",
-)
-
 
 def prediction_hash(prediction: np.ndarray) -> str:
     """Short content hash of a prediction block, for replay checks."""
@@ -102,6 +79,9 @@ class BlockRecord:
             compaction=result.compaction,
             pred_hash=prediction_hash(result.prediction),
         )
+
+
+_CSV_COLUMNS = tuple(f.name for f in fields(BlockRecord))
 
 
 @dataclass

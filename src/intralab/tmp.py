@@ -95,22 +95,6 @@ def _fully_outside(rect: Rect, frame_w: int, frame_h: int) -> bool:
     return x + w <= 0 or y + h <= 0 or x >= frame_w or y >= frame_h
 
 
-def extract_template(buf: ReconBuffer, block: BlockRef, t: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Committed samples of the block's own template strips."""
-    above_rect, left_rect = template_rects(block, t, buf.width, buf.height)
-    above = buf.read_region(*above_rect) if above_rect else None
-    left = buf.read_region(*left_rect) if left_rect else None
-    return above, left
-
-
-def template_at_bv(buf: ReconBuffer, block: BlockRef, bv: BlockVector, t: int) -> tuple[np.ndarray | None, np.ndarray | None]:
-    """Template strips at the displaced position (raises when uncommitted)."""
-    above_rect, left_rect = template_rects(block, t, buf.width, buf.height)
-    above = buf.read_region(*_shift(above_rect, bv)) if above_rect else None
-    left = buf.read_region(*_shift(left_rect, bv)) if left_rect else None
-    return above, left
-
-
 def bv_predict(buf: ReconBuffer, block: BlockRef, bv: BlockVector) -> np.ndarray:
     """Copy the displaced block as the prediction."""
     return buf.read_region(block.x0 + bv.dx, block.y0 + bv.dy, block.w, block.h)

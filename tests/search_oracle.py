@@ -7,7 +7,7 @@ unit tests and the acceptance suite.
 
 from __future__ import annotations
 
-from intralab.cost import block_cost
+from oracles import block_cost
 from intralab.grid import BlockRef, ReconBuffer
 from intralab.tmp import BlockVector
 

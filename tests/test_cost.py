@@ -4,7 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from intralab.cost import block_cost, sad, satd, satd_batch
+from intralab.cost import SATD_MAX_DIFF, sad, satd, satd_batch
+
+from oracles import block_cost, satd_batch_int64
 
 
 def _dense_hadamard(n: int) -> np.ndarray:
@@ -145,3 +147,51 @@ def test_cost_symmetry_and_shift_invariance(data):
         assert cost == block_cost(a + c, b + c, metric)
         assert cost >= 0
         assert (cost == 0) == bool((a == b).all())
+
+
+# --- the float32 GEMM against the int64 kernel it replaced ---------------
+
+# 4x4 and 8x8 tilings, 4x4 with remainder strips, and thin SAD-only shapes.
+_KERNEL_SHAPES = st.one_of(
+    st.sampled_from([(4, 4), (8, 8), (16, 16), (4, 20), (16, 4), (8, 12), (6, 9), (12, 7), (3, 10), (10, 2), (1, 1)]),
+    st.tuples(st.integers(1, 24), st.integers(1, 24)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), bit_depth=st.sampled_from([8, 10, 12]), shape=_KERNEL_SHAPES, n=st.integers(1, 5))
+def test_satd_batch_matches_int64_oracle(data, bit_depth, shape, n):
+    peak = (1 << bit_depth) - 1
+    diffs = data.draw(
+        arrays(
+            dtype=np.int64,
+            shape=(n, *shape),
+            elements=st.one_of(st.sampled_from([-peak, peak]), st.integers(-peak, peak)),
+        )
+    )
+    np.testing.assert_array_equal(satd_batch(diffs), satd_batch_int64(diffs))
+
+
+@pytest.mark.parametrize("bit_depth", [8, 10, 12])
+@pytest.mark.parametrize("shape", [(4, 4), (8, 8), (16, 16), (4, 20), (6, 9), (3, 10)])
+def test_satd_batch_exact_at_extremes(rng, bit_depth, shape):
+    peak = (1 << bit_depth) - 1
+    # all-peak tiles of either sign, a checkerboard, and random signs
+    checker = np.where(np.indices(shape).sum(axis=0) % 2 == 0, peak, -peak)
+    diffs = np.stack(
+        [np.full(shape, peak), np.full(shape, -peak), checker]
+        + [rng.choice([-peak, peak], size=shape) for _ in range(20)]
+    ).astype(np.int64)
+    np.testing.assert_array_equal(satd_batch(diffs), satd_batch_int64(diffs))
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (8, 8), (6, 9), (3, 10)])
+def test_satd_batch_rejects_differences_beyond_bound(shape):
+    assert SATD_MAX_DIFF == 4095
+    for value in (SATD_MAX_DIFF + 1, -SATD_MAX_DIFF - 1):
+        diffs = np.zeros((2, *shape), dtype=np.int64)
+        diffs[1, -1, -1] = value
+        with pytest.raises(ValueError):
+            satd_batch(diffs)
+    with pytest.raises(ValueError):
+        satd(np.full(shape, 4096), np.zeros(shape, dtype=np.int64))

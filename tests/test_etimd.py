@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intralab.bvlist import BvCandidate, BvStore, Provenance, RecordTool
+from intralab.bvlist import BvCandidate, BvStore, Provenance, RecordTool, build_bv_list
 from intralab.etimd import (
+    CandidatePool,
     EncodeContext,
     ModeCandidate,
     compute_weights,
@@ -17,10 +18,12 @@ from intralab.etimd import (
 )
 from intralab.grid import ReconBuffer, partition
 from intralab.harness import RunConfig
-from intralab.synth import noise_frame, tiled_glyph_frame
-from intralab.tmp import BlockVector, template_cost_at
+from intralab.intra import ALL_MODES, ANGULAR_MODES
+from intralab.synth import SCREEN_FIXTURES, noise_frame, tiled_glyph_frame
+from intralab.tmp import BlockVector, template_cost_at, template_rects
 
 from conftest import prefix_buffer
+from test_acceptance import _ang, _bv, _closed_weights, _dc, _oracle_etimd, _oracle_timd, _planar
 
 
 def ang(mode, cost):
@@ -399,3 +402,79 @@ def test_encode_block_measures_transform():
         assert res.transform_modes is not None
         assert res.transform_class_name in ("DC0", "H", "D", "V")
         assert res.compaction is None or 0.0 <= res.compaction <= 1.0
+
+
+# --- array ranking against criterion 3's brute-force oracles ---
+
+_SELECTORS = ((select_modes_etimd, _oracle_etimd), (select_modes_timd, _oracle_timd))
+
+
+def _assert_matches_oracle(got, want):
+    assert [(m.label(), m.cost) for m in got.modes] == [(m.label(), m.cost) for m in want]
+    want_w = _closed_weights([c.cost for c in want])
+    assert all(abs(a - b) <= 1e-12 for a, b in zip(got.weights, want_w))
+    assert len(got.weights) == len(want_w)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    angular=st.dictionaries(st.sampled_from(ANGULAR_MODES), st.integers(0, 3), min_size=1),
+    planar_cost=st.one_of(st.none(), st.integers(0, 3)),
+    dc_cost=st.one_of(st.none(), st.integers(0, 3)),
+    bv_costs=st.lists(st.integers(0, 3), max_size=20),
+    shuffle=st.randoms(use_true_random=False),
+)
+def test_ranking_ties_match_brute_force(angular, planar_cost, dc_cost, bv_costs, shuffle):
+    cands = [_ang(mode, cost) for mode, cost in angular.items()]
+    if planar_cost is not None:
+        cands.append(_planar(planar_cost))
+    if dc_cost is not None:
+        cands.append(_dc(dc_cost))
+    cands += [_bv(i, cost) for i, cost in enumerate(bv_costs)]
+    shuffle.shuffle(cands)
+    for select, oracle in _SELECTORS:
+        _assert_matches_oracle(select(cands), oracle(cands))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mode_costs=st.lists(st.integers(0, 3), min_size=len(ALL_MODES), max_size=len(ALL_MODES)),
+    bv_costs=st.lists(st.integers(0, 3), max_size=20),
+)
+def test_pool_ranking_ties_match_brute_force(mode_costs, bv_costs):
+    bv_list = [BvCandidate(_bv(i, 0).bv, Provenance.PRIMARY) for i in range(len(bv_costs))]
+    pool = CandidatePool(np.array(mode_costs + bv_costs), bv_list)
+    cands = list(pool)
+    assert len(pool) == len(cands) == len(ALL_MODES) + len(bv_costs)
+    for select, oracle in _SELECTORS:
+        _assert_matches_oracle(select(pool), oracle(cands))
+
+
+def test_pool_is_read_only_and_indexes_like_a_list():
+    bv_list = [BvCandidate(BlockVector(-8, 0), Provenance.PRIMARY)]
+    pool = CandidatePool(np.arange(len(ALL_MODES) + 1), bv_list)
+    with pytest.raises(ValueError):
+        pool.costs[0] = 5
+    assert pool[-1] == ModeCandidate(kind="bv", cost=len(ALL_MODES), bv=BlockVector(-8, 0), list_index=0)
+    assert pool[0] == planar(0) and pool[1] == dc(1) and pool[30] == ang(30, 30)
+    with pytest.raises(IndexError):
+        pool[len(pool)]
+    with pytest.raises(ValueError):
+        CandidatePool(np.zeros(len(ALL_MODES)), bv_list)
+
+
+@pytest.mark.parametrize("fixture", sorted(SCREEN_FIXTURES))
+def test_select_on_pool_equals_select_on_list(fixture):
+    samples = SCREEN_FIXTURES[fixture](7, 64)
+    cfg = _cfg(tool="etimd", block_size=8, tmp_compete=True)
+    ctx, blocks = _ctx(samples, cfg, 0)
+    compared = 0
+    for block in blocks:
+        if any(template_rects(block, cfg.template, 64, 64)):
+            bv_list = build_bv_list(ctx.store, ctx.buf, block, cfg.template, cfg.n_max, use_ar=True)
+            pool = evaluate_candidates(ctx.buf, block, cfg.template, cfg.metric, bv_list)
+            for select in (select_modes_etimd, select_modes_timd):
+                assert select(pool) == select(list(pool))
+            compared += 1
+        encode_block(ctx, block)
+    assert compared == len(blocks) - 1

@@ -118,6 +118,16 @@ def test_replay_detects_flipped_tool(glyph_yuv):
         replay_frame(frame, config, results)
 
 
+def test_replay_rejects_unknown_block_label(glyph_yuv):
+    config = cfg(glyph_yuv, tool="etimd")
+    frame = load_frame(glyph_yuv, "yuv-planar", 64, 64)
+    results, _, _ = encode_frame(frame, config)
+    res = next(r for r in results if r.tool == "etimd")
+    res.tool = "bogus"  # must not replay as etimd
+    with pytest.raises(ValueError, match="bogus"):
+        replay_frame(frame, config, results)
+
+
 @pytest.mark.parametrize("tool", ["timd", "etimd"])
 def test_replay_detects_changed_fused_cost(glyph_yuv, tool):
     config = cfg(glyph_yuv, tool=tool)

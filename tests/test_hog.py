@@ -6,10 +6,10 @@ from intralab.hog import (
     build_hog,
     dominant_mode,
     gradient_field,
-    orientation_to_mode,
-    sobel_window,
     transform_mode_for_block,
 )
+
+from oracles import orientation_to_mode, sobel_window
 
 
 def stripes(direction: str, size: int = 32, band: int = 4, lo: int = 40, hi: int = 210) -> np.ndarray:

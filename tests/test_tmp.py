@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intralab import tmp
-from intralab.cost import block_cost
 from intralab.errors import CausalityError
 from intralab.grid import BlockRef, ReconBuffer, partition
 from intralab.synth import noise_frame, tiled_glyph_frame
@@ -15,8 +14,6 @@ from intralab.tmp import (
     BlockVector,
     bv_predict,
     candidate_valid,
-    extract_template,
-    template_at_bv,
     template_cost_at,
     template_costs,
     template_rects,
@@ -24,6 +21,7 @@ from intralab.tmp import (
 )
 
 from conftest import prefix_buffer
+from oracles import block_cost, extract_template, template_at_bv
 from search_oracle import oracle_search
 
 
