@@ -14,6 +14,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+from intralab.cost import METRICS
 from intralab.frames import write_yuv420
 from intralab.harness import RunConfig, compare_runs, run_experiment
 from intralab.reporting import write_report
@@ -26,7 +27,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--size", type=int, default=256, help="fixture width and height")
     parser.add_argument("--seed", type=int, default=0, help="base seed for fixture content")
     parser.add_argument("--block-size", type=int, default=16)
-    parser.add_argument("--metric", default="satd", choices=("sad", "satd"))
+    parser.add_argument("--metric", default="satd", choices=METRICS)
     parser.add_argument("--search-range", type=int, default=64)
     parser.add_argument("--no-ar-bv", action="store_true", help="disable auto-relocated candidates")
     parser.add_argument("--no-compete", action="store_true", help="disable the IntraTMP switch")

@@ -17,7 +17,7 @@ from .cost import METRICS
 from .errors import FormatError, TruncatedInputError, ValidationError
 from .frames import FORMATS
 from .harness import RunConfig, TOOLS, compare_runs, config_from_dict, run_experiment, validate_config
-from .reporting import read_report, write_report
+from .reporting import load_json, read_report, write_report
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,11 +70,7 @@ _RUN_FIELDS = tuple(
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     values: dict[str, Any] = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ValidationError(f"{args.config}: not valid JSON: {exc}") from None
+        loaded = load_json(args.config, ValidationError)
         if not isinstance(loaded, dict):
             raise ValidationError(f"{args.config}: config file must hold a JSON object")
         values.update(loaded)

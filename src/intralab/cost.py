@@ -17,9 +17,14 @@ of the product and of the absolute sum is an exact integer.  Larger
 differences raise ValueError.  The rounding and the per-block sums run
 in int64.
 
-All kernels accept integer sample arrays of identical shape and return
-Python ints.  satd(a, b) == satd(b, a) and adding a constant to both
-inputs leaves every cost unchanged.
+batch_cost is the one template-cost kernel: mode evaluation and every
+template match cost their difference batches through it, so a BV and an
+intra mode are costed alike.  bound_pieces gives the pieces of its DC
+lower bound, which the template search prunes with.
+
+All pair kernels accept integer sample arrays of identical shape and
+return Python ints.  satd(a, b) == satd(b, a) and adding a constant to
+both inputs leaves every cost unchanged.
 """
 
 from __future__ import annotations
@@ -39,6 +44,8 @@ def _hadamard(n: int) -> np.ndarray:
 
 # Row-major flattened tiles times H (x) H; both matrices are symmetric.
 _KRON = {n: np.kron(_hadamard(n), _hadamard(n)).astype(np.float32) for n in (4, 8)}
+# A tile's absolute coefficient sum s costs (s + rounding) >> shift.
+_NORM_SHIFT = {4: 1, 8: 2}
 
 
 def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -66,10 +73,8 @@ def _tile_satd(diffs: np.ndarray, tile: int) -> np.ndarray:
     rows = rows.astype(np.float32, order="C").reshape(-1, tile * tile)
     coeffs = rows @ _KRON[tile]
     sums = np.abs(coeffs, out=coeffs).sum(axis=1).astype(np.int64)
-    if tile == 4:
-        per_tile = (sums + 1) >> 1
-    else:
-        per_tile = (sums + 2) >> 2
+    shift = _NORM_SHIFT[tile]
+    per_tile = (sums + (1 << (shift - 1))) >> shift
     return per_tile.reshape(n, -1).sum(axis=1)
 
 
@@ -102,6 +107,39 @@ def satd_batch(diffs: np.ndarray) -> np.ndarray:
     if tw < w:
         total = total + np.abs(diffs[:, :th, tw:]).sum(axis=(1, 2))
     return total
+
+
+def check_metric(metric: str) -> None:
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+
+
+def batch_cost(diffs: np.ndarray, metric: str) -> np.ndarray:
+    """Template cost of each (h, w) difference array of an (N, h, w) batch (int64)."""
+    check_metric(metric)
+    if metric == "sad":
+        return np.abs(diffs).sum(axis=(1, 2), dtype=np.int64)
+    return satd_batch(diffs)
+
+
+def bound_pieces(h: int, w: int, metric: str) -> list[tuple[int, int, int, int, int]]:
+    """Pieces (x, y, w, h, shift) of an h x w region for the cost lower bound.
+
+    The region's cost is at least the sum over pieces of
+    (|sum of differences| + rounding) >> shift: the Hadamard DC
+    coefficient of a SATD tile is the tile's difference sum, and SAD
+    over any region is at least the absolute value of that sum.
+    """
+    check_metric(metric)
+    tile, th, tw = satd_tiling(h, w) if metric == "satd" else (0, 0, 0)
+    if not tile:
+        return [(x, y, min(4, w - x), min(4, h - y), 0) for y in range(0, h, 4) for x in range(0, w, 4)]
+    pieces = [(x, y, tile, tile, _NORM_SHIFT[tile]) for y in range(0, th, tile) for x in range(0, tw, tile)]
+    if th < h:
+        pieces.append((0, th, w, h - th, 0))
+    if tw < w:
+        pieces.append((tw, 0, w - tw, th, 0))
+    return pieces
 
 
 def satd(a: np.ndarray, b: np.ndarray) -> int:

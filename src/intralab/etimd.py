@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bvlist import BvCandidate, BvStore, CodingRecord, Provenance, RecordTool, build_bv_list
-from .cost import sad, satd, satd_batch
+from .cost import batch_cost, sad, satd
 from .grid import BlockRef, ReconBuffer, reconstruct_block
 from .hog import transform_mode_for_block
 from .intra import (
@@ -60,6 +60,17 @@ from .transforms import TRANSFORM_SIZES, apply_transform, energy_compaction, tra
 
 if TYPE_CHECKING:
     from .harness import RunConfig
+
+# The RunConfig.tool values.  dc-only codes every block as dc.
+TOOLS = ("etimd", "timd", "intratmp", "dc-only")
+# Block label -> the tool its BV-store entry records.  A block of any tool
+# that has no template, or whose IntraTMP search found nothing, is dc.
+RECORD_TOOLS = {
+    "dc": RecordTool.OTHER,
+    "timd": RecordTool.OTHER,
+    "etimd": RecordTool.ETIMD,
+    "intratmp": RecordTool.INTRA_TMP,
+}
 
 _KIND_RANK = {"angular": 0, "planar": 1, "dc": 2, "bv": 3}
 _MODE_KIND = {MODE_PLANAR: "planar", MODE_DC: "dc"}
@@ -155,13 +166,6 @@ def fuse(predictions: Sequence[np.ndarray], weights: Sequence[float], bit_depth:
     return np.clip(out, 0, (1 << bit_depth) - 1).astype(np.int32)
 
 
-def _extended_region(block: BlockRef, t: int) -> tuple[int, int, int, int]:
-    """Block grown by the template thickness on its causal sides."""
-    ex0 = max(block.x0 - t, 0) if block.x0 > 0 else block.x0
-    ey0 = max(block.y0 - t, 0) if block.y0 > 0 else block.y0
-    return ex0, ey0, block.x0 + block.w - ex0, block.y0 + block.h - ey0
-
-
 def evaluate_candidates(
     buf: ReconBuffer,
     block: BlockRef,
@@ -184,10 +188,11 @@ def evaluate_candidates(
     if above_rect is None and left_rect is None:
         raise ValueError("block has no template; fall back to DC instead")
 
-    ex0, ey0, we, he = _extended_region(block, t)
-    refs = build_reference_samples(buf, ex0, ey0, we, he)
-    ah = block.y0 - ey0
-    lw = block.x0 - ex0
+    # The template-extended block: the block grown by the strips' depths.
+    ah = above_rect[3] if above_rect else 0
+    lw = left_rect[2] if left_rect else 0
+    we, he = block.w + lw, block.h + ah
+    refs = build_reference_samples(buf, block.x0 - lw, block.y0 - ah, we, he)
     preds = predict_template(refs, we, he, ah, lw, block.h)
 
     strips = []
@@ -198,8 +203,7 @@ def evaluate_candidates(
 
     costs = np.zeros(len(ALL_MODES), dtype=np.int64)
     for pred, cur in strips:
-        diffs = pred - cur
-        costs += satd_batch(diffs) if metric == "satd" else np.abs(diffs).sum(axis=(1, 2))
+        costs += batch_cost(pred - cur, metric)
 
     if bv_list:
         bv_costs = template_costs(buf, block, [c.bv for c in bv_list], t, metric)
@@ -386,7 +390,7 @@ def derive_block_modes(
     none won).
     """
     cfg = ctx.config
-    if cfg.tool not in ("etimd", "timd", "intratmp", "dc-only"):
+    if cfg.tool not in TOOLS:
         raise ValueError(f"unknown tool {cfg.tool!r}")
     above_rect, left_rect = template_rects(block, cfg.template, ctx.buf.width, ctx.buf.height)
     has_template = above_rect is not None or left_rect is not None
@@ -447,9 +451,4 @@ def encode_block(ctx: EncodeContext, block: BlockRef) -> BlockResult:
 
 def coding_record_for(block: BlockRef, tool: str, fusion: FusionSet) -> CodingRecord:
     """The BV-store entry a coded block leaves behind for its successors."""
-    fused_bvs = tuple(c.bv for c in fusion.modes if c.kind == "bv")
-    if tool == "intratmp":
-        return CodingRecord(block, RecordTool.INTRA_TMP, fused_bvs)
-    if tool == "etimd":
-        return CodingRecord(block, RecordTool.ETIMD, fused_bvs)
-    return CodingRecord(block, RecordTool.OTHER)
+    return CodingRecord(block, RECORD_TOOLS[tool], tuple(c.bv for c in fusion.modes if c.kind == "bv"))

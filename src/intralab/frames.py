@@ -15,6 +15,7 @@ high bytes cannot leak out-of-range values into the pipeline.
 from __future__ import annotations
 
 import io
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -94,21 +95,24 @@ def _load_yuv420(
     offset = frame_index * frame_bytes
     try:
         with open(path, "rb") as fh:
+            _require_bytes(fh, path, offset, luma_bytes)
             fh.seek(offset)
             raw = fh.read(luma_bytes)
     except OSError as exc:
         raise TruncatedInputError(f"cannot read {path}: {exc}") from exc
-    if len(raw) < luma_bytes:
-        raise TruncatedInputError(
-            f"{path}: frame {frame_index} needs {luma_bytes} luma bytes at offset "
-            f"{offset}, got {len(raw)}"
-        )
     if bit_depth == 8:
         plane = np.frombuffer(raw, dtype=np.uint8).astype(np.uint16)
     else:
         plane = np.frombuffer(raw, dtype="<u2").astype(np.uint16)
     plane &= (1 << bit_depth) - 1
     return Frame(width, height, bit_depth, plane.reshape(height, width))
+
+
+def _require_bytes(fh: io.BufferedReader, path: str, offset: int, need: int) -> None:
+    """Raise TruncatedInputError, before any seek or read, unless the file holds need bytes from offset."""
+    size = os.fstat(fh.fileno()).st_size
+    if offset + need > size:
+        raise TruncatedInputError(f"{path}: needs {need} sample bytes at offset {offset}, has {size} bytes")
 
 
 def _read_pgm_token(fh: io.BufferedReader) -> bytes:
@@ -152,9 +156,8 @@ def _load_pgm(path: str, width: int, height: int, bit_depth: int) -> Frame:
             )
         bytes_per_sample = 1 if maxval < 256 else 2
         need = w * h * bytes_per_sample
+        _require_bytes(fh, path, fh.tell(), need)
         raw = fh.read(need)
-        if len(raw) < need:
-            raise TruncatedInputError(f"{path}: wanted {need} sample bytes, got {len(raw)}")
         if bytes_per_sample == 1:
             plane = np.frombuffer(raw, dtype=np.uint8).astype(np.uint16)
         else:

@@ -134,12 +134,15 @@ def reconstruct_block(
 
     Open loop commits the original samples.  Closed loop commits
     prediction plus the residual quantized to multiples of quant_step
-    (round half up), clipped to the sample range.
+    (round half up), clipped to the sample range.  Every |residual| is
+    below 2^bit_depth, so larger steps are clamped to 2^(bit_depth + 1):
+    both put every residual at level 0.
     """
     if not closed_loop:
         return original.astype(np.int32)
     if quant_step < 1:
         raise ValidationError(f"quant_step must be >= 1, got {quant_step}")
+    quant_step = min(quant_step, 1 << (bit_depth + 1))
     residual = original.astype(np.int64) - prediction.astype(np.int64)
     levels = np.floor(residual / quant_step + 0.5).astype(np.int64)
     recon = prediction.astype(np.int64) + levels * quant_step

@@ -24,13 +24,11 @@ import numpy as np
 from .bvlist import DEFAULT_N_MAX, BvStore
 from .cost import METRICS
 from .errors import ReplayMismatchError, ValidationError
-from .etimd import BlockResult, EncodeContext, FusionSet, commit_fusion, derive_fusion, encode_block
+from .etimd import TOOLS, BlockResult, EncodeContext, FusionSet, commit_fusion, derive_fusion, encode_block
 from .frames import FORMATS, Frame, load_frame
 from .grid import BLOCK_SIZES, BlockRef, ReconBuffer, partition
-from .reporting import BlockRecord, Report, compute_aggregates
+from .reporting import JSON_TYPE_CHECKS, BlockRecord, Report, compute_aggregates
 from .tmp import DEFAULT_SEARCH_RANGE, DEFAULT_TEMPLATE
-
-TOOLS = ("etimd", "timd", "intratmp", "dc-only")
 
 
 @dataclass(frozen=True)
@@ -85,17 +83,6 @@ def validate_config(config: RunConfig) -> None:
     )
 
 
-_ANNOTATION_TYPES = {"str": str, "int": int, "bool": bool, "int | None": int}
-
-
-def _value_fits(annotation: str, value: Any) -> bool:
-    if value is None:
-        return annotation == "int | None"
-    if isinstance(value, bool):
-        return annotation == "bool"
-    return isinstance(value, _ANNOTATION_TYPES[annotation])
-
-
 def config_from_dict(values: dict[str, Any]) -> RunConfig:
     """Build a RunConfig from a plain dict, rejecting unknown keys and
     values whose type does not match the field's annotation."""
@@ -106,7 +93,7 @@ def config_from_dict(values: dict[str, Any]) -> RunConfig:
     if "input_path" not in values:
         raise ValidationError("config needs input_path")
     for name, value in values.items():
-        if not _value_fits(annotations[name], value):
+        if not JSON_TYPE_CHECKS[annotations[name]](value):
             raise ValidationError(f"config value {name}={value!r} must be {annotations[name]}")
     return RunConfig(**values)
 
@@ -280,8 +267,8 @@ def compare_runs(a: Report, b: Report) -> RunDelta:
     mean_sad_b = sum(r.pred_sad for r in b.records) / n
     mean_satd_a = sum(r.pred_satd for r in a.records) / n
     mean_satd_b = sum(r.pred_satd for r in b.records) / n
-    psnr_a = a.aggregates["psnr_db"]
-    psnr_b = b.aggregates["psnr_db"]
+    psnr_a = float(a.aggregates["psnr_db"])
+    psnr_b = float(b.aggregates["psnr_db"])
     psnr_delta = 0.0 if psnr_a == psnr_b else psnr_b - psnr_a
 
     return RunDelta(

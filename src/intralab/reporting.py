@@ -13,12 +13,13 @@ import csv
 import hashlib
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, IntralabError
 from .etimd import BlockResult
 
 SCHEMA_VERSION = 1
@@ -177,35 +178,36 @@ def write_report(report: Report, path: str, fmt: str = "json") -> None:
         raise ValueError(f"unknown report format {fmt!r}")
 
 
+def _csv_value(value: Any) -> str:
+    """One CSV cell: None is empty, lists join with "|", floats keep 12 digits."""
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return "|".join(_csv_value(v) for v in value)
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return str(value)
+
+
 def _csv_row(r: BlockRecord) -> list[str]:
-    def join(values: Sequence[Any] | None) -> str:
-        return "" if values is None else "|".join(str(v) for v in values)
+    return [_csv_value(getattr(r, name)) for name in _CSV_COLUMNS]
 
-    def num(value: float | None) -> str:
-        return "" if value is None else f"{value:.12g}"
 
-    return [
-        str(r.frame),
-        str(r.scan_index),
-        str(r.x0),
-        str(r.y0),
-        str(r.w),
-        str(r.h),
-        r.tool,
-        join(r.modes),
-        join(f"{w:.12g}" for w in r.weights),
-        join(r.costs),
-        str(r.pred_sad),
-        str(r.pred_satd),
-        str(r.pred_sse),
-        str(r.bv_list_len),
-        str(r.n_primary),
-        str(r.n_ar),
-        join(r.transform_modes),
-        r.transform_class or "",
-        num(r.compaction),
-        r.pred_hash,
-    ]
+def _float_range_int(text: str) -> int:
+    value = int(text)
+    if abs(value) > sys.float_info.max:
+        raise ValueError(f"integer {text[:24]}... is beyond the float range")
+    return value
+
+
+def load_json(path: str, error: type[IntralabError]) -> Any:
+    """Parse the JSON file at path, raising error on undecodable bytes, bad JSON,
+    nesting too deep to parse, or an integer no float can hold (or average)."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh, parse_int=_float_range_int)
+        except (ValueError, RecursionError) as exc:  # ValueError covers UnicodeDecodeError
+            raise error(f"{path}: not valid JSON: {exc}") from None
 
 
 def _is_int(v: Any) -> bool:
@@ -228,10 +230,13 @@ def _optional(check: Callable[[Any], bool]) -> Callable[[Any], bool]:
     return lambda v: v is None or check(v)
 
 
-# JSON type check per BlockRecord annotation (postponed, so a string).
-_TYPE_CHECKS: dict[str, Callable[[Any], bool]] = {
+# JSON type check per dataclass field annotation (postponed, so a string),
+# for BlockRecord and RunConfig.
+JSON_TYPE_CHECKS: dict[str, Callable[[Any], bool]] = {
     "int": _is_int,
     "str": _is_str,
+    "bool": lambda v: isinstance(v, bool),
+    "int | None": _optional(_is_int),
     "list[str]": _list_of(_is_str),
     "list[float]": _list_of(_is_number),
     "list[int]": _list_of(_is_int),
@@ -239,7 +244,7 @@ _TYPE_CHECKS: dict[str, Callable[[Any], bool]] = {
     "str | None": _optional(_is_str),
     "float | None": _optional(_is_number),
 }
-_RECORD_CHECKS = {f.name: _TYPE_CHECKS[f.type] for f in fields(BlockRecord)}
+_RECORD_CHECKS = {f.name: JSON_TYPE_CHECKS[f.type] for f in fields(BlockRecord)}
 _REPORT_KEYS = {"config": dict, "records": list, "aggregates": dict, "timing": dict}
 
 
@@ -261,15 +266,12 @@ def _record_from_json(path: str, index: int, doc: Any) -> BlockRecord:
 def read_report(path: str) -> Report:
     """Load a JSON report written by write_report.
 
-    Raises FormatError unless the document has every report key and every
-    record has exactly the BlockRecord fields with their JSON types.
+    Raises FormatError unless the file is JSON with every report key,
+    numeric timings, and records with exactly the BlockRecord fields in
+    their JSON types.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA_VERSION:
+    doc = load_json(path, FormatError)
+    if not isinstance(doc, dict) or not _is_int(doc.get("schema")) or doc["schema"] != SCHEMA_VERSION:
         raise FormatError(f"{path}: not a schema-{SCHEMA_VERSION} report")
     for key, kind in _REPORT_KEYS.items():
         if not isinstance(doc.get(key), kind):
@@ -277,6 +279,8 @@ def read_report(path: str) -> Report:
     records = [_record_from_json(path, i, r) for i, r in enumerate(doc["records"])]
     if records and not _is_number(doc["aggregates"].get("psnr_db")):
         raise FormatError(f"{path}: aggregates lack a numeric 'psnr_db'")
+    if not all(_is_number(v) for v in doc["timing"].values()):
+        raise FormatError(f"{path}: timing values must be numbers")
     return Report(
         config=doc["config"],
         records=records,

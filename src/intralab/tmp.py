@@ -46,7 +46,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .cost import METRICS, satd_batch, satd_tiling
+from .cost import batch_cost, bound_pieces, check_metric
 from .errors import CausalityError
 from .grid import BlockRef, ReconBuffer
 
@@ -134,7 +134,7 @@ def template_costs(
     A displaced strip fully outside the frame contributes nothing; any
     other displaced strip must be committed, or CausalityError is raised.
     """
-    _check_metric(metric)
+    check_metric(metric)
     costs = np.zeros(len(bvs), dtype=np.int64)
     if not bvs:
         return costs
@@ -189,43 +189,11 @@ def _box_sums(ii: np.ndarray, x: int, y: int, w: int, h: int, nx: int, ny: int) 
     )
 
 
-def _bound_pieces(sw: int, sh: int, metric: str) -> list[tuple[int, int, int, int, int]]:
-    """Pieces (x, y, w, h, shift) of a strip for the matching-cost lower bound.
-
-    The strip's cost is at least the sum over pieces of
-    (|sum of differences| + rounding) >> shift: the Hadamard DC
-    coefficient of a SATD tile is the tile's difference sum, and SAD
-    over any region is at least the absolute value of that sum.
-    """
-    tile, th, tw = satd_tiling(sh, sw) if metric == "satd" else (0, 0, 0)
-    if not tile:
-        return [
-            (x, y, min(4, sw - x), min(4, sh - y), 0)
-            for y in range(0, sh, 4)
-            for x in range(0, sw, 4)
-        ]
-    shift = 1 if tile == 4 else 2
-    pieces = [(x, y, tile, tile, shift) for y in range(0, th, tile) for x in range(0, tw, tile)]
-    if th < sh:
-        pieces.append((0, th, sw, sh - th, 0))
-    if tw < sw:
-        pieces.append((tw, 0, sw - tw, th, 0))
-    return pieces
-
-
-def _check_metric(metric: str) -> None:
-    if metric not in METRICS:
-        raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
-
-
 def _strip_costs(buf, rect, cur, dxs, dys, metric):
     """Matching cost of one strip for each (dx, dy) candidate; cur is the int64 template."""
     sx, sy, sw, sh = rect
     wins = sliding_window_view(buf.samples, (sh, sw))
-    diffs = wins[sy + dys, sx + dxs] - cur[None]
-    if metric == "sad":
-        return np.abs(diffs).sum(axis=(1, 2))
-    return satd_batch(diffs)
+    return batch_cost(wins[sy + dys, sx + dxs] - cur[None], metric)
 
 
 def _window_integrals(buf: ReconBuffer, x0: int, y0: int, x1: int, y1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -275,7 +243,7 @@ def _window_bounds(buf, block, rects, curs, dx_lo, dx_hi, dy_lo, dy_hi, metric, 
             y_out = (ys + sh <= 0) | (ys >= buf.height)
             valid &= usable | x_out[None, :] | y_out[:, None]
         strip_bound = np.zeros((ny, nx), dtype=np.int64)
-        for px, py, pw, ph, shift in _bound_pieces(sw, sh, metric):
+        for px, py, pw, ph, shift in bound_pieces(sh, sw, metric):
             cur_sum = int(cur[py : py + ph, px : px + pw].sum())
             piece = np.abs(over_window(sample_ii, sx + px, sy + py, pw, ph) - cur_sum)
             if shift:
@@ -310,7 +278,7 @@ def tmp_search(
     strictly above the best cost found, so every candidate that could tie
     with the best is still costed.
     """
-    _check_metric(metric)
+    check_metric(metric)
     x0, y0, w, h = block.x0, block.y0, block.w, block.h
     frame_w, frame_h = buf.width, buf.height
     rects = [r for r in template_rects(block, t, frame_w, frame_h) if r is not None]

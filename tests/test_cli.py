@@ -1,9 +1,13 @@
 import json
+import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from intralab.cli import main
 from intralab.frames import write_yuv420
+from intralab.harness import RunConfig
 from intralab.reporting import read_report
 from intralab.synth import tiled_glyph_frame
 
@@ -172,3 +176,110 @@ def test_seed_is_not_a_run_setting(glyph_yuv, tmp_path, capsys):
     assert "unknown config keys: seed" in capsys.readouterr().err
     with pytest.raises(SystemExit):
         main(run_args(glyph_yuv, "--seed", "3"))
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{\x80}", b"[" * 100000])
+def test_undecodable_or_deeply_nested_json_gets_typed_exit(glyph_yuv, tmp_path, capsys, content):
+    path = tmp_path / "odd.json"
+    path.write_bytes(content)
+    assert main(["run", "--config", str(path), "--input", glyph_yuv]) == 2
+    assert main(["compare", str(path), str(path)]) == 3
+    assert capsys.readouterr().err.count("not valid JSON") == 2
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        ("--width", str(10**20)),
+        ("--frame-start", str(10**20)),
+        ("--width", "1000000", "--height", "1000000"),
+    ],
+)
+def test_frame_geometry_beyond_the_file_exits_3(glyph_yuv, capsys, extra):
+    assert main(run_args(glyph_yuv, *extra)) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def test_huge_quant_step_runs_like_the_clamped_step(glyph_yuv, tmp_path):
+    reports = []
+    for step in (str(10**23), "512"):  # 2^(8 + 1): every residual is level 0 either way
+        out = str(tmp_path / f"q{step}.json")
+        assert main(run_args(glyph_yuv, "--closed-loop", "--quant-step", step, "--out", out)) == 0
+        reports.append(read_report(out))
+    assert reports[0].records == reports[1].records
+
+
+def _json_values(max_leaves=6):
+    scalars = st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-70, 70),
+        st.sampled_from([10**30, -(10**30), 2**63, int(sys.float_info.max), -int(sys.float_info.max), 10**400]),
+        st.floats(allow_nan=True, allow_infinity=True),
+        st.text(max_size=6),
+    )
+    return st.recursive(
+        scalars,
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=max_leaves,
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A 16x16 one-frame input and a report of it, for the fuzz tests."""
+    root = tmp_path_factory.mktemp("fuzz")
+    frame = str(root / "f16.yuv")
+    write_yuv420([tiled_glyph_frame(16, 16, period=8, seed=51)], frame)
+    report = root / "base.json"
+    args = ["run", "--input", frame, "--width", "16", "--height", "16", "--block-size", "8", "--out", str(report)]
+    assert main(args) == 0
+    return root, frame, json.loads(report.read_text())
+
+
+def _paths(doc, prefix=()):
+    """The key path of every value nested in a JSON document."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _paths(value, prefix + (key,))
+
+
+def _write_fuzzed(path, doc, raw):
+    if raw is not None:
+        path.write_bytes(raw)
+    else:
+        path.write_text(json.dumps(doc, allow_nan=True))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_config_exits_0_2_or_3(fuzz_inputs, data):
+    root, frame, _ = fuzz_inputs
+    config = {"input_path": frame, "width": 16, "height": 16, "block_size": 8}
+    names = [name for name in RunConfig.__dataclass_fields__ if name != "input_path"] + ["seed", "input_path"]
+    for name in data.draw(st.lists(st.sampled_from(names), max_size=3)):
+        config[name] = data.draw(_json_values(), label=name)
+    doc = data.draw(st.sampled_from([config, [config], config.get("width")]))
+    raw = data.draw(st.none() | st.binary(max_size=12).map(lambda b: b"\xff" + b))
+    path = root / "fuzz-config.json"
+    _write_fuzzed(path, doc, raw)
+    assert main(["run", "--config", str(path)]) in (0, 2, 3)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_fuzzed_report_exits_0_2_or_3(fuzz_inputs, data):
+    root, _, base = fuzz_inputs
+    doc = json.loads(json.dumps(base))
+    path = data.draw(st.sampled_from(sorted(_paths(doc), key=repr)))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = data.draw(_json_values(), label=repr(path))
+    raw = data.draw(st.none() | st.binary(max_size=12).map(lambda b: b"\xff" + b))
+    a, b = root / "fuzz-a.json", root / "fuzz-b.json"
+    _write_fuzzed(a, base, None)
+    _write_fuzzed(b, doc, raw)
+    assert main(["compare", str(a), str(b)]) in (0, 2, 3)
+    assert main(["compare", str(b), str(a)]) in (0, 2, 3)

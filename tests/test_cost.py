@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from intralab.cost import SATD_MAX_DIFF, sad, satd, satd_batch
+from intralab.cost import METRICS, SATD_MAX_DIFF, batch_cost, bound_pieces, sad, satd, satd_batch
 
 from oracles import block_cost, satd_batch_int64
 
@@ -195,3 +195,35 @@ def test_satd_batch_rejects_differences_beyond_bound(shape):
             satd_batch(diffs)
     with pytest.raises(ValueError):
         satd(np.full(shape, 4096), np.zeros(shape, dtype=np.int64))
+
+
+# --- the one template-cost kernel and its lower bound ---------------------
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), metric=st.sampled_from(METRICS), shape=_KERNEL_SHAPES)
+def test_batch_cost_and_its_lower_bound(data, metric, shape):
+    h, w = shape
+    diffs = data.draw(arrays(dtype=np.int64, shape=(3, h, w), elements=st.integers(-1023, 1023)))
+    pair_cost = satd if metric == "satd" else sad
+    costs = batch_cost(diffs, metric)
+    assert costs.tolist() == [pair_cost(d, np.zeros_like(d)) for d in diffs]
+
+    pieces = bound_pieces(h, w, metric)
+    cover = np.zeros(shape, dtype=np.int64)
+    for x, y, pw, ph, _ in pieces:
+        cover[y : y + ph, x : x + pw] += 1
+    assert (cover == 1).all()  # the pieces tile the region once
+    for d, cost in zip(diffs, costs):
+        bound = sum(
+            (abs(int(d[y : y + ph, x : x + pw].sum())) + ((1 << shift) >> 1)) >> shift
+            for x, y, pw, ph, shift in pieces
+        )
+        assert bound <= cost
+
+
+def test_batch_cost_rejects_unknown_metric():
+    with pytest.raises(ValueError):
+        batch_cost(np.zeros((1, 4, 4), dtype=np.int64), "ssd")
+    with pytest.raises(ValueError):
+        bound_pieces(4, 4, "ssd")

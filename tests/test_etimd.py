@@ -4,7 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intralab.bvlist import BvCandidate, BvStore, Provenance, RecordTool, build_bv_list
+from intralab import harness
+from intralab.cli import build_parser
 from intralab.etimd import (
+    RECORD_TOOLS,
+    TOOLS,
     CandidatePool,
     EncodeContext,
     ModeCandidate,
@@ -379,6 +383,23 @@ def test_encode_block_commits_and_records():
         else:
             assert rec.tool == RecordTool.OTHER and rec.bvs == ()
     assert any(res.tool == "intratmp" for res in results)
+
+
+def test_one_tool_table_feeds_config_cli_and_records():
+    assert harness.TOOLS is TOOLS
+    for tool in TOOLS:
+        assert build_parser().parse_args(["run", "--tool", tool]).tool == tool
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["run", "--tool", "dc"])  # a block label, not a tool
+    samples = tiled_glyph_frame(64, 64, period=8, seed=28)
+    labels = set()
+    for tool in TOOLS:
+        ctx, blocks = _ctx(samples, _cfg(tool=tool, search_range=16), 0)
+        for b in blocks:
+            res = encode_block(ctx, b)
+            assert ctx.store.records[-1].tool == RECORD_TOOLS[res.tool]
+            labels.add(res.tool)
+    assert labels == set(RECORD_TOOLS)
 
 
 def test_encode_block_stats_consistent(rng):

@@ -156,3 +156,23 @@ def test_pgm_roundtrip_property(w, h, depth, seed, tmp_path_factory):
     write_pgm(Frame(w, h, depth, samples), path)
     back = load_frame(path, "pgm", w, h, bit_depth=depth)
     np.testing.assert_array_equal(back.samples, samples)
+
+
+@pytest.mark.parametrize(
+    "width, height, frame_index",
+    [(10**20, 8, 0), (8, 8, 10**20), (10**6, 10**6, 0), (2**40, 2**40, 2**40)],
+)
+def test_yuv_geometry_beyond_file_is_truncated(rng, tmp_path, width, height, frame_index):
+    path = str(tmp_path / "one.yuv")
+    write_yuv420([_plane(rng, 8, 8, 8)], path)
+    with pytest.raises(TruncatedInputError):
+        load_frame(path, "yuv-planar", width, height, frame_index=frame_index)
+
+
+@pytest.mark.parametrize("width, height, maxval", [(10**6, 10**6, 255), (10**20, 3, 1023)])
+def test_pgm_header_geometry_beyond_file_is_truncated(tmp_path, width, height, maxval):
+    path = str(tmp_path / "huge.pgm")
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{width} {height}\n{maxval}\n".encode("ascii") + b"\x00" * 16)
+    with pytest.raises(TruncatedInputError):
+        load_frame(path, "pgm", width, height, bit_depth=10)

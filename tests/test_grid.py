@@ -165,3 +165,19 @@ def test_closed_loop_rejects_bad_step():
         reconstruct_block(
             np.zeros((2, 2)), np.zeros((2, 2)), closed_loop=True, quant_step=0, bit_depth=8
         )
+
+
+@pytest.mark.parametrize("bit_depth", [8, 10])
+def test_closed_loop_huge_step_matches_clamped_step(rng, bit_depth):
+    top = (1 << bit_depth) - 1
+    original = rng.integers(0, top + 1, size=(6, 6)).astype(np.int64)
+    pred = rng.integers(0, top + 1, size=(6, 6)).astype(np.int64)
+    original[0, :2], pred[0, :2] = (top, 0), (0, top)  # the largest residuals of either sign
+    clamp = 1 << (bit_depth + 1)
+    at_clamp = reconstruct_block(original, pred, closed_loop=True, quant_step=clamp, bit_depth=bit_depth)
+    np.testing.assert_array_equal(at_clamp, pred)
+    for step in (clamp + 1, 2**62, 10**23):
+        out = reconstruct_block(original, pred, closed_loop=True, quant_step=step, bit_depth=bit_depth)
+        np.testing.assert_array_equal(out, at_clamp)
+    below = reconstruct_block(original, pred, closed_loop=True, quant_step=clamp // 2, bit_depth=bit_depth)
+    assert not np.array_equal(below, pred)

@@ -208,6 +208,14 @@ def test_read_rejects_wrong_schema(tmp_path):
         read_report(str(path))
 
 
+@pytest.mark.parametrize("schema", [True, 1.0, "1"])
+def test_read_rejects_schema_that_only_equals_one(tmp_path, schema):
+    path = tmp_path / "loose.json"
+    path.write_text(json.dumps({"schema": schema, "records": [], "config": {}, "aggregates": {}, "timing": {}}))
+    with pytest.raises(FormatError):
+        read_report(str(path))
+
+
 @pytest.mark.parametrize(
     "mutate",
     [

@@ -1,0 +1,43 @@
+"""Smoke tests: both experiment scripts run end to end on small fixtures."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from intralab.reporting import read_report
+from intralab.synth import SCREEN_FIXTURES
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_make_fixtures_writes_every_fixture(tmp_path, capsys):
+    out = tmp_path / "fixtures"
+    assert load_script("make_fixtures").main(["--out", str(out), "--size", "32", "--noise-frames", "2"]) == 0
+    files = sorted(p.name for p in out.iterdir())
+    assert "noise.yuv" in files and "tiled-glyph.yuv" in files
+    assert (out / "noise.yuv").stat().st_size == 2 * 32 * 32 * 3 // 2
+    assert len(capsys.readouterr().out.splitlines()) == len(files)
+
+
+@pytest.mark.parametrize("metric", ["satd", "sad"])
+def test_ab_screen_content_writes_comparable_reports(tmp_path, capsys, metric):
+    out = tmp_path / "reports"
+    assert load_script("ab_screen_content").main(["--out", str(out), "--size", "32", "--metric", metric]) == 0
+    assert "strictly better mean SAD on" in capsys.readouterr().out
+    reports = sorted(p.name for p in out.iterdir())
+    assert reports == sorted(f"{name}-{tool}.json" for name in SCREEN_FIXTURES for tool in ("timd", "etimd"))
+    assert read_report(str(out / reports[0])).config["metric"] == metric
+
+
+def test_ab_screen_content_metric_choices_are_the_cost_metrics(monkeypatch):
+    monkeypatch.setattr("intralab.cost.METRICS", ("sad",))
+    with pytest.raises(SystemExit):
+        load_script("ab_screen_content").main(["--metric", "satd"])
