@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from .grid import BlockRef, ReconBuffer
-from .tmp import BlockVector, candidate_valid
+from .tmp import BlockVector, extended_rect
 
 DEFAULT_N_MAX = 20
 
@@ -163,13 +163,16 @@ def build_bv_list(
     tagged = [(bv, Provenance.PRIMARY) for bv in primaries]
     if use_ar:
         tagged += [(bv, Provenance.AUTO_RELOCATED) for bv in derive_ar_bvs(store, primaries, block)]
+    # The displaced block and its strips together cover the displaced
+    # template-extended block, so one rectangle check is the strict check.
+    ex, ey, ew, eh = extended_rect(block, t)
     out: list[BvCandidate] = []
     seen: set[BlockVector] = set()
     for bv, prov in tagged:
         if bv in seen:
             continue
         seen.add(bv)
-        if not candidate_valid(buf, block, bv, t, strict_template=True):
+        if not buf.region_available(ex + bv.dx, ey + bv.dy, ew, eh):
             continue
         out.append(BvCandidate(bv, prov))
         if len(out) == n_max:

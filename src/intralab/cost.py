@@ -7,9 +7,10 @@ SAD.  Regions narrower than 4 in either dimension fall back to SAD
 entirely.  Per-tile sums of absolute transform coefficients use the
 conventional normalization: (s + 1) >> 1 for 4x4, (s + 2) >> 2 for 8x8.
 
-satd_batch transforms a whole batch with one float32 GEMM: each tile is
+satd_batch transforms a whole batch by float32 GEMM: each tile is
 flattened to a row of 16 (or 64) samples and multiplied by H (x) H, the
-Kronecker product of the Hadamard matrix with itself.  That is exact
+Kronecker product of the Hadamard matrix with itself, GEMM_SAMPLES
+samples per product so that BLAS keeps each on one thread.  That is exact
 while every |difference| <= SATD_MAX_DIFF (4095, 12-bit samples): an
 8x8 tile's absolute coefficient sum is then at most 64 * 64 * 4095 <
 2^24, and float32 holds every integer up to 2^24, so every partial sum
@@ -17,10 +18,19 @@ of the product and of the absolute sum is an exact integer.  Larger
 differences raise ValueError.  The rounding and the per-block sums run
 in int64.
 
-batch_cost is the one template-cost kernel: mode evaluation and every
-template match cost their difference batches through it, so a BV and an
-intra mode are costed alike.  bound_pieces gives the pieces of its DC
-lower bound, which the template search prunes with.
+A template of one or more strips is costed through its layout
+(strip_layout, cached per tuple of strip shapes): every sample position
+of the stacked strips in costing order, the 8x8 tiles of every strip
+first, then the 4x4 tiles, each tile's samples in raster order, then the
+SAD remainder.  Each strip is tiled as satd_tiling tiles it alone, so
+the layout cost of stacked strips is the sum of their separate costs.
+layout_cost, the one template-cost kernel and the only place that picks
+SATD or SAD, costs a whole batch of templates gathered in that order
+with one satd_batch call per tile size and one absolute sum; mode
+evaluation, the BV list and every template match cost through it, so a
+BV and an intra mode are costed alike.  batch_cost is layout_cost for a
+batch of single (h, w) regions.  bound_pieces gives the pieces of the DC
+lower bound the template search prunes with.
 
 All pair kernels accept integer sample arrays of identical shape and
 return Python ints.  satd(a, b) == satd(b, a) and adding a constant to
@@ -29,10 +39,16 @@ both inputs leaves every cost unchanged.
 
 from __future__ import annotations
 
+from functools import lru_cache
+from typing import NamedTuple
+
 import numpy as np
 
 METRICS = ("satd", "sad")
 SATD_MAX_DIFF = 4095
+# Samples transformed per GEMM.  A larger product gets split across BLAS
+# threads, which for a 16- or 64-wide product costs more than it saves.
+GEMM_SAMPLES = 32768
 
 
 def _hadamard(n: int) -> np.ndarray:
@@ -67,12 +83,15 @@ def sad(a: np.ndarray, b: np.ndarray) -> int:
 
 
 def _tile_satd(diffs: np.ndarray, tile: int) -> np.ndarray:
-    """Hadamard cost of (N, th, tw) diffs fully tiled by tile x tile, by one GEMM."""
+    """Hadamard cost of (N, th, tw) diffs fully tiled by tile x tile, by GEMMs of GEMM_SAMPLES."""
     n, th, tw = diffs.shape
     rows = diffs.reshape(n, th // tile, tile, tw // tile, tile).transpose(0, 1, 3, 2, 4)
     rows = rows.astype(np.float32, order="C").reshape(-1, tile * tile)
-    coeffs = rows @ _KRON[tile]
-    sums = np.abs(coeffs, out=coeffs).sum(axis=1).astype(np.int64)
+    coeffs = np.empty_like(rows)
+    step = GEMM_SAMPLES // (tile * tile)
+    for start in range(0, len(rows), step):
+        np.matmul(rows[start : start + step], _KRON[tile], out=coeffs[start : start + step])
+    sums = np.einsum("ij->i", np.abs(coeffs, out=coeffs)).astype(np.int64)
     shift = _NORM_SHIFT[tile]
     per_tile = (sums + (1 << (shift - 1))) >> shift
     return per_tile.reshape(n, -1).sum(axis=1)
@@ -89,10 +108,15 @@ def satd_tiling(h: int, w: int) -> tuple[int, int, int]:
 def satd_batch(diffs: np.ndarray) -> np.ndarray:
     """SATD of a batch of (N, h, w) difference arrays (int64 result).
 
+    int32 and int64 batches are read as they are; any other dtype is
+    converted to int64 first.
+
     Raises ValueError when any |difference| exceeds SATD_MAX_DIFF, the
     bound under which the float32 transform is exact.
     """
-    diffs = np.asarray(diffs, dtype=np.int64)
+    diffs = np.asarray(diffs)
+    if diffs.dtype not in (np.int32, np.int64):
+        diffs = diffs.astype(np.int64)
     n, h, w = diffs.shape
     if n == 0:
         return np.zeros(0, dtype=np.int64)
@@ -114,12 +138,65 @@ def check_metric(metric: str) -> None:
         raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
-def batch_cost(diffs: np.ndarray, metric: str) -> np.ndarray:
-    """Template cost of each (h, w) difference array of an (N, h, w) batch (int64)."""
+class Layout(NamedTuple):
+    """Costing order of a stack of strips.
+
+    order holds, for each costed position, its index into the strips'
+    samples concatenated in raster order (first strip first).  Positions
+    [start, stop) of each (tile, start, stop) run are whole tile x tile
+    Hadamard tiles, one after another; positions from rest on are costed
+    by SAD.
+    """
+
+    order: np.ndarray
+    tiles: tuple[tuple[int, int, int], ...]
+    rest: int
+
+
+@lru_cache(maxsize=256)
+def strip_layout(shapes: tuple[tuple[int, int], ...]) -> Layout:
+    """The layout of strips of (h, w) shapes, each tiled as satd_tiling(h, w) tiles it."""
+    runs: dict[int, list[np.ndarray]] = {8: [], 4: []}
+    rest = []
+    base = 0
+    for h, w in shapes:
+        index = base + np.arange(h * w).reshape(h, w)
+        tile, th, tw = satd_tiling(h, w)
+        if tile:
+            tiles = index[:th, :tw].reshape(th // tile, tile, tw // tile, tile).transpose(0, 2, 1, 3)
+            runs[tile].append(tiles.ravel())
+        rest += [index[th:].ravel(), index[:th, tw:].ravel()]
+        base += h * w
+    tiled = [(tile, np.concatenate(parts)) for tile, parts in runs.items() if parts]
+    order = np.concatenate([part for _, part in tiled] + rest)
+    order.setflags(write=False)  # shared by every caller
+    spans, start = [], 0
+    for tile, part in tiled:
+        spans.append((tile, start, start + len(part)))
+        start += len(part)
+    return Layout(order, tuple(spans), start)
+
+
+def layout_cost(diffs: np.ndarray, layout: Layout, metric: str) -> np.ndarray:
+    """Template cost of each row of an (N, positions) batch of differences in layout order (int64)."""
     check_metric(metric)
     if metric == "sad":
-        return np.abs(diffs).sum(axis=(1, 2), dtype=np.int64)
-    return satd_batch(diffs)
+        return np.abs(diffs).sum(axis=1, dtype=np.int64)
+    total = np.zeros(len(diffs), dtype=np.int64)
+    if layout.rest < diffs.shape[1]:
+        total += np.abs(diffs[:, layout.rest :]).sum(axis=1)
+    for tile, start, stop in layout.tiles:
+        # A column of whole tiles is one (stop - start) / tile x tile region, tiled as such.
+        total += satd_batch(diffs[:, start:stop].reshape(len(diffs), -1, tile))
+    return total
+
+
+def batch_cost(diffs: np.ndarray, metric: str) -> np.ndarray:
+    """Template cost of each (h, w) difference array of an (N, h, w) batch (int64)."""
+    diffs = np.asarray(diffs)
+    n, h, w = diffs.shape
+    layout = strip_layout(((h, w),))
+    return layout_cost(diffs.reshape(n, -1)[:, layout.order], layout, metric)
 
 
 def bound_pieces(h: int, w: int, metric: str) -> list[tuple[int, int, int, int, int]]:

@@ -44,7 +44,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bvlist import BvCandidate, BvStore, CodingRecord, Provenance, RecordTool, build_bv_list
-from .cost import batch_cost, sad, satd
+from .cost import layout_cost, sad, satd
 from .grid import BlockRef, ReconBuffer, reconstruct_block
 from .hog import transform_mode_for_block
 from .intra import (
@@ -55,7 +55,15 @@ from .intra import (
     predict_mode,
     predict_template,
 )
-from .tmp import BlockVector, SearchResult, bv_predict, template_costs, template_rects, tmp_search
+from .tmp import (
+    BlockVector,
+    SearchResult,
+    bv_predict,
+    extended_rect,
+    gather_templates,
+    template_rects,
+    tmp_search,
+)
 from .transforms import TRANSFORM_SIZES, apply_transform, energy_compaction, transform_class
 
 if TYPE_CHECKING:
@@ -176,38 +184,30 @@ def evaluate_candidates(
     """Template losses for Planar, DC, all angular modes, and listed BVs.
 
     Every candidate is costed on the identical template geometry: the
-    frame-clipped above/left strips of the block.  Mode candidates
-    predict only those strips, all 67 at once, as part of the
-    template-extended block predicted from its own references; BV
-    candidates copy the displaced template and go through tmp_search's
-    batched strip kernel, so a BV costs the same on both sides of the
-    TMP competition.  The pool holds the costs in ALL_MODES order, then
-    in BV-list order.
+    frame-clipped above/left strips of the block, in their cost layout.
+    Mode candidates predict only those samples, all 67 at once, as part
+    of the template-extended block predicted from its own references.
+    The block's template and every listed BV's displaced template come
+    from one gather, which raises CausalityError unless each displaced
+    strip is committed, and all 67 + len(bv_list) rows are costed with
+    one layout_cost call, so a BV costs the same as on either side of
+    the TMP competition.  The pool holds the costs in ALL_MODES order,
+    then in BV-list order.
     """
-    above_rect, left_rect = template_rects(block, t, buf.width, buf.height)
-    if above_rect is None and left_rect is None:
+    rects = [r for r in template_rects(block, t, buf.width, buf.height) if r is not None]
+    if not rects:
         raise ValueError("block has no template; fall back to DC instead")
 
-    # The template-extended block: the block grown by the strips' depths.
-    ah = above_rect[3] if above_rect else 0
-    lw = left_rect[2] if left_rect else 0
-    we, he = block.w + lw, block.h + ah
-    refs = build_reference_samples(buf, block.x0 - lw, block.y0 - ah, we, he)
-    preds = predict_template(refs, we, he, ah, lw, block.h)
-
-    strips = []
-    if above_rect:
-        strips.append((preds[:, : ah * we].reshape(-1, ah, we), buf.read_region(*above_rect)))
-    if left_rect:
-        strips.append((preds[:, ah * we :].reshape(-1, block.h, lw), buf.read_region(*left_rect)))
-
-    costs = np.zeros(len(ALL_MODES), dtype=np.int64)
-    for pred, cur in strips:
-        costs += batch_cost(pred - cur, metric)
-
-    if bv_list:
-        bv_costs = template_costs(buf, block, [c.bv for c in bv_list], t, metric)
-        costs = np.concatenate((costs, bv_costs))
+    ex, ey, we, he = extended_rect(block, t)
+    ah, lw = block.y0 - ey, block.x0 - ex
+    refs = build_reference_samples(buf, ex, ey, we, he)
+    preds = predict_template(refs, we, he, ah, lw, block.h, tiled=True)
+    dxs = np.array([0] + [c.bv.dx for c in bv_list], dtype=np.int64)
+    dys = np.array([0] + [c.bv.dy for c in bv_list], dtype=np.int64)
+    layout, rows = gather_templates(buf, rects, dxs, dys)
+    diffs = np.concatenate((preds, rows[1:])) if bv_list else preds
+    diffs -= rows[0]
+    costs = layout_cost(diffs, layout, metric)
     return CandidatePool(costs, bv_list)
 
 

@@ -15,7 +15,8 @@ math; the tap tables of all 65 modes are built on first use per block
 shape (and, for template costing, per template geometry), kept in
 small-dtype arrays and cached in bounded LRU caches.  predict_angular
 gathers one mode over a block; predict_template gathers every mode over
-the template samples of a template-extended block only.
+the template samples of a template-extended block only, in raster order
+or in the strips' cost layout (cost.strip_layout).
 
 Reference samples come from the causal reconstruction buffer.
 Unavailable positions are padded by replicating the nearest available
@@ -30,6 +31,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .cost import strip_layout
 from .grid import ReconBuffer
 
 MODE_PLANAR = 0
@@ -215,19 +217,28 @@ def _block_taps(w: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _frozen(i0, i1, w1)
 
 
+def template_shapes(we: int, ah: int, lw: int, h: int) -> tuple[tuple[int, int], ...]:
+    """(h, w) of the template strips that are present: above (ah x we), then left (h x lw)."""
+    return tuple(shape for shape in ((ah, we), (h, lw)) if shape[0] and shape[1])
+
+
 @lru_cache(maxsize=64)
 def _template_taps(
-    we: int, he: int, ah: int, lw: int, h: int
+    we: int, he: int, ah: int, lw: int, h: int, tiled: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Template positions and taps of a (he, we) template-extended block.
 
-    keep holds the raster indices of the template samples; i0, i1 and w1
-    are _block_taps(we, he) at those positions, each (65, len(keep)).
+    keep holds the raster indices of the template samples, in raster
+    order or, when tiled, in the order of the strips' cost layout; i0,
+    i1 and w1 are _block_taps(we, he) at those positions, each
+    (65, len(keep)).
     """
     mask = np.zeros((he, we), dtype=bool)
     mask[:ah] = True
     mask[ah : ah + h, :lw] = True
     keep = np.flatnonzero(mask)
+    if tiled:
+        keep = keep[strip_layout(template_shapes(we, ah, lw, h)).order]
     n = len(ANGULAR_MODES)
     return _frozen(keep, *(t.reshape(n, -1)[:, keep] for t in _block_taps(we, he)))
 
@@ -277,17 +288,21 @@ def predict_mode(refs: RefSamples, mode: int, w: int, h: int) -> np.ndarray:
     return predict_angular(refs, mode, w, h)
 
 
-def predict_template(refs: RefSamples, we: int, he: int, ah: int, lw: int, h: int) -> np.ndarray:
+def predict_template(
+    refs: RefSamples, we: int, he: int, ah: int, lw: int, h: int, tiled: bool = False
+) -> np.ndarray:
     """Template samples of every mode, one row per mode in ALL_MODES order.
 
     refs belong to the (he, we) template-extended block.  Each row holds
     that block's prediction at its template positions only, in raster
     order: the ah rows above the block (all we columns), then the lw
-    columns left of it over its h rows.  Row m equals
-    predict_mode(refs, ALL_MODES[m], we, he) at those positions; since
-    ALL_MODES[m] == m, row m is mode m.
+    columns left of it over its h rows.  With tiled, the row is permuted
+    into the cost layout of those strips,
+    strip_layout(template_shapes(we, ah, lw, h)), ready for layout_cost.
+    Row m equals predict_mode(refs, ALL_MODES[m], we, he) at those
+    positions; since ALL_MODES[m] == m, row m is mode m.
     """
-    keep, i0, i1, w1 = _template_taps(we, he, ah, lw, h)
+    keep, i0, i1, w1 = _template_taps(we, he, ah, lw, h, tiled)
     out = np.empty((len(ALL_MODES), len(keep)), dtype=np.int64)
     out[MODE_PLANAR] = predict_planar(refs, we, he).ravel()[keep]
     out[MODE_DC] = predict_dc(refs, we, he).ravel()[keep]

@@ -32,6 +32,14 @@ costed in ascending bound order until the next bound is strictly above
 the best cost found; a candidate that could tie with the best always
 has a bound no higher than it, so the tie order is unaffected.
 
+Candidates are costed in the template's cost layout (cost.strip_layout):
+one flat index into the sample plane gathers a whole batch of displaced
+templates in that order, and cost.layout_cost costs them at once.  A
+candidate that can use only one of the two strips is gathered and
+costed in that strip's layout.  template_costs and mode evaluation read
+through gather_templates, which checks every displaced strip against
+the committed area in one vectorised test and notes each as a read.
+
 tmp_search(..., below=c) returns the best candidate among those that
 cost strictly less than c, or None when no valid candidate does.
 Candidates whose bound reaches c are never costed.  A caller that only
@@ -41,12 +49,12 @@ the E-TIMD TMP competition runs.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from functools import lru_cache, partial
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .cost import batch_cost, bound_pieces, check_metric
+from .cost import Layout, bound_pieces, check_metric, layout_cost, strip_layout
 from .errors import CausalityError
 from .grid import BlockRef, ReconBuffer
 
@@ -85,14 +93,26 @@ def template_rects(block: BlockRef, t: int, frame_w: int, frame_h: int) -> tuple
     return above, left
 
 
+def extended_rect(block: BlockRef, t: int) -> Rect:
+    """The template-extended block: the block grown left and up by its strips' depths.
+
+    The block and its frame-clipped strips tile exactly this rectangle,
+    so a candidate passes the strict check iff the rectangle, displaced,
+    is committed.
+    """
+    lw, ah = min(block.x0, t), min(block.y0, t)
+    return (block.x0 - lw, block.y0 - ah, block.w + lw, block.h + ah)
+
+
 def _shift(rect: Rect, bv: BlockVector) -> Rect:
     x, y, w, h = rect
     return (x + bv.dx, y + bv.dy, w, h)
 
 
-def _fully_outside(rect: Rect, frame_w: int, frame_h: int) -> bool:
+def _fully_outside(rect: Rect, dxs, dys, frame_w: int, frame_h: int):
+    """Whether rect, displaced by each (dx, dy), lies wholly outside the frame."""
     x, y, w, h = rect
-    return x + w <= 0 or y + h <= 0 or x >= frame_w or y >= frame_h
+    return (x + w + dxs <= 0) | (y + h + dys <= 0) | (x + dxs >= frame_w) | (y + dys >= frame_h)
 
 
 def bv_predict(buf: ReconBuffer, block: BlockRef, bv: BlockVector) -> np.ndarray:
@@ -116,10 +136,90 @@ def candidate_valid(
         moved = _shift(rect, bv)
         if buf.region_available(*moved):
             continue
-        if not strict_template and _fully_outside(moved, buf.width, buf.height):
+        if not strict_template and _fully_outside(rect, bv.dx, bv.dy, buf.width, buf.height):
             continue
         return False
     return True
+
+
+@lru_cache(maxsize=256)
+def _strip_offsets(strips: tuple[Rect, ...], width: int) -> tuple[Layout, np.ndarray]:
+    """Layout of the strips and each of its positions' flat offset from the first strip's origin."""
+    x0, y0 = strips[0][:2]
+    flat = np.concatenate(
+        [((y - y0 + np.arange(h))[:, None] * width + (x - x0 + np.arange(w))).ravel() for x, y, w, h in strips]
+    )
+    layout = strip_layout(tuple((h, w) for _, _, w, h in strips))
+    offsets = flat[layout.order]
+    offsets.setflags(write=False)  # shared by every caller
+    return layout, offsets
+
+
+def _template_rows(
+    plane: np.ndarray, strips: Sequence[Rect], dxs: np.ndarray, dys: np.ndarray
+) -> tuple[Layout, np.ndarray]:
+    """Layout of the strips and plane's values under them displaced by each (dx, dy), one row each."""
+    x0, y0 = strips[0][:2]
+    width = plane.shape[1]
+    layout, offsets = _strip_offsets(tuple((x - x0, y - y0, w, h) for x, y, w, h in strips), width)
+    return layout, plane.ravel()[offsets + ((y0 + dys) * width + x0 + dxs)[:, None]]
+
+
+def gather_templates(
+    buf: ReconBuffer, strips: Sequence[Rect], dxs: np.ndarray, dys: np.ndarray
+) -> tuple[Layout, np.ndarray]:
+    """Layout of the strips and their samples displaced by each (dx, dy), read causally.
+
+    Row i holds the strips moved by (dxs[i], dys[i]) in layout order, so
+    (0, 0) gives the block's own template.  Every displaced strip must
+    lie inside the frame and be committed, or CausalityError is raised;
+    each one is noted as a read.
+    """
+    xs, ys = dxs.tolist(), dys.tolist()
+    moves = list(zip(xs, ys))
+    for x, y, w, h in strips:
+        if x + min(xs) < 0 or y + min(ys) < 0 or x + w + max(xs) > buf.width or y + h + max(ys) > buf.height:
+            dx, dy = next(m for m in moves if not buf.in_frame(x + m[0], y + m[1], w, h))
+            raise CausalityError(f"template strip at ({x + dx},{y + dy}) {w}x{h} leaves the frame")
+    committed = _template_rows(buf.available, strips, dxs, dys)[1].all(axis=1)
+    if not committed.all():
+        raise CausalityError(f"template displaced by {moves[int(np.argmin(committed))]} touches uncommitted samples")
+    if buf.read_hook is not None:
+        for dx, dy in moves:
+            for x, y, w, h in strips:
+                buf.note_read(x + dx, y + dy, w, h)
+    return _template_rows(buf.samples, strips, dxs, dys)
+
+
+def _costs_by_use(
+    rects: Sequence[Rect],
+    dxs: np.ndarray,
+    dys: np.ndarray,
+    uses: Sequence[np.ndarray],
+    metric: str,
+    gather: Callable[[Sequence[Rect], np.ndarray, np.ndarray], tuple[Layout, np.ndarray]],
+) -> np.ndarray:
+    """Matching cost of each candidate over the strips it uses (uses[k]: it uses rects[k]).
+
+    The candidates that use the same strips are gathered in those strips'
+    layout, after the block's own template as row 0, and costed with one
+    layout_cost call.
+    """
+    costs = np.zeros(len(dxs), dtype=np.int64)
+    if not rects:
+        return costs
+    # Bit k of a candidate's pattern is set when it uses rects[k].
+    pattern = sum(use.astype(np.int64) << k for k, use in enumerate(uses))
+    for p in np.flatnonzero(np.bincount(pattern)).tolist():
+        if p == 0:
+            continue  # a candidate that uses no strip costs nothing
+        sel = np.flatnonzero(pattern == p)
+        strips = [rect for k, rect in enumerate(rects) if p >> k & 1]
+        layout, rows = gather(strips, np.append(0, dxs[sel]), np.append(0, dys[sel]))
+        diffs = rows[1:]
+        diffs -= rows[0]
+        costs[sel] = layout_cost(diffs, layout, metric)
+    return costs
 
 
 def template_costs(
@@ -129,35 +229,17 @@ def template_costs(
     t: int,
     metric: str,
 ) -> np.ndarray:
-    """Matching cost of each candidate, with one batched kernel call per strip.
+    """Matching cost of each candidate, gathered and costed in the template's layout.
 
     A displaced strip fully outside the frame contributes nothing; any
     other displaced strip must be committed, or CausalityError is raised.
     """
     check_metric(metric)
-    costs = np.zeros(len(bvs), dtype=np.int64)
-    if not bvs:
-        return costs
+    rects = [r for r in template_rects(block, t, buf.width, buf.height) if r is not None]
     dxs = np.array([bv.dx for bv in bvs], dtype=np.int64)
     dys = np.array([bv.dy for bv in bvs], dtype=np.int64)
-    for rect in template_rects(block, t, buf.width, buf.height):
-        if rect is None:
-            continue
-        sx, sy, sw, sh = rect
-        use = np.array(
-            [not _fully_outside(_shift(rect, bv), buf.width, buf.height) for bv in bvs]
-        )
-        if not use.any():
-            continue
-        for dx, dy in zip(dxs[use].tolist(), dys[use].tolist()):
-            if not buf.region_available(sx + dx, sy + dy, sw, sh):
-                raise CausalityError(
-                    f"template strip at ({sx + dx},{sy + dy}) {sw}x{sh} is not committed"
-                )
-            buf.note_read(sx + dx, sy + dy, sw, sh)
-        cur = buf.read_region(*rect).astype(np.int64)
-        costs[use] += _strip_costs(buf, rect, cur, dxs[use], dys[use], metric)
-    return costs
+    uses = [~_fully_outside(rect, dxs, dys, buf.width, buf.height) for rect in rects]
+    return _costs_by_use(rects, dxs, dys, uses, metric, partial(gather_templates, buf))
 
 
 def template_cost_at(
@@ -187,13 +269,6 @@ def _box_sums(ii: np.ndarray, x: int, y: int, w: int, h: int, nx: int, ny: int) 
         - ii[y + h : y + h + ny, x : x + nx]
         + ii[y : y + ny, x : x + nx]
     )
-
-
-def _strip_costs(buf, rect, cur, dxs, dys, metric):
-    """Matching cost of one strip for each (dx, dy) candidate; cur is the int64 template."""
-    sx, sy, sw, sh = rect
-    wins = sliding_window_view(buf.samples, (sh, sw))
-    return batch_cost(wins[sy + dys, sx + dxs] - cur[None], metric)
 
 
 def _window_integrals(buf: ReconBuffer, x0: int, y0: int, x1: int, y1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -321,13 +396,9 @@ def tmp_search(
         chunk = sel[start:stop]
         dxs = dx_lo + chunk % nx
         dys = dy_lo + chunk // nx
-        costs = np.zeros(len(chunk), dtype=np.int64)
-        for rect, cur, usable in zip(rects, curs, strip_use):
-            use = usable[chunk]
-            if use.all():
-                costs += _strip_costs(buf, rect, cur, dxs, dys, metric)
-            elif use.any():
-                costs[use] += _strip_costs(buf, rect, cur, dxs[use], dys[use], metric)
+        uses = [usable[chunk] for usable in strip_use]
+        # Every chunk candidate was checked and noted as a read above.
+        costs = _costs_by_use(rects, dxs, dys, uses, metric, partial(_template_rows, buf.samples))
         l1 = np.abs(dxs) + np.abs(dys)
         i = np.lexsort((dxs, dys, l1, costs))[0]
         key = (int(costs[i]), int(l1[i]), int(dys[i]), int(dxs[i]))

@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from intralab.cost import METRICS, SATD_MAX_DIFF, batch_cost, bound_pieces, sad, satd, satd_batch
+from intralab.cost import (
+    METRICS,
+    SATD_MAX_DIFF,
+    batch_cost,
+    bound_pieces,
+    layout_cost,
+    sad,
+    satd,
+    satd_batch,
+    strip_layout,
+)
+from intralab.intra import template_shapes
 
 from oracles import block_cost, satd_batch_int64
 
@@ -227,3 +238,42 @@ def test_batch_cost_rejects_unknown_metric():
         batch_cost(np.zeros((1, 4, 4), dtype=np.int64), "ssd")
     with pytest.raises(ValueError):
         bound_pieces(4, 4, "ssd")
+
+
+# --- the strip layout against the per-strip kernel ------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.sampled_from([1, 2, 4, 6]),
+    size=st.sampled_from([4, 8, 16, 32, 64]),
+    clip=st.tuples(st.integers(0, 63), st.integers(0, 63)),
+    depths=st.tuples(st.integers(0, 6), st.integers(0, 6)),
+    metric=st.sampled_from(METRICS),
+    bit_depth=st.sampled_from([8, 10]),
+    extremes=st.booleans(),
+    n=st.integers(1, 4),
+)
+def test_layout_cost_equals_per_strip_kernel(seed, t, size, clip, depths, metric, bit_depth, extremes, n):
+    # The strips of a w x h block of a size-grid partition, clipped by the
+    # frame edge: ah rows above and lw columns left, 0 where absent.
+    w, h = max(1, size - clip[0] % size), max(1, size - clip[1] % size)
+    ah, lw = min(depths[0], t), min(depths[1], t)
+    shapes = template_shapes(w + lw, ah, lw, h)
+    assume(shapes)
+    rng = np.random.default_rng(seed)
+    peak = (1 << bit_depth) - 1
+    if extremes:
+        strips = [rng.choice([-peak, peak], size=(n, sh, sw)) for sh, sw in shapes]
+    else:
+        strips = [rng.integers(-peak, peak + 1, size=(n, sh, sw)) for sh, sw in shapes]
+
+    layout = strip_layout(shapes)
+    stacked = np.concatenate([s.reshape(n, -1) for s in strips], axis=1)
+    assert sorted(layout.order.tolist()) == list(range(stacked.shape[1]))
+    got = layout_cost(stacked[:, layout.order], layout, metric)
+    assert got.tolist() == sum(batch_cost(s, metric) for s in strips).tolist()
+    oracle = satd_batch_int64 if metric == "satd" else (lambda d: np.abs(d).sum(axis=(1, 2)))
+    assert got.tolist() == sum(oracle(s) for s in strips).tolist()
+

@@ -24,7 +24,8 @@ from intralab.grid import ReconBuffer, partition
 from intralab.harness import RunConfig
 from intralab.intra import ALL_MODES, ANGULAR_MODES
 from intralab.synth import SCREEN_FIXTURES, noise_frame, tiled_glyph_frame
-from intralab.tmp import BlockVector, template_cost_at, template_rects
+from intralab.errors import CausalityError
+from intralab.tmp import BlockVector, template_cost_at, template_costs, template_rects
 
 from conftest import prefix_buffer
 from test_acceptance import _ang, _bv, _closed_weights, _dc, _oracle_etimd, _oracle_timd, _planar
@@ -255,6 +256,37 @@ def test_evaluate_counts_and_bv_costs():
     # the periodic repeat matches the template exactly
     exact = [c for c in cands if c.kind == "bv" and c.bv == BlockVector(-8, -8)]
     assert exact[0].cost == 0
+
+
+def test_batched_bv_gather_raises_on_uncommitted_strips():
+    samples = noise_frame(32, 32, seed=15)
+    buf, blocks = prefix_buffer(samples, 8, 10)
+    block = blocks[10]  # (16, 16): committed up to y 16, and up to x 16 on its row
+    good = BlockVector(-8, -8)
+    # (8, -4) moves the left strip onto the block's own, uncommitted row;
+    # (-14, 0) moves it partly out of the frame.
+    for bad in (BlockVector(8, -4), BlockVector(-14, 0)):
+        listed = [BvCandidate(good, Provenance.PRIMARY), BvCandidate(bad, Provenance.PRIMARY)]
+        with pytest.raises(CausalityError):
+            evaluate_candidates(buf, block, 4, "satd", listed)
+        with pytest.raises(CausalityError):
+            template_costs(buf, block, [good, bad], 4, "satd")
+    pool = evaluate_candidates(buf, block, 4, "satd", [BvCandidate(good, Provenance.PRIMARY)])
+    assert pool.costs[-1] == template_cost_at(buf, block, good, 4, "satd")
+
+
+def test_evaluate_notes_each_read_once_per_strip():
+    samples = tiled_glyph_frame(64, 64, period=8, seed=9)
+    buf, blocks = prefix_buffer(samples, 8, 20)
+    block = blocks[20]  # (32, 16)
+    bvs = [BlockVector(-8, -8), BlockVector(-16, -8)]
+    reads = []
+    buf.read_hook = lambda x, y, w, h: reads.append((x, y, w, h))
+    evaluate_candidates(buf, block, 4, "satd", [BvCandidate(bv, Provenance.PRIMARY) for bv in bvs])
+    strips = [r for r in template_rects(block, 4, 64, 64) if r is not None]
+    for dx, dy in [(0, 0)] + bvs:
+        for x, y, w, h in strips:
+            assert reads.count((x + dx, y + dy, w, h)) == 1
 
 
 def test_evaluate_requires_template():

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intralab import harness
@@ -321,3 +321,40 @@ def test_whole_loop_is_causal_replays_and_round_trips(
         assert loaded.records == report.records
         with open(first, "rb") as fa, open(second, "rb") as fb:
             assert fa.read() == fb.read()
+
+
+# The same loop on larger frames with a full-range search, in both open
+# and closed loop.  Encoding and replaying the 4x4 blocks of a 96x96 noise
+# frame this way takes ~18 s in the audited buffer, so this profile runs
+# three 96x96 examples and six fixed draws.
+_ALL_ON = {"use_bv_list": True, "use_ar_bv": True, "use_hog_transform": True, "tmp_compete": True}
+
+
+@pytest.mark.parametrize("closed_loop", [False, True])
+@settings(max_examples=6, deadline=None, derandomize=True)
+@example(96, 96, 8, True, 7, "intratmp", 16, "satd", 4, 6, _ALL_ON)
+@example(96, 96, 10, False, 8, "etimd", 16, "sad", 6, 6, _ALL_ON)
+@example(96, 96, 8, True, 9, "etimd", 4, "satd", 4, 6, _ALL_ON)
+@given(
+    width=st.integers(38, 96),
+    height=st.integers(38, 96),
+    bit_depth=st.sampled_from([8, 10]),
+    glyphs=st.booleans(),
+    seed=st.integers(0, 2**16),
+    tool=st.sampled_from(TOOLS),
+    block_size=st.sampled_from(BLOCK_SIZES),
+    metric=st.sampled_from(["satd", "sad"]),
+    template=st.sampled_from([1, 2, 4, 6]),
+    n_max=st.sampled_from([0, 2, 6]),
+    toggles=st.fixed_dictionaries(
+        {name: st.booleans() for name in ("use_bv_list", "use_ar_bv", "use_hog_transform", "tmp_compete")}
+    ),
+)
+def test_whole_loop_at_larger_frames_with_full_search(
+    closed_loop, width, height, bit_depth, glyphs, seed, tool, block_size, metric, template, n_max, toggles
+):
+    test_whole_loop_is_causal_replays_and_round_trips.hypothesis.inner_test(
+        width, height, bit_depth, glyphs, seed, tool, block_size, metric, template,
+        search_range=None, n_max=n_max, toggles={**toggles, "closed_loop": closed_loop},
+    )
+

@@ -22,7 +22,9 @@ from intralab.intra import (
     predict_mode,
     predict_planar,
     predict_template,
+    template_shapes,
 )
+from intralab.cost import strip_layout
 
 from conftest import committed_buffer, prefix_buffer
 
@@ -307,3 +309,34 @@ def test_template_prediction_matches_full_block(seed, t, size, clip, corner, bit
         np.testing.assert_array_equal(row, want, err_msg=f"mode {mode}")
         if mode in ANGULAR_MODES:
             np.testing.assert_array_equal(row, _oracle_angular(refs, mode, we, he)[mask])
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.sampled_from([1, 2, 4, 6]),
+    size=st.sampled_from([4, 8, 16, 32, 64]),
+    clip=st.tuples(st.integers(0, 63), st.integers(0, 63)),
+    corner=st.tuples(st.sampled_from([0, 1, 2, 3, 8]), st.sampled_from([0, 1, 2, 3, 8])),
+    bit_depth=st.sampled_from([8, 10]),
+)
+def test_tiled_template_prediction_follows_the_cost_layout(seed, t, size, clip, corner, bit_depth):
+    w, h = max(1, size - clip[0] % size), max(1, size - clip[1] % size)
+    x0, y0 = corner
+    lw, ah = min(x0, t), min(y0, t)
+    if lw == 0 and ah == 0:
+        return
+    we, he = lw + w, ah + h
+    rng = np.random.default_rng(seed)
+    refs = _refs(rng, we, he, hi=1 << bit_depth)
+    mask = np.zeros((he, we), dtype=bool)
+    mask[:ah] = True
+    mask[ah:, :lw] = True
+    # The raster template positions of the extended block, in layout order.
+    positions = np.flatnonzero(mask)[strip_layout(template_shapes(we, ah, lw, h)).order]
+
+    got = predict_template(refs, we, he, ah, lw, h, tiled=True)
+    assert got.shape == (len(ALL_MODES), len(positions))
+    for row, mode in zip(got, ALL_MODES):
+        np.testing.assert_array_equal(row, predict_mode(refs, mode, we, he).ravel()[positions], err_msg=f"mode {mode}")
+

@@ -14,6 +14,7 @@ from intralab.tmp import (
     BlockVector,
     bv_predict,
     candidate_valid,
+    extended_rect,
     template_cost_at,
     template_costs,
     template_rects,
@@ -99,6 +100,28 @@ def test_uncommitted_displaced_block_invalid(rng):
     buf, blocks = prefix_buffer(samples, 8, 9)
     # points at blocks[10]'s area, not yet committed
     assert not candidate_valid(buf, blocks[9], BlockVector(8, 0), 4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    size=st.tuples(st.integers(4, 40), st.integers(4, 40)),
+    block_size=st.sampled_from([4, 8, 16]),
+    t=st.sampled_from([1, 2, 4, 6]),
+    data=st.data(),
+)
+def test_one_rectangle_check_is_the_strict_check(size, block_size, t, data):
+    width, height = size
+    samples = noise_frame(width, height, seed=width * 41 + height)
+    n_blocks = len(partition(width, height, block_size))
+    done = data.draw(st.integers(0, n_blocks - 1))
+    buf, blocks = prefix_buffer(samples, block_size, done)
+    block = blocks[done]
+    ex, ey, ew, eh = extended_rect(block, t)
+    # Mostly upward moves, so that many candidates land in the committed prefix.
+    moves = st.tuples(st.integers(-block.x0 - t, width - block.x0), st.integers(-block.y0 - t, 1))
+    for dx, dy in data.draw(st.lists(moves, min_size=1, max_size=12)):
+        strict = candidate_valid(buf, block, BlockVector(dx, dy), t, strict_template=True)
+        assert buf.region_available(ex + dx, ey + dy, ew, eh) == strict
 
 
 def test_template_cost_matches_block_cost(rng):
