@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -86,11 +87,15 @@ class BvStore:
         region[:] = len(self.records)
         self.records.append(record)
 
+    def owner_at(self, x: int, y: int) -> int:
+        """Index into records of the record covering pixel (x, y); -1 outside the committed area."""
+        if 0 <= x < self.width and 0 <= y < self.height:
+            return self._owner.item(y, x)
+        return -1
+
     def lookup(self, x: int, y: int) -> CodingRecord | None:
         """Record covering pixel (x, y); None outside the committed area."""
-        if not (0 <= x < self.width and 0 <= y < self.height):
-            return None
-        idx = int(self._owner[y, x])
+        idx = self.owner_at(x, y)
         return self.records[idx] if idx >= 0 else None
 
 
@@ -99,6 +104,13 @@ def normalize_bv(bv: BlockVector, precision: BvPrecision) -> BlockVector:
     if precision == BvPrecision.INT_PEL:
         return bv
     return BlockVector(bv.dx >> 4, bv.dy >> 4)
+
+
+def _int_pel_bvs(record: CodingRecord) -> tuple[BlockVector, ...]:
+    """The record's BVs normalized to integer pels."""
+    if record.precision == BvPrecision.INT_PEL:
+        return record.bvs
+    return tuple(normalize_bv(bv, record.precision) for bv in record.bvs)
 
 
 def _sampling_points(block: BlockRef) -> list[tuple[int, int]]:
@@ -113,18 +125,22 @@ def _sampling_points(block: BlockRef) -> list[tuple[int, int]]:
     return points
 
 
+@lru_cache(maxsize=64)
+def _sampling_offsets(w: int, h: int) -> tuple[tuple[int, int], ...]:
+    """_sampling_points of any (h, w) block."""
+    return tuple(_sampling_points(BlockRef(0, 0, w, h, 0)))
+
+
 def sample_spatial_bvs(store: BvStore, block: BlockRef) -> list[BlockVector]:
     """Normalized BVs of the records under the sampling points, in visit order.
 
     Duplicates are kept here; the list builder deduplicates downstream.
     """
     out: list[BlockVector] = []
-    for px, py in _sampling_points(block):
-        record = store.lookup(block.x0 + px, block.y0 + py)
-        if record is None:
-            continue
-        for bv in record.bvs:
-            out.append(normalize_bv(bv, record.precision))
+    for px, py in _sampling_offsets(block.w, block.h):
+        idx = store.owner_at(block.x0 + px, block.y0 + py)
+        if idx >= 0:
+            out += _int_pel_bvs(store.records[idx])
     return out
 
 
@@ -135,12 +151,10 @@ def derive_ar_bvs(store: BvStore, primaries: list[BlockVector], block: BlockRef)
     """
     out: list[BlockVector] = []
     for v in primaries:
-        record = store.lookup(block.x0 + v.dx, block.y0 + v.dy)
-        if record is None or not record.bvs:
-            continue
-        for sec in record.bvs:
-            nsec = normalize_bv(sec, record.precision)
-            out.append(BlockVector(v.dx + nsec.dx, v.dy + nsec.dy))
+        idx = store.owner_at(block.x0 + v.dx, block.y0 + v.dy)
+        if idx >= 0:
+            for sec in _int_pel_bvs(store.records[idx]):
+                out.append(BlockVector(v.dx + sec.dx, v.dy + sec.dy))
     return out
 
 

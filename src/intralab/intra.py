@@ -11,16 +11,33 @@ All angular samples are gathered from one reference line,
 above ‖ corner ‖ left: sample p of mode m is
 ((32 - w1) * line[i0] + w1 * line[i1] + 16) >> 5 with taps (i0, i1, w1)
 that depend on the block shape alone.  _angular_taps holds the angle
-math; the tap tables of all 65 modes are built on first use per block
-shape (and, for template costing, per template geometry), kept in
-small-dtype arrays and cached in bounded LRU caches.  predict_angular
-gathers one mode over a block; predict_template gathers every mode over
-the template samples of a template-extended block only, in raster order
-or in the strips' cost layout (cost.strip_layout).
+math.  Two bounded LRU caches hold the tables, each built on first use
+and never at import:
+
+- _block_taps(w, h): the taps of all 65 modes over a (h, w) block in
+  small dtypes; predict_angular gathers one mode from it.
+- _template_taps(we, he, ah, lw, h, tiled): for the template samples of
+  a (he, we) template-extended block only, in raster order or in the
+  strips' cost layout (cost.strip_layout), the Planar terms (four
+  line indices and coefficients per sample) and the distinct angular
+  taps with the index that spreads them over 65 rows; predict_template
+  interpolates each distinct tap once (2,146 taps for the 9,360 angular
+  samples of a 16x16 block with t = 4) and spreads them with one take.
+
+Filled with blocks up to 64x64 and templates up to 8 deep, the two caches
+together hold at most 32 MiB (BLOCK_TAPS_ENTRIES and TEMPLATE_TAPS_ENTRIES
+are chosen for that); a template table grows linearly with t.
+
+Predictions run in int64 on samples below 2^bit_depth <= 2^10, which
+cannot overflow: an interpolation sum peaks at 32 * 1023 + 16, and the
+Planar numerator of a (h, w) block (its coefficients sum to 2 * w * h)
+at 2 * w * h * 1023, below 2^31 up to 1024x1024 blocks.
 
 Reference samples come from the causal reconstruction buffer.
-Unavailable positions are padded by replicating the nearest available
-sample along the reference border; a fully unavailable border pads to
+Unavailable positions are padded along the reference border, scanned
+from the bottom of the left column up to the corner and then along the
+above row: each takes the last available sample before it, or the first
+available one if none precedes it; a fully unavailable border pads to
 mid-gray, 1 << (bit_depth - 1).
 """
 
@@ -28,6 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,6 +59,10 @@ MODE_DIAG = 34
 MODE_VER = 50
 ANGULAR_MODES = tuple(range(2, 67))
 ALL_MODES = (MODE_PLANAR, MODE_DC) + ANGULAR_MODES
+
+# Entries of the two tap caches, sized to the byte budget in the docstring.
+BLOCK_TAPS_ENTRIES = 8
+TEMPLATE_TAPS_ENTRIES = 24
 
 # Displacement per row step, in 1/32 sample units, for modes 2..66.
 INTRA_PRED_ANGLE = (
@@ -96,64 +118,55 @@ class RefSamples:
     left_available: np.ndarray
 
 
-def _forward_fill(values: np.ndarray, available: np.ndarray, default: int) -> np.ndarray:
-    if not available.any():
-        return np.full_like(values, default)
-    pos = np.where(available, np.arange(len(values)), -1)
-    np.maximum.accumulate(pos, out=pos)
-    first = int(np.argmax(available))
-    pos[pos < 0] = first
-    return values[pos]
-
-
-def _note_runs(buf: ReconBuffer, xs: np.ndarray, ys: np.ndarray, taken: np.ndarray) -> None:
-    """Report each contiguous run of actually-read border samples."""
-    if buf.read_hook is None or not taken.any():
-        return
+def _note_runs(buf: ReconBuffer, x: int, y: int, taken: np.ndarray, along_row: bool) -> None:
+    """Report each contiguous run of read samples, from (x, y) along a row or down a column."""
     idx = np.flatnonzero(taken)
+    if not len(idx):
+        return
     splits = np.flatnonzero(np.diff(idx) > 1) + 1
     for run in np.split(idx, splits):
-        x0, y0 = int(xs[run[0]]), int(ys[run[0]])
-        x1, y1 = int(xs[run[-1]]), int(ys[run[-1]])
-        buf.note_read(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
+        first, n = int(run[0]), int(run[-1] - run[0]) + 1
+        if along_row:
+            buf.note_read(x + first, y, n, 1)
+        else:
+            buf.note_read(x, y + first, 1, n)
 
 
 def build_reference_samples(buf: ReconBuffer, x0: int, y0: int, w: int, h: int) -> RefSamples:
-    """Gather and pad the reference border of the block at (x0, y0)."""
-    default = 1 << (buf.bit_depth - 1)
+    """Gather and pad the reference border of the block at (x0, y0).
 
-    ax = np.arange(x0 - 1, x0 + 2 * w)
-    above_avail = np.zeros(2 * w + 1, dtype=bool)
-    above_vals = np.zeros(2 * w + 1, dtype=np.int64)
-    if y0 - 1 >= 0:
-        inside = (ax >= 0) & (ax < buf.width)
-        cols = ax[inside]
-        above_avail[inside] = buf.available[y0 - 1, cols]
-        got = np.zeros(2 * w + 1, dtype=np.int64)
-        got[inside] = buf.samples[y0 - 1, cols]
-        above_vals = np.where(above_avail, got, 0)
-        _note_runs(buf, ax, np.full_like(ax, y0 - 1), above_avail)
-
-    ly = np.arange(y0, y0 + 2 * h)
-    left_avail = np.zeros(2 * h, dtype=bool)
-    left_vals = np.zeros(2 * h, dtype=np.int64)
-    if x0 - 1 >= 0:
-        inside = (ly >= 0) & (ly < buf.height)
-        rows = ly[inside]
-        left_avail[inside] = buf.available[rows, x0 - 1]
-        got = np.zeros(2 * h, dtype=np.int64)
-        got[inside] = buf.samples[rows, x0 - 1]
-        left_vals = np.where(left_avail, got, 0)
-        _note_runs(buf, np.full_like(ly, x0 - 1), ly, left_avail)
-
-    # Pad along the border in one sweep: bottom of the left column up to
-    # the corner, then across the above row.
-    scan_vals = np.concatenate([left_vals[::-1], above_vals])
-    scan_avail = np.concatenate([left_avail[::-1], above_avail])
-    filled = _forward_fill(scan_vals, scan_avail, default)
-    left_filled = filled[: 2 * h][::-1].copy()
-    above_filled = filled[2 * h :]
-    return RefSamples(above_filled, left_filled, above_avail, left_avail)
+    The border is read into one buffer in padding scan order (the left
+    column bottom-up, then the corner and the above row), so padding is
+    one forward fill, run only when a sample is missing.
+    """
+    n_left = 2 * h
+    scan = np.zeros(n_left + 2 * w + 1, dtype=np.int64)
+    avail = np.zeros(len(scan), dtype=bool)
+    if y0 >= 1:
+        a, b = max(x0 - 1, 0), min(x0 + 2 * w, buf.width)
+        if a < b:
+            at = n_left + a - (x0 - 1)
+            avail[at : at + b - a] = buf.available[y0 - 1, a:b]
+            scan[at : at + b - a] = buf.samples[y0 - 1, a:b]
+            if buf.read_hook is not None:
+                _note_runs(buf, a, y0 - 1, buf.available[y0 - 1, a:b], along_row=True)
+    if x0 >= 1:
+        a, b = y0, min(y0 + n_left, buf.height)
+        if a < b:
+            # Left sample y lands at scan position n_left - 1 - (y - y0).
+            avail[n_left - (b - y0) : n_left - (a - y0)] = buf.available[a:b, x0 - 1][::-1]
+            scan[n_left - (b - y0) : n_left - (a - y0)] = buf.samples[a:b, x0 - 1][::-1]
+            if buf.read_hook is not None:
+                _note_runs(buf, x0 - 1, a, buf.available[a:b, x0 - 1], along_row=False)
+    if not avail.all():
+        if avail.any():
+            pos = np.where(avail, np.arange(len(scan)), -1)
+            np.maximum.accumulate(pos, out=pos)
+            pos[pos < 0] = np.argmax(avail)
+            scan = scan[pos]
+        else:
+            scan.fill(1 << (buf.bit_depth - 1))
+    return RefSamples(scan[n_left:], scan[:n_left][::-1], avail[n_left:], avail[:n_left][::-1])
 
 
 def _invert_angle(angle: int) -> int:
@@ -161,19 +174,19 @@ def _invert_angle(angle: int) -> int:
 
 
 def _angular_taps(
-    n_main: int, n_side: int, n_scan: int, n_base: int, angle: int
+    n_main: int, n_side: int, s: np.ndarray, b: np.ndarray, angle: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Taps (i0, i1, w1) of an (n_scan, n_base) prediction over main ‖ side.
+    """Taps (i0, i1, w1) at scan rows s and base columns b of a prediction over main ‖ side.
 
     main[0] is the corner and main runs along the main reference line;
     reads past its end clip to its last sample.  side mirrors it along
     the other border (side[0] is the corner too) and feeds the
     negative-index extension for angles below zero.  Sample (s, b) is
-    ((32 - w1[s]) * cat[i0[s, b]] + w1[s] * cat[i1[s, b]] + 16) >> 5 with
-    cat = main ‖ side.
+    ((32 - w1) * cat[i0] + w1 * cat[i1] + 16) >> 5 with cat = main ‖ side;
+    s and b broadcast against each other.
     """
-    proj = np.arange(1, n_scan + 1, dtype=np.int64) * angle
-    pos = np.arange(n_base, dtype=np.int64)[None, :] + (proj >> 5)[:, None] + 1
+    proj = (s + 1) * angle
+    pos = b + (proj >> 5) + 1
 
     def index(p: np.ndarray) -> np.ndarray:
         out = np.minimum(p, n_main - 1)
@@ -185,6 +198,26 @@ def _angular_taps(
     return index(pos), index(pos + 1), proj & 31
 
 
+def _mode_taps(ys: np.ndarray, xs: np.ndarray, w: int, h: int) -> np.ndarray:
+    """Taps (i0, i1, w1) of all 65 angular modes at positions (ys, xs) of an (h, w) block.
+
+    Returns one (3, 65, *shape) array; indices point into the reference
+    line above ‖ corner ‖ left.  Horizontal-set modes predict the
+    transposed block with main = corner ‖ left, so their scan runs along
+    x and their indices rotate by len(above) onto that line.
+    """
+    n_above, n_left = 2 * w + 1, 2 * h + 1
+    ys, xs = np.broadcast_arrays(np.asarray(ys, dtype=np.int64), np.asarray(xs, dtype=np.int64))
+    taps = np.empty((3, len(ANGULAR_MODES)) + ys.shape, dtype=np.int64)
+    for k, mode in enumerate(ANGULAR_MODES):
+        if is_vertical(mode):
+            taps[:, k] = _angular_taps(n_above, n_left, ys, xs, angle_of(mode))
+        else:
+            a0, a1, frac = _angular_taps(n_left, n_above, xs, ys, angle_of(mode))
+            taps[:, k] = ((a0 + n_above) % (n_above + n_left), (a1 + n_above) % (n_above + n_left), frac)
+    return taps
+
+
 def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """Read-only arrays, safe to hand out from a cache."""
     for a in arrays:
@@ -192,29 +225,12 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=BLOCK_TAPS_ENTRIES)
 def _block_taps(w: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Taps of all 65 angular modes over a (h, w) block, each (65, h, w).
-
-    Indices point into the reference line above ‖ corner ‖ left.
-    Horizontal-set modes predict the transposed block with main =
-    corner ‖ left, so their indices rotate by len(above) onto that line.
-    """
-    n_above, n_left = 2 * w + 1, 2 * h + 1
-    itype = np.min_scalar_type(n_above + n_left)
-    i0 = np.empty((len(ANGULAR_MODES), h, w), dtype=itype)
-    i1 = np.empty_like(i0)
-    w1 = np.empty(i0.shape, dtype=np.uint8)
-    for k, mode in enumerate(ANGULAR_MODES):
-        if is_vertical(mode):
-            a0, a1, frac = _angular_taps(n_above, n_left, h, w, angle_of(mode))
-            i0[k], i1[k], w1[k] = a0, a1, frac[:, None]
-        else:
-            a0, a1, frac = _angular_taps(n_left, n_above, w, h, angle_of(mode))
-            i0[k] = ((a0 + n_above) % (n_above + n_left)).T
-            i1[k] = ((a1 + n_above) % (n_above + n_left)).T
-            w1[k] = frac[None, :]
-    return _frozen(i0, i1, w1)
+    """Taps of all 65 angular modes over an (h, w) block, each (65, h, w) in a small dtype."""
+    i0, i1, w1 = _mode_taps(np.arange(h)[:, None], np.arange(w)[None, :], w, h)
+    itype = np.min_scalar_type(2 * w + 2 * h + 1)
+    return _frozen(i0.astype(itype), i1.astype(itype), w1.astype(np.uint8))
 
 
 def template_shapes(we: int, ah: int, lw: int, h: int) -> tuple[tuple[int, int], ...]:
@@ -222,16 +238,30 @@ def template_shapes(we: int, ah: int, lw: int, h: int) -> tuple[tuple[int, int],
     return tuple(shape for shape in ((ah, we), (h, lw)) if shape[0] and shape[1])
 
 
-@lru_cache(maxsize=64)
-def _template_taps(
-    we: int, he: int, ah: int, lw: int, h: int, tiled: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Template positions and taps of a (he, we) template-extended block.
+class TemplateTaps(NamedTuple):
+    """Everything predict_template reads for one template geometry.
 
-    keep holds the raster indices of the template samples, in raster
-    order or, when tiled, in the order of the strips' cost layout; i0,
-    i1 and w1 are _block_taps(we, he) at those positions, each
-    (65, len(keep)).
+    Planar sample j is (sum_k planar_coef[k, j] * line[planar_idx[k, j]]
+    + we * he) // (2 * we * he).  The angular samples are the distinct
+    taps (i0[u], i1[u], w1[u]) interpolated once each; sample j of
+    angular mode k is distinct tap spread[k, j].
+    """
+
+    planar_idx: np.ndarray
+    planar_coef: np.ndarray
+    i0: np.ndarray
+    i1: np.ndarray
+    w1: np.ndarray
+    spread: np.ndarray
+
+
+@lru_cache(maxsize=TEMPLATE_TAPS_ENTRIES)
+def _template_taps(we: int, he: int, ah: int, lw: int, h: int, tiled: bool) -> TemplateTaps:
+    """Tables of the template samples of a (he, we) template-extended block.
+
+    The samples run in raster order or, when tiled, in the order of the
+    strips' cost layout.  A tap whose weight w1 is 0 reads i0 alone, so
+    its i1 is set to i0 before the taps are made distinct.
     """
     mask = np.zeros((he, we), dtype=bool)
     mask[:ah] = True
@@ -239,8 +269,21 @@ def _template_taps(
     keep = np.flatnonzero(mask)
     if tiled:
         keep = keep[strip_layout(template_shapes(we, ah, lw, h)).order]
-    n = len(ANGULAR_MODES)
-    return _frozen(keep, *(t.reshape(n, -1)[:, keep] for t in _block_taps(we, he)))
+    ys, xs = np.divmod(keep, we)
+    # Line offsets of top[x], left[he], left[y] and top[we] (top = above[1:], left after the corner).
+    left0 = 2 * we + 2
+    planar_idx = np.stack([1 + xs, np.full_like(xs, left0 + he), left0 + ys, np.full_like(xs, 1 + we)])
+    planar_coef = np.stack([(he - 1 - ys) * we, (ys + 1) * we, (we - 1 - xs) * he, (xs + 1) * he])
+    i0, i1, w1 = _mode_taps(ys, xs, we, he)
+    i1 = np.where(w1 == 0, i0, i1)
+    n_line = 2 * we + 2 * he + 2
+    distinct, spread = np.unique((i0 * n_line + i1) * 32 + w1, return_inverse=True)
+    d0, rest = np.divmod(distinct, n_line * 32)
+    d1, dw = np.divmod(rest, 32)
+    return TemplateTaps(*_frozen(
+        planar_idx.astype(np.intp), planar_coef, d0.astype(np.intp), d1.astype(np.intp), dw,
+        spread.reshape(i0.shape).astype(np.intp),
+    ))
 
 
 def _reference_line(refs: RefSamples) -> np.ndarray:
@@ -248,8 +291,16 @@ def _reference_line(refs: RefSamples) -> np.ndarray:
 
 
 def _interpolate(line: np.ndarray, i0: np.ndarray, i1: np.ndarray, w1: np.ndarray) -> np.ndarray:
+    """((32 - w1) * line[i0] + w1 * line[i1] + 16) >> 5, in place on the two gathers."""
     v0 = line[i0]
-    return ((v0 << 5) + w1 * (line[i1] - v0) + 16) >> 5
+    v1 = line[i1]
+    v1 -= v0
+    v1 *= w1
+    v0 <<= 5
+    v0 += v1
+    v0 += 16
+    v0 >>= 5
+    return v0
 
 
 def predict_angular(refs: RefSamples, mode: int, w: int, h: int) -> np.ndarray:
@@ -260,12 +311,15 @@ def predict_angular(refs: RefSamples, mode: int, w: int, h: int) -> np.ndarray:
     return _interpolate(_reference_line(refs), i0[k], i1[k], w1[k])
 
 
-def predict_dc(refs: RefSamples, w: int, h: int) -> np.ndarray:
-    """Constant block at the rounded mean of w above + h left references."""
+def _dc_value(refs: RefSamples, w: int, h: int) -> int:
     total = int(refs.above[1 : w + 1].sum()) + int(refs.left[:h].sum())
     count = w + h
-    val = (total + count // 2) // count
-    return np.full((h, w), val, dtype=np.int64)
+    return (total + count // 2) // count
+
+
+def predict_dc(refs: RefSamples, w: int, h: int) -> np.ndarray:
+    """Constant block at the rounded mean of w above + h left references."""
+    return np.full((h, w), _dc_value(refs, w, h), dtype=np.int64)
 
 
 def predict_planar(refs: RefSamples, w: int, h: int) -> np.ndarray:
@@ -302,9 +356,13 @@ def predict_template(
     Row m equals predict_mode(refs, ALL_MODES[m], we, he) at those
     positions; since ALL_MODES[m] == m, row m is mode m.
     """
-    keep, i0, i1, w1 = _template_taps(we, he, ah, lw, h, tiled)
-    out = np.empty((len(ALL_MODES), len(keep)), dtype=np.int64)
-    out[MODE_PLANAR] = predict_planar(refs, we, he).ravel()[keep]
-    out[MODE_DC] = predict_dc(refs, we, he).ravel()[keep]
-    out[ANGULAR_MODES[0] :] = _interpolate(_reference_line(refs), i0, i1, w1)
+    taps = _template_taps(we, he, ah, lw, h, tiled)
+    line = _reference_line(refs)
+    out = np.empty((len(ALL_MODES), taps.spread.shape[1]), dtype=np.int64)
+    np.sum(taps.planar_coef * line[taps.planar_idx], axis=0, out=out[MODE_PLANAR])
+    out[MODE_PLANAR] += we * he
+    out[MODE_PLANAR] //= 2 * we * he
+    out[MODE_DC] = _dc_value(refs, we, he)
+    # mode="clip" lets take write straight into out; every index is in range.
+    np.take(_interpolate(line, taps.i0, taps.i1, taps.w1), taps.spread, out=out[ANGULAR_MODES[0] :], mode="clip")
     return out

@@ -4,6 +4,8 @@ None of these has a caller in the library; they pin the behavior that
 the vectorized code paths must reproduce.  tile_satd_int64 and
 satd_batch_int64 are the int64 stacked-matmul Hadamard kernel the
 float32 GEMM in intralab.cost replaced, kept as its oracle.
+build_reference_samples is the coordinate-array border gather that
+intralab.intra's slice-based one replaced.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import numpy as np
 from intralab.cost import METRICS, sad, satd, satd_tiling
 from intralab.grid import BlockRef, ReconBuffer
 from intralab.hog import _quantize
+from intralab.intra import RefSamples
 from intralab.tmp import BlockVector, template_rects
 
 SOBEL_HOR = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.int64)
@@ -98,3 +101,63 @@ def orientation_to_mode(g_hor: int, g_ver: int) -> int | None:
     if g_hor == 0 and g_ver == 0:
         return None
     return int(_quantize(np.array([g_hor], np.float64), np.array([g_ver], np.float64))[0])
+
+
+def _forward_fill(values: np.ndarray, available: np.ndarray, default: int) -> np.ndarray:
+    if not available.any():
+        return np.full_like(values, default)
+    pos = np.where(available, np.arange(len(values)), -1)
+    np.maximum.accumulate(pos, out=pos)
+    first = int(np.argmax(available))
+    pos[pos < 0] = first
+    return values[pos]
+
+
+def _note_runs(buf: ReconBuffer, xs: np.ndarray, ys: np.ndarray, taken: np.ndarray) -> None:
+    """Report each contiguous run of actually-read border samples."""
+    if buf.read_hook is None or not taken.any():
+        return
+    idx = np.flatnonzero(taken)
+    splits = np.flatnonzero(np.diff(idx) > 1) + 1
+    for run in np.split(idx, splits):
+        x0, y0 = int(xs[run[0]]), int(ys[run[0]])
+        x1, y1 = int(xs[run[-1]]), int(ys[run[-1]])
+        buf.note_read(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
+
+
+def build_reference_samples(buf: ReconBuffer, x0: int, y0: int, w: int, h: int) -> RefSamples:
+    """Padded reference border of the block at (x0, y0), one coordinate array per edge."""
+    default = 1 << (buf.bit_depth - 1)
+
+    ax = np.arange(x0 - 1, x0 + 2 * w)
+    above_avail = np.zeros(2 * w + 1, dtype=bool)
+    above_vals = np.zeros(2 * w + 1, dtype=np.int64)
+    if y0 - 1 >= 0:
+        inside = (ax >= 0) & (ax < buf.width)
+        cols = ax[inside]
+        above_avail[inside] = buf.available[y0 - 1, cols]
+        got = np.zeros(2 * w + 1, dtype=np.int64)
+        got[inside] = buf.samples[y0 - 1, cols]
+        above_vals = np.where(above_avail, got, 0)
+        _note_runs(buf, ax, np.full_like(ax, y0 - 1), above_avail)
+
+    ly = np.arange(y0, y0 + 2 * h)
+    left_avail = np.zeros(2 * h, dtype=bool)
+    left_vals = np.zeros(2 * h, dtype=np.int64)
+    if x0 - 1 >= 0:
+        inside = (ly >= 0) & (ly < buf.height)
+        rows = ly[inside]
+        left_avail[inside] = buf.available[rows, x0 - 1]
+        got = np.zeros(2 * h, dtype=np.int64)
+        got[inside] = buf.samples[rows, x0 - 1]
+        left_vals = np.where(left_avail, got, 0)
+        _note_runs(buf, np.full_like(ly, x0 - 1), ly, left_avail)
+
+    # Pad along the border in one sweep: bottom of the left column up to
+    # the corner, then across the above row.
+    scan_vals = np.concatenate([left_vals[::-1], above_vals])
+    scan_avail = np.concatenate([left_avail[::-1], above_avail])
+    filled = _forward_fill(scan_vals, scan_avail, default)
+    left_filled = filled[: 2 * h][::-1].copy()
+    above_filled = filled[2 * h :]
+    return RefSamples(above_filled, left_filled, above_avail, left_avail)

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from intralab.grid import BlockRef, ReconBuffer
+from intralab import intra
+from intralab.grid import BLOCK_SIZES, BlockRef, ReconBuffer, partition
 from intralab.intra import (
     ALL_MODES,
     ANGULAR_MODES,
@@ -27,6 +33,7 @@ from intralab.intra import (
 from intralab.cost import strip_layout
 
 from conftest import committed_buffer, prefix_buffer
+import oracles
 
 
 def _refs(rng, w, h, lo=0, hi=256):
@@ -260,6 +267,73 @@ def test_reference_read_hook_reports_runs(rng):
     build_reference_samples(buf, 8, 8, 4, 4)
     assert (7, 7, 9, 1) in seen  # above row incl corner, clipped at x=15
     assert (7, 8, 1, 8) in seen  # left column run
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_reference_samples_match_the_oracle(data):
+    fw, fh = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 40))
+    bit_depth = data.draw(st.sampled_from([8, 10]))
+    block_size = data.draw(st.sampled_from(BLOCK_SIZES))
+    n_committed = data.draw(st.integers(0, len(partition(fw, fh, block_size))))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    samples = rng.integers(0, 1 << bit_depth, size=(fh, fw))
+    buf, _ = prefix_buffer(samples, block_size, n_committed, bit_depth)
+    if data.draw(st.booleans()):
+        # A raster prefix leaves one available run along the border, which
+        # hides the fill direction; scattered commits have gaps to fill.
+        buf.samples[:] = samples
+        buf.available[:] = rng.random((fh, fw)) < data.draw(st.floats(0, 1))
+    # Blocks at and next to every frame edge, and anywhere between.
+    x0 = data.draw(st.sampled_from(sorted({0, 1, fw - 1, fw})) | st.integers(0, fw))
+    y0 = data.draw(st.sampled_from(sorted({0, 1, fh - 1, fh})) | st.integers(0, fh))
+    w, h = data.draw(st.integers(1, 48)), data.draw(st.integers(1, 48))
+
+    notes = []
+    buf.read_hook = lambda *rect: notes.append(rect)
+    want = oracles.build_reference_samples(buf, x0, y0, w, h)
+    want_notes, notes[:] = list(notes), []
+    got = build_reference_samples(buf, x0, y0, w, h)
+    for field in ("above", "left", "above_available", "left_available"):
+        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+    assert notes == want_notes
+
+
+def test_tap_caches_stay_within_their_byte_budget():
+    # The module docstring states the budget: 32 MiB for both caches
+    # together, filled with blocks up to 64x64 and templates up to 8 deep.
+    sizes = [(w, h) for w in range(56, 65) for h in range(56, 65)]
+    blocks = sorted(sizes, key=lambda s: -s[0] * s[1])
+    # A template table grows with its sample count, 8 * (w + 8) + 8 * h.
+    templates = [(w + 8, h + 8, 8, 8, h, tiled) for w, h in sorted(sizes, key=lambda s: -sum(s)) for tiled in (True, False)]
+    caches = (intra._block_taps, intra._template_taps)
+    for cache in caches:
+        cache.cache_clear()
+    try:
+        held = [intra._block_taps(w, h) for w, h in blocks[: intra.BLOCK_TAPS_ENTRIES]]
+        held += [intra._template_taps(*g) for g in templates[: intra.TEMPLATE_TAPS_ENTRIES]]
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.currsize == info.maxsize
+        assert sum(a.nbytes for entry in held for a in entry) <= 32 << 20
+    finally:
+        for cache in caches:
+            cache.cache_clear()
+
+
+def test_import_builds_no_intra_tables():
+    code = (
+        "import intralab\n"
+        "from intralab import cli, etimd, harness, intra\n"
+        "caches = [f for f in vars(intra).values() if getattr(f, '__module__', None) == intra.__name__"
+        " and hasattr(f, 'cache_info')]\n"
+        "print(len(caches), sum(f.cache_info().currsize for f in caches))\n"
+    )
+    src = str(Path(intra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+    n_caches, filled = map(int, out.stdout.split())
+    assert n_caches >= 2 and filled == 0
 
 
 def test_angle_of_rejects_non_angular():
