@@ -180,7 +180,7 @@ def strip_layout(shapes: tuple[tuple[int, int], ...]) -> Layout:
 def layout_cost(diffs: np.ndarray, layout: Layout, metric: str) -> np.ndarray:
     """Template cost of each row of an (N, positions) batch of differences in layout order (int64)."""
     check_metric(metric)
-    if metric == "sad":
+    if metric == "sad" or not len(diffs):
         return np.abs(diffs).sum(axis=1, dtype=np.int64)
     total = np.zeros(len(diffs), dtype=np.int64)
     if layout.rest < diffs.shape[1]:
@@ -196,7 +196,7 @@ def batch_cost(diffs: np.ndarray, metric: str) -> np.ndarray:
     diffs = np.asarray(diffs)
     n, h, w = diffs.shape
     layout = strip_layout(((h, w),))
-    return layout_cost(diffs.reshape(n, -1)[:, layout.order], layout, metric)
+    return layout_cost(diffs.reshape(n, h * w)[:, layout.order], layout, metric)
 
 
 def bound_pieces(h: int, w: int, metric: str) -> list[tuple[int, int, int, int, int]]:

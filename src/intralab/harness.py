@@ -24,7 +24,18 @@ import numpy as np
 from .bvlist import DEFAULT_N_MAX, BvStore
 from .cost import METRICS
 from .errors import ReplayMismatchError, ValidationError
-from .etimd import TOOLS, BlockResult, EncodeContext, FusionSet, commit_fusion, derive_fusion, encode_block
+from .etimd import (
+    MEASURE_BATCH,
+    TOOLS,
+    BlockResult,
+    CodedBlock,
+    EncodeContext,
+    FusionSet,
+    code_block,
+    commit_fusion,
+    derive_fusion,
+    measure_blocks,
+)
 from .frames import FORMATS, Frame, load_frame
 from .grid import BLOCK_SIZES, BlockRef, ReconBuffer, partition
 from .reporting import JSON_TYPE_CHECKS, BlockRecord, Report, compute_aggregates
@@ -101,11 +112,22 @@ def config_from_dict(values: dict[str, Any]) -> RunConfig:
 def encode_frame(
     frame: Frame, config: RunConfig
 ) -> tuple[list[BlockResult], ReconBuffer, BvStore]:
-    """Encode every block of one frame in raster-scan order."""
+    """Encode every block of one frame in raster-scan order.
+
+    Each block is coded in turn; the coded blocks are measured in
+    batches of MEASURE_BATCH, which nothing in the loop waits for.
+    """
     buf = ReconBuffer(frame.width, frame.height, frame.bit_depth)
     store = BvStore(frame.width, frame.height)
     ctx = EncodeContext(original=frame.samples.astype(np.int64), buf=buf, store=store, config=config)
-    results = [encode_block(ctx, block) for block in partition(frame.width, frame.height, config.block_size)]
+    results: list[BlockResult] = []
+    batch: list[CodedBlock] = []
+    for block in partition(frame.width, frame.height, config.block_size):
+        batch.append(code_block(ctx, block))
+        if len(batch) == MEASURE_BATCH:
+            results += measure_blocks(ctx, batch)
+            batch = []
+    results += measure_blocks(ctx, batch)
     return results, buf, store
 
 

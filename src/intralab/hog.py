@@ -10,10 +10,16 @@ magnitude-weighted variant adds |g_hor| + |g_ver| instead.
 The dominant mode replaces block-vector entries among the first two
 fusion modes when a transform class has to be chosen for a block whose
 prediction has no angular identity of its own.
+
+build_hogs and transform_modes work on many blocks at once: one Sobel
+pass over a stack of equally shaped blocks, each distinct gradient pair
+quantized once, and one bincount for all histograms.  build_hog,
+dominant_mode and transform_mode_for_block are their batch-of-one forms.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from typing import Sequence
 
 import numpy as np
@@ -21,6 +27,11 @@ import numpy as np
 from .intra import MODE_PLANAR, mode_direction
 
 N_MODES = 67
+# Gradients per distance matrix in _quantize: 128 x 65 float64 (66.5 KiB)
+# stays below glibc's 128 KiB mmap threshold.  A batch of blocks holds
+# about a thousand distinct gradients, and unchunked matrices of that
+# size raised peak RSS by ~1.3 MB over three smallblock-closedloop frames.
+QUANTIZE_ROWS = 128
 
 
 def _mode_line_angles() -> np.ndarray:
@@ -36,51 +47,91 @@ _MODE_ANGLES = _mode_line_angles()
 
 
 def gradient_field(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sobel responses at every interior position, shape (h-2, w-2)."""
+    """Sobel responses at every interior position of the last two axes, shape (..., h-2, w-2)."""
     s = np.asarray(samples, dtype=np.int64)
-    if s.shape[0] < 3 or s.shape[1] < 3:
-        return np.zeros((0, 0), np.int64), np.zeros((0, 0), np.int64)
-    dx = s[:, 2:] - s[:, :-2]
-    g_hor = dx[:-2] + 2 * dx[1:-1] + dx[2:]
-    dy = s[2:] - s[:-2]
-    g_ver = dy[:, :-2] + 2 * dy[:, 1:-1] + dy[:, 2:]
+    if s.shape[-2] < 3 or s.shape[-1] < 3:
+        empty = np.zeros(s.shape[:-2] + (0, 0), np.int64)
+        return empty, empty
+    dx = s[..., 2:] - s[..., :-2]
+    g_hor = dx[..., :-2, :] + 2 * dx[..., 1:-1, :] + dx[..., 2:, :]
+    dy = s[..., 2:, :] - s[..., :-2, :]
+    g_ver = dy[..., :-2] + 2 * dy[..., 1:-1] + dy[..., 2:]
     return g_hor, g_ver
 
 
 def _quantize(g_hor: np.ndarray, g_ver: np.ndarray) -> np.ndarray:
-    """Nearest angular mode for each non-zero gradient (vectorized)."""
+    """Nearest angular mode for each non-zero gradient, QUANTIZE_ROWS gradients at a time."""
     # Edge direction is the gradient rotated a quarter turn.
     phi = np.mod(np.arctan2(g_hor, -g_ver), np.pi)
-    diff = np.abs(phi[:, None] - _MODE_ANGLES[None, :])
-    dist = np.minimum(diff, np.pi - diff)
-    return np.argmin(dist, axis=1) + 2
+    modes = np.empty(len(phi), dtype=np.intp)
+    for start in range(0, len(phi), QUANTIZE_ROWS):
+        diff = np.abs(phi[start : start + QUANTIZE_ROWS, None] - _MODE_ANGLES[None, :])
+        dist = np.minimum(diff, np.pi - diff)
+        modes[start : start + QUANTIZE_ROWS] = np.argmin(dist, axis=1) + 2
+    return modes
+
+
+def build_hogs(samples: np.ndarray, magnitude_weighted: bool = False) -> np.ndarray:
+    """Vote histograms of an (N, h, w) stack of sample blocks, one row of N_MODES per block.
+
+    Each distinct non-zero (g_hor, g_ver) pair of the stack is quantized
+    once, and all votes land with one bincount.
+    """
+    samples = np.asarray(samples)
+    n = len(samples)
+    g_hor, g_ver = gradient_field(samples)
+    size = g_hor.shape[-2] * g_hor.shape[-1]
+    g_hor, g_ver = g_hor.reshape(n, size), g_ver.reshape(n, size)
+    rows, cols = np.nonzero((g_hor != 0) | (g_ver != 0))
+    g_hor, g_ver = g_hor[rows, cols], g_ver[rows, cols]
+    if not len(rows):
+        return np.zeros((n, N_MODES), dtype=np.int64)
+    # One int64 key per pair: the offsets from the minima in mixed radix.
+    lo_hor, lo_ver = g_hor.min(), g_ver.min()
+    keys = (g_hor - lo_hor) * (g_ver.max() - lo_ver + 1) + (g_ver - lo_ver)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    modes = _quantize(g_hor[first].astype(np.float64), g_ver[first].astype(np.float64))[inverse]
+    weights = np.abs(g_hor) + np.abs(g_ver) if magnitude_weighted else None
+    votes = np.bincount(rows * N_MODES + modes, weights, minlength=n * N_MODES)
+    return votes.astype(np.int64).reshape(n, N_MODES)
 
 
 def build_hog(samples: np.ndarray, magnitude_weighted: bool = False) -> np.ndarray:
     """Vote histogram indexed by mode (entries 0 and 1 stay zero)."""
-    hog = np.zeros(N_MODES, dtype=np.int64)
-    g_hor, g_ver = gradient_field(samples)
-    if g_hor.size == 0:
-        return hog
-    g_hor = g_hor.ravel()
-    g_ver = g_ver.ravel()
-    nz = (g_hor != 0) | (g_ver != 0)
-    if not nz.any():
-        return hog
-    modes = _quantize(g_hor[nz].astype(np.float64), g_ver[nz].astype(np.float64))
-    if magnitude_weighted:
-        weights = np.abs(g_hor[nz]) + np.abs(g_ver[nz])
-        np.add.at(hog, modes, weights)
-    else:
-        np.add.at(hog, modes, 1)
-    return hog
+    return build_hogs(np.asarray(samples)[None], magnitude_weighted)[0]
+
+
+def dominant_modes(hogs: np.ndarray) -> np.ndarray:
+    """Most frequent mode of each histogram row, ties to the lower index; -1 for an empty row."""
+    hogs = np.asarray(hogs)
+    return np.where(hogs.any(axis=1), np.argmax(hogs[:, 2:], axis=1) + 2, -1)
 
 
 def dominant_mode(hog: np.ndarray) -> int | None:
     """Most frequent mode, ties to the lower index; None for an empty histogram."""
-    if not hog.any():
-        return None
-    return int(np.argmax(hog[2:])) + 2
+    mode = int(dominant_modes(np.asarray(hog)[None])[0])
+    return None if mode < 0 else mode
+
+
+def transform_modes(modes: Sequence[Sequence], predictions: Sequence[Sequence[np.ndarray]]) -> list[list[int]]:
+    """transform_mode_for_block of many blocks: one HoG pass per predictor shape.
+
+    modes[i] and predictions[i] are block i's fusion entries and their
+    prediction blocks.
+    """
+    out: list[list[int]] = []
+    bv_preds: dict[tuple[int, ...], list[tuple[int, int, np.ndarray]]] = defaultdict(list)
+    for i, (cands, preds) in enumerate(zip(modes, predictions)):
+        lead = list(zip(cands, preds))[:2]
+        out.append([cand.mode for cand, _ in lead])
+        for j, (cand, pred) in enumerate(lead):
+            if cand.kind == "bv":
+                bv_preds[np.shape(pred)].append((i, j, pred))
+    for entries in bv_preds.values():
+        dominant = dominant_modes(build_hogs(np.stack([pred for _, _, pred in entries])))
+        for (i, j, _), mode in zip(entries, dominant.tolist()):
+            out[i][j] = MODE_PLANAR if mode < 0 else mode
+    return out
 
 
 def transform_mode_for_block(modes: Sequence, predictions: Sequence[np.ndarray]) -> list[int]:
@@ -91,11 +142,4 @@ def transform_mode_for_block(modes: Sequence, predictions: Sequence[np.ndarray])
     modes are fusion entries exposing .kind and .mode; predictions are
     the matching prediction blocks.
     """
-    out: list[int] = []
-    for cand, pred in list(zip(modes, predictions))[:2]:
-        if cand.kind == "bv":
-            mode = dominant_mode(build_hog(pred))
-            out.append(MODE_PLANAR if mode is None else mode)
-        else:
-            out.append(cand.mode)
-    return out
+    return transform_modes([modes], [predictions])[0]

@@ -5,7 +5,10 @@ the vectorized code paths must reproduce.  tile_satd_int64 and
 satd_batch_int64 are the int64 stacked-matmul Hadamard kernel the
 float32 GEMM in intralab.cost replaced, kept as its oracle.
 build_reference_samples is the coordinate-array border gather that
-intralab.intra's slice-based one replaced.
+intralab.intra's slice-based one replaced.  measure_block is the
+per-block measurement encode_block ran before measure_blocks batched
+it, with the single-block HoG, transform and compaction bodies of that
+time.
 """
 
 from __future__ import annotations
@@ -14,9 +17,10 @@ import numpy as np
 
 from intralab.cost import METRICS, sad, satd, satd_tiling
 from intralab.grid import BlockRef, ReconBuffer
-from intralab.hog import _quantize
-from intralab.intra import RefSamples
+from intralab.hog import N_MODES, _quantize, gradient_field
+from intralab.intra import MODE_PLANAR, RefSamples
 from intralab.tmp import BlockVector, template_rects
+from intralab.transforms import _KERNELS, TRANSFORM_SIZES, _diagonal_scan_indices, transform_class
 
 SOBEL_HOR = np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.int64)
 SOBEL_VER = np.array([[-1, -2, -1], [0, 0, 0], [1, 2, 1]], dtype=np.int64)
@@ -161,3 +165,103 @@ def build_reference_samples(buf: ReconBuffer, x0: int, y0: int, w: int, h: int) 
     left_filled = filled[: 2 * h][::-1].copy()
     above_filled = filled[2 * h :]
     return RefSamples(above_filled, left_filled, above_avail, left_avail)
+
+
+def build_hog(samples: np.ndarray, magnitude_weighted: bool = False) -> np.ndarray:
+    """Vote histogram indexed by mode (entries 0 and 1 stay zero)."""
+    hog = np.zeros(N_MODES, dtype=np.int64)
+    g_hor, g_ver = gradient_field(samples)
+    if g_hor.size == 0:
+        return hog
+    g_hor = g_hor.ravel()
+    g_ver = g_ver.ravel()
+    nz = (g_hor != 0) | (g_ver != 0)
+    if not nz.any():
+        return hog
+    modes = _quantize(g_hor[nz].astype(np.float64), g_ver[nz].astype(np.float64))
+    if magnitude_weighted:
+        weights = np.abs(g_hor[nz]) + np.abs(g_ver[nz])
+        np.add.at(hog, modes, weights)
+    else:
+        np.add.at(hog, modes, 1)
+    return hog
+
+
+def dominant_mode(hog: np.ndarray) -> int | None:
+    """Most frequent mode, ties to the lower index; None for an empty histogram."""
+    if not hog.any():
+        return None
+    return int(np.argmax(hog[2:])) + 2
+
+
+def transform_mode_for_block(modes, predictions) -> list[int]:
+    """The first two fusion entries, each BV entry replaced by its predictor's dominant HoG mode."""
+    out: list[int] = []
+    for cand, pred in list(zip(modes, predictions))[:2]:
+        if cand.kind == "bv":
+            mode = dominant_mode(build_hog(pred))
+            out.append(MODE_PLANAR if mode is None else mode)
+        else:
+            out.append(cand.mode)
+    return out
+
+
+def apply_transform(residual: np.ndarray, klass) -> np.ndarray:
+    """Forward separable transform of one residual block."""
+    residual = np.asarray(residual, dtype=np.float64)
+    h, w = residual.shape
+    if h not in TRANSFORM_SIZES or w not in TRANSFORM_SIZES:
+        raise ValueError(f"residual dims {h}x{w} not in {TRANSFORM_SIZES}")
+    hor_name, ver_name = klass.value
+    hmat = _KERNELS[hor_name](w)
+    vmat = _KERNELS[ver_name](h)
+    return vmat @ residual @ hmat.T
+
+
+def energy_compaction(coeffs: np.ndarray, k: int) -> float:
+    """Energy share of the k first coefficients in diagonal scan order; 1.0 for a zero block."""
+    h, w = coeffs.shape
+    if not 1 <= k <= h * w:
+        raise ValueError(f"k={k} out of range 1..{h * w}")
+    energy = np.asarray(coeffs, dtype=np.float64) ** 2
+    total = float(energy.sum())
+    if total == 0.0:
+        return 1.0
+    rows, cols = _diagonal_scan_indices(h, w)
+    # Sequential Python sum in scan order, not a pairwise numpy sum.
+    head = sum(energy[rows[:k], cols[:k]].tolist())
+    return head / total
+
+
+def _measure_transform(block: BlockRef, fusion, predictions, residual: np.ndarray):
+    modes = tuple(transform_mode_for_block(fusion.modes, predictions))
+    klass = transform_class(modes[0])
+    compaction = None
+    if block.h in TRANSFORM_SIZES and block.w in TRANSFORM_SIZES:
+        coeffs = apply_transform(residual, klass)
+        k = max(1, (block.h * block.w) // 4)
+        compaction = energy_compaction(coeffs, k)
+    return modes, klass.name, compaction
+
+
+def measure_block(block: BlockRef, fusion, predictions, prediction: np.ndarray, orig: np.ndarray,
+                  use_hog_transform: bool) -> dict:
+    """The measured BlockResult fields of one coded block, by name.
+
+    predictions are the per-mode predictions of the fusion entries and
+    prediction the fused one; orig is the block's int64 source.
+    """
+    measured = dict(
+        pred_sad=sad(prediction, orig),
+        pred_satd=satd(prediction, orig),
+        pred_sse=int(((prediction.astype(np.int64) - orig) ** 2).sum()),
+        transform_modes=None,
+        transform_class_name=None,
+        compaction=None,
+    )
+    if use_hog_transform:
+        residual = orig - prediction.astype(np.int64)
+        measured["transform_modes"], measured["transform_class_name"], measured["compaction"] = (
+            _measure_transform(block, fusion, predictions, residual)
+        )
+    return measured

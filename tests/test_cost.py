@@ -240,6 +240,20 @@ def test_batch_cost_rejects_unknown_metric():
         bound_pieces(4, 4, "ssd")
 
 
+@pytest.mark.parametrize("metric", METRICS)
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_empty_batches_cost_nothing(metric, dtype):
+    layout = strip_layout(((4, 16), (12, 4)))
+    empty = (
+        layout_cost(np.zeros((0, len(layout.order)), dtype), layout, metric),
+        batch_cost(np.zeros((0, 8, 8), dtype), metric),
+        batch_cost(np.zeros((0, 6, 12), dtype), metric),
+        satd_batch(np.zeros((0, 8, 8), dtype)),
+    )
+    for got in empty:
+        assert got.dtype == np.int64 and got.shape == (0,)
+
+
 # --- the strip layout against the per-strip kernel ------------------------
 
 

@@ -3,13 +3,18 @@ import pytest
 
 from intralab.etimd import ModeCandidate
 from intralab.hog import (
+    N_MODES,
     build_hog,
+    build_hogs,
     dominant_mode,
     gradient_field,
     transform_mode_for_block,
+    transform_modes,
 )
 
+from oracles import build_hog as oracle_build_hog
 from oracles import orientation_to_mode, sobel_window
+from oracles import transform_mode_for_block as oracle_transform_modes
 
 
 def stripes(direction: str, size: int = 32, band: int = 4, lo: int = 40, hi: int = 210) -> np.ndarray:
@@ -120,3 +125,35 @@ def test_transform_modes_consider_first_two_only():
     cands = [_cand("angular", 30), _cand("dc", 1), _cand("bv")]
     preds = [np.zeros((8, 8))] * 3
     assert transform_mode_for_block(cands, preds) == [30, 1]
+
+
+@pytest.mark.parametrize("magnitude_weighted", [False, True])
+def test_stacked_histograms_match_the_single_block_oracle(rng, magnitude_weighted):
+    stack = rng.integers(0, 1024, size=(20, 6, 9))
+    stack[3] = 500  # flat: no votes
+    stack[4] = stripes("rising", size=9)[:6]
+    # One gradient per 3x3 window, (1, 1), (2, 0) and (3, 1): distinct pairs whose
+    # keys collide unless the radix spans the whole g_ver range.
+    windows = np.zeros((3, 3, 3), dtype=np.int64)
+    windows[0, 2, 2] = windows[1, 1, 2] = windows[2, 1, 2] = windows[2, 2, 2] = 1
+    for samples in (stack, windows):
+        got = build_hogs(samples, magnitude_weighted)
+        assert got.shape == (len(samples), N_MODES) and got.dtype == np.int64
+        for row, block in zip(got, samples):
+            np.testing.assert_array_equal(row, oracle_build_hog(block, magnitude_weighted))
+    assert not build_hogs(stack)[3].any()
+    assert build_hogs(np.zeros((0, 8, 8)), magnitude_weighted).shape == (0, N_MODES)
+    assert not build_hogs(np.zeros((3, 2, 8)), magnitude_weighted).any()
+
+
+def test_transform_modes_of_many_blocks_match_one_at_a_time():
+    blocks = [
+        ([_cand("bv"), _cand("angular", 40)], [stripes("h"), np.zeros((8, 8))]),
+        ([_cand("bv")], [np.full((8, 8), 77)]),
+        ([_cand("angular", 30), _cand("bv")], [np.zeros((4, 4)), stripes("v", size=4, band=1)]),
+        ([_cand("bv"), _cand("bv")], [stripes("falling"), stripes("rising")]),
+    ]
+    got = transform_modes([m for m, _ in blocks], [p for _, p in blocks])
+    assert got == [oracle_transform_modes(m, p) for m, p in blocks]
+    assert got == [transform_mode_for_block(m, p) for m, p in blocks]
+    assert transform_modes([], []) == []

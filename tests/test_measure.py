@@ -1,0 +1,145 @@
+"""The batched measurement pass against the per-block oracle.
+
+harness.encode_frame codes blocks in the causal loop and measures them
+in batches of MEASURE_BATCH afterwards.  Every measured BlockResult
+field must equal oracles.measure_block, the per-block measurement it
+replaced, on the benchmark workloads' first frames and on hypothesis
+frames.  The per-mode predictions the oracle needs are re-derived by
+replaying the committed reconstructions block by block.  perfbench/ is
+only read.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from intralab.etimd import MEASURE_BATCH, TOOLS, fuse, fusion_predictions
+from intralab.frames import Frame
+from intralab.grid import ReconBuffer, partition
+from intralab.harness import RunConfig, encode_frame, validate_config
+from intralab.synth import noise_frame, tiled_glyph_frame
+
+from oracles import measure_block
+from test_reference import PERFBENCH, workloads
+
+
+def assert_measured_like_oracle(frame: Frame, config: RunConfig, results: list) -> None:
+    """Each result's measured fields equal the oracle's, compaction bit for bit."""
+    buf = ReconBuffer(frame.width, frame.height, frame.bit_depth)
+    original = frame.samples.astype(np.int64)
+    assert [r.block for r in results] == partition(frame.width, frame.height, config.block_size)
+    for res in results:
+        block = res.block
+        predictions = fusion_predictions(buf, block, res.fusion)
+        np.testing.assert_array_equal(fuse(predictions, res.fusion.weights, frame.bit_depth), res.prediction)
+        orig = original[block.y0 : block.y0 + block.h, block.x0 : block.x0 + block.w]
+        want = measure_block(block, res.fusion, predictions, res.prediction, orig, config.use_hog_transform)
+        got = {name: getattr(res, name) for name in want}
+        assert got == want, f"block {block.scan_index} at ({block.x0},{block.y0})"
+        buf.commit_block(block, res.recon)
+
+
+def _frame0(name: str) -> tuple[Frame, RunConfig]:
+    wl = workloads.WORKLOADS[name]
+    size = workloads.SIZE
+    cfg = RunConfig(input_path="unused", width=size, height=size, bit_depth=wl.bit_depth, **wl.config)
+    validate_config(cfg)
+    return Frame(size, size, wl.bit_depth, wl.planes(0)[0]), cfg
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_benchmark_frame0_measured_like_oracle(name):
+    frame, cfg = _frame0(name)
+    results, _, _ = encode_frame(frame, cfg)
+    assert len(results) > MEASURE_BATCH
+    assert_measured_like_oracle(frame, cfg, results)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    width=st.integers(5, 44),
+    height=st.integers(5, 44),
+    block_size=st.sampled_from((4, 8)),
+    bit_depth=st.sampled_from((8, 10)),
+    tool=st.sampled_from(TOOLS),
+    content=st.sampled_from(("noise", "glyph", "flat")),
+    use_hog_transform=st.booleans(),
+    closed_loop=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+@example(width=44, height=37, block_size=4, bit_depth=8, tool="etimd", content="glyph",
+         use_hog_transform=True, closed_loop=True, seed=3)
+@example(width=30, height=30, block_size=4, bit_depth=10, tool="etimd", content="noise",
+         use_hog_transform=True, closed_loop=False, seed=4)
+def test_measured_fields_match_oracle(width, height, block_size, bit_depth, tool, content,
+                                      use_hog_transform, closed_loop, seed):
+    if content == "noise":
+        samples = noise_frame(width, height, seed, bit_depth=bit_depth)
+    elif content == "glyph":
+        samples = tiled_glyph_frame(width, height, period=8, seed=seed, bit_depth=bit_depth)
+    else:
+        samples = np.full((height, width), 1 << (bit_depth - 1), dtype=np.uint16)
+    frame = Frame(width, height, bit_depth, samples.astype(np.uint16))
+    cfg = RunConfig(
+        input_path="unused", width=width, height=height, bit_depth=bit_depth, block_size=block_size,
+        tool=tool, search_range=8, use_hog_transform=use_hog_transform, closed_loop=closed_loop,
+    )
+    results, _, _ = encode_frame(frame, cfg)
+    assert_measured_like_oracle(frame, cfg, results)
+
+
+def test_zero_residual_compacts_perfectly():
+    # Mid-grey is every empty-template default, so every prediction is exact.
+    frame = Frame(36, 20, 8, np.full((20, 36), 128, dtype=np.uint16))
+    cfg = RunConfig(input_path="unused", width=36, height=20, block_size=4, use_hog_transform=True)
+    results, _, _ = encode_frame(frame, cfg)
+    assert len(results) > MEASURE_BATCH
+    assert all(r.pred_sad == r.pred_satd == r.pred_sse == 0 for r in results)
+    assert all(r.compaction == 1.0 for r in results)
+    assert_measured_like_oracle(frame, cfg, results)
+
+
+def test_encode_frame_memory_is_bounded():
+    frame, cfg = _frame0("smallblock-closedloop")
+    tracemalloc.start()
+    try:
+        results, _, _ = encode_frame(frame, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(results) == 1024
+    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+
+
+def _load_spans():
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+spans = _load_spans()
+
+
+def test_every_traced_name_resolves_on_its_owner():
+    # spans.patched reads owner.__dict__[attr], so a missing name crashes --trace 1.
+    missing = [(name, attr) for name, owner, attr, _ in spans.TRACED if attr not in vars(owner)]
+    assert not missing
+
+
+def test_encode_loop_makes_no_per_block_measurement_call():
+    frame, cfg = _frame0("smallblock-closedloop")
+    tracer = spans.Tracer()
+    with tracer.installed():
+        results, _, _ = encode_frame(frame, cfg)
+    calls = tracer.summary()["calls"]
+    per_block = ("etimd.encode_block", "cost.sad", "cost.satd", "hog.transform_mode_for_block",
+                 "transforms.apply_transform", "transforms.energy_compaction")
+    assert {name: calls[name] for name in per_block} == dict.fromkeys(per_block, 0)
+    assert calls["cost.satd_batch"] > 0 and all(r.compaction is not None for r in results)

@@ -7,12 +7,17 @@ from intralab.transforms import (
     TRANSFORM_SIZES,
     TransformClass,
     apply_transform,
+    apply_transforms,
     dct2_matrix,
     diagonal_scan,
     dst7_matrix,
     energy_compaction,
+    energy_compactions,
     transform_class,
 )
+
+from oracles import apply_transform as oracle_apply_transform
+from oracles import energy_compaction as oracle_energy_compaction
 
 
 @pytest.mark.parametrize("n", TRANSFORM_SIZES)
@@ -149,3 +154,20 @@ def test_parseval_property(data, klass):
     coeffs = apply_transform(r, klass)
     total = (r**2).sum()
     assert abs((coeffs**2).sum() - total) <= 1e-9 * max(total, 1.0)
+
+
+@pytest.mark.parametrize("klass", list(TransformClass))
+def test_stacked_transforms_and_compactions_match_the_single_block_oracle(rng, klass):
+    for h in TRANSFORM_SIZES:
+        for w in TRANSFORM_SIZES:
+            residuals = rng.integers(-255, 256, size=(4, h, w))
+            residuals[2] = 0
+            coeffs = apply_transforms(residuals, klass)
+            for k in sorted({1, max(1, h * w // 4), h * w}):
+                got = energy_compactions(coeffs, k).tolist()
+                for residual, block_coeffs, compaction in zip(residuals, coeffs, got):
+                    want = oracle_apply_transform(residual, klass)
+                    assert np.array_equal(block_coeffs, want)
+                    assert compaction == oracle_energy_compaction(want, k)
+    empty = apply_transforms(np.zeros((0, 4, 8)), klass)
+    assert empty.shape == (0, 4, 8) and energy_compactions(empty, 3).shape == (0,)
