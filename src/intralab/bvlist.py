@@ -21,7 +21,7 @@ its full template), and truncates to n_max entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
@@ -92,11 +92,6 @@ class BvStore:
         if 0 <= x < self.width and 0 <= y < self.height:
             return self._owner.item(y, x)
         return -1
-
-    def lookup(self, x: int, y: int) -> CodingRecord | None:
-        """Record covering pixel (x, y); None outside the committed area."""
-        idx = self.owner_at(x, y)
-        return self.records[idx] if idx >= 0 else None
 
 
 def normalize_bv(bv: BlockVector, precision: BvPrecision) -> BlockVector:

@@ -2,7 +2,8 @@
 
 Two subcommands: `run` encodes frames under one configuration and
 writes a report; `compare` diffs two reports block by block.  Exit
-codes: 0 on success, 2 for configuration problems, 3 for I/O problems.
+codes: 0 on success, 2 for configuration problems, 3 for unreadable,
+malformed or mismatched input files.
 """
 
 from __future__ import annotations

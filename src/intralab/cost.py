@@ -28,9 +28,8 @@ layout_cost, the one template-cost kernel and the only place that picks
 SATD or SAD, costs a whole batch of templates gathered in that order
 with one satd_batch call per tile size and one absolute sum; mode
 evaluation, the BV list and every template match cost through it, so a
-BV and an intra mode are costed alike.  batch_cost is layout_cost for a
-batch of single (h, w) regions.  bound_pieces gives the pieces of the DC
-lower bound the template search prunes with.
+BV and an intra mode are costed alike.  bound_pieces gives the pieces of
+the DC lower bound the template search prunes with.
 
 All pair kernels accept integer sample arrays of identical shape and
 return Python ints.  satd(a, b) == satd(b, a) and adding a constant to
@@ -189,14 +188,6 @@ def layout_cost(diffs: np.ndarray, layout: Layout, metric: str) -> np.ndarray:
         # A column of whole tiles is one (stop - start) / tile x tile region, tiled as such.
         total += satd_batch(diffs[:, start:stop].reshape(len(diffs), -1, tile))
     return total
-
-
-def batch_cost(diffs: np.ndarray, metric: str) -> np.ndarray:
-    """Template cost of each (h, w) difference array of an (N, h, w) batch (int64)."""
-    diffs = np.asarray(diffs)
-    n, h, w = diffs.shape
-    layout = strip_layout(((h, w),))
-    return layout_cost(diffs.reshape(n, h * w)[:, layout.order], layout, metric)
 
 
 def bound_pieces(h: int, w: int, metric: str) -> list[tuple[int, int, int, int, int]]:

@@ -44,20 +44,9 @@ code_block plus a batch of one.
 
 harness.encode_frame measures every MEASURE_BATCH coded blocks.  Each
 measure_blocks call has a fixed cost, and every coded block it holds
-stays alive until it runs.  On smallblock-closedloop frames (1,024 8x8
-blocks, HoG transforms; 2-vCPU shared host), encode_frame throughput in
-blocks per CPU-second (the mean of two runs of 10 frames) and its
-tracemalloc peak on one frame were:
-
-    batch     1      4      8      16     32     64     128    1024
-    blocks/s  930    1,270  1,340  1,480  1,490  1,510  1,450  1,370
-    peak MiB  3.10   3.09   3.09   3.09   3.09   3.16   3.42   6.52
-
-against 1,270 blocks/s and 3.07 MiB for the per-block measurement this
-replaced.  Below 16 the per-call cost dominates; from 64 up the held
-blocks and the larger stacks grow the peak, and whole-frame batches
-raised the benchmark's peak_rss_mb from 45.7 to 50.5 MB.  32 sits
-inside the flat part.
+stays alive until it runs; on smallblock-closedloop frames throughput
+levels off from 16 blocks per batch and the memory peak grows from 64,
+so 32 sits between the two.
 """
 
 from __future__ import annotations
@@ -232,7 +221,7 @@ def evaluate_candidates(
     ex, ey, we, he = extended_rect(block, t)
     ah, lw = block.y0 - ey, block.x0 - ex
     refs = build_reference_samples(buf, ex, ey, we, he)
-    preds = predict_template(refs, we, he, ah, lw, block.h, tiled=True)
+    preds = predict_template(refs, we, he, ah, lw, block.h)
     dxs = np.array([0] + [c.bv.dx for c in bv_list], dtype=np.int64)
     dys = np.array([0] + [c.bv.dy for c in bv_list], dtype=np.int64)
     layout, rows = gather_templates(buf, rects, dxs, dys)

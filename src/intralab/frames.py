@@ -1,4 +1,4 @@
-"""Frame loading and writing for raw video and PGM still images.
+"""Frame loading from raw video and PGM still images, and a raw video writer.
 
 Two input formats are supported:
 
@@ -43,10 +43,6 @@ class Frame:
             raise ValueError(
                 f"samples shape {self.samples.shape} != ({self.height}, {self.width})"
             )
-
-    @property
-    def max_value(self) -> int:
-        return (1 << self.bit_depth) - 1
 
 
 def _validate_geometry(width: int, height: int, bit_depth: int) -> None:
@@ -165,19 +161,6 @@ def _load_pgm(path: str, width: int, height: int, bit_depth: int) -> Frame:
             plane = np.frombuffer(raw, dtype=">u2").astype(np.uint16)
         plane &= (1 << bit_depth) - 1
         return Frame(width, height, bit_depth, plane.reshape(height, width))
-
-
-def write_pgm(frame: Frame, path: str) -> None:
-    """Write a frame as binary PGM; load_frame round-trips it exactly."""
-    maxval = frame.max_value
-    header = f"P5\n{frame.width} {frame.height}\n{maxval}\n".encode("ascii")
-    if maxval < 256:
-        body = frame.samples.astype(np.uint8).tobytes()
-    else:
-        body = frame.samples.astype(">u2").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(body)
 
 
 def write_yuv420(frames: list[np.ndarray], path: str, bit_depth: int = 8) -> None:

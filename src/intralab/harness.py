@@ -23,7 +23,7 @@ import numpy as np
 
 from .bvlist import DEFAULT_N_MAX, BvStore
 from .cost import METRICS
-from .errors import ReplayMismatchError, ValidationError
+from .errors import FormatError, ReplayMismatchError, ValidationError
 from .etimd import (
     MEASURE_BATCH,
     TOOLS,
@@ -267,17 +267,17 @@ def _ratio_pct(a: float | None, b: float | None) -> float | None:
 def compare_runs(a: Report, b: Report) -> RunDelta:
     """Per-block deltas between two runs over the identical grid.
 
-    Raises ValidationError unless both runs partitioned the same frames
-    into the same blocks, and at least one.  Lower prediction SAD in run
-    B counts as a win for B.
+    Raises FormatError, as for any other unusable report, unless both
+    runs partitioned the same frames into the same blocks, and at least
+    one.  Lower prediction SAD in run B counts as a win for B.
     """
     if len(a.records) != len(b.records):
-        raise ValidationError("runs cover different block counts")
+        raise FormatError("runs cover different block counts")
     if not a.records:
-        raise ValidationError("runs hold no blocks to compare")
+        raise FormatError("runs hold no blocks to compare")
     grid = attrgetter("frame", "scan_index", "x0", "y0", "w", "h")
     if any(grid(ra) != grid(rb) for ra, rb in zip(a.records, b.records)):
-        raise ValidationError("runs cover different block grids")
+        raise FormatError("runs cover different block grids")
 
     sad_deltas = [rb.pred_sad - ra.pred_sad for ra, rb in zip(a.records, b.records)]
     wins = sum(1 for d in sad_deltas if d < 0)

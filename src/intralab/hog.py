@@ -4,8 +4,7 @@ A 3x3 Sobel window slides at stride 1 over the interior of a sample
 block.  Each non-zero gradient votes for the angular mode whose
 prediction direction is perpendicular to the gradient, i.e. runs along
 the local edge, quantized to the nearest entry of the displacement
-table (ties to the lower mode index).  Votes count +1 by default; a
-magnitude-weighted variant adds |g_hor| + |g_ver| instead.
+table (ties to the lower mode index).  Each vote counts +1.
 
 The dominant mode replaces block-vector entries among the first two
 fusion modes when a transform class has to be chosen for a block whose
@@ -71,7 +70,7 @@ def _quantize(g_hor: np.ndarray, g_ver: np.ndarray) -> np.ndarray:
     return modes
 
 
-def build_hogs(samples: np.ndarray, magnitude_weighted: bool = False) -> np.ndarray:
+def build_hogs(samples: np.ndarray) -> np.ndarray:
     """Vote histograms of an (N, h, w) stack of sample blocks, one row of N_MODES per block.
 
     Each distinct non-zero (g_hor, g_ver) pair of the stack is quantized
@@ -91,14 +90,13 @@ def build_hogs(samples: np.ndarray, magnitude_weighted: bool = False) -> np.ndar
     keys = (g_hor - lo_hor) * (g_ver.max() - lo_ver + 1) + (g_ver - lo_ver)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     modes = _quantize(g_hor[first].astype(np.float64), g_ver[first].astype(np.float64))[inverse]
-    weights = np.abs(g_hor) + np.abs(g_ver) if magnitude_weighted else None
-    votes = np.bincount(rows * N_MODES + modes, weights, minlength=n * N_MODES)
-    return votes.astype(np.int64).reshape(n, N_MODES)
+    votes = np.bincount(rows * N_MODES + modes, minlength=n * N_MODES)
+    return votes.astype(np.int64, copy=False).reshape(n, N_MODES)
 
 
-def build_hog(samples: np.ndarray, magnitude_weighted: bool = False) -> np.ndarray:
+def build_hog(samples: np.ndarray) -> np.ndarray:
     """Vote histogram indexed by mode (entries 0 and 1 stay zero)."""
-    return build_hogs(np.asarray(samples)[None], magnitude_weighted)[0]
+    return build_hogs(np.asarray(samples)[None])[0]
 
 
 def dominant_modes(hogs: np.ndarray) -> np.ndarray:

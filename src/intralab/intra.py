@@ -16,11 +16,11 @@ and never at import:
 
 - _block_taps(w, h): the taps of all 65 modes over a (h, w) block in
   small dtypes; predict_angular gathers one mode from it.
-- _template_taps(we, he, ah, lw, h, tiled): for the template samples of
-  a (he, we) template-extended block only, in raster order or in the
-  strips' cost layout (cost.strip_layout), the Planar terms (four
-  line indices and coefficients per sample) and the distinct angular
-  taps with the index that spreads them over 65 rows; predict_template
+- _template_taps(we, he, ah, lw, h): for the template samples of a
+  (he, we) template-extended block only, in the strips' cost layout
+  (cost.strip_layout), the Planar terms (four line indices and
+  coefficients per sample) and the distinct angular taps with the
+  index that spreads them over 65 rows; predict_template
   interpolates each distinct tap once (2,146 taps for the 9,360 angular
   samples of a 16x16 block with t = 4) and spreads them with one take.
 
@@ -256,19 +256,17 @@ class TemplateTaps(NamedTuple):
 
 
 @lru_cache(maxsize=TEMPLATE_TAPS_ENTRIES)
-def _template_taps(we: int, he: int, ah: int, lw: int, h: int, tiled: bool) -> TemplateTaps:
+def _template_taps(we: int, he: int, ah: int, lw: int, h: int) -> TemplateTaps:
     """Tables of the template samples of a (he, we) template-extended block.
 
-    The samples run in raster order or, when tiled, in the order of the
-    strips' cost layout.  A tap whose weight w1 is 0 reads i0 alone, so
-    its i1 is set to i0 before the taps are made distinct.
+    The samples run in the order of the strips' cost layout.  A tap whose
+    weight w1 is 0 reads i0 alone, so its i1 is set to i0 before the taps
+    are made distinct.
     """
     mask = np.zeros((he, we), dtype=bool)
     mask[:ah] = True
     mask[ah : ah + h, :lw] = True
-    keep = np.flatnonzero(mask)
-    if tiled:
-        keep = keep[strip_layout(template_shapes(we, ah, lw, h)).order]
+    keep = np.flatnonzero(mask)[strip_layout(template_shapes(we, ah, lw, h)).order]
     ys, xs = np.divmod(keep, we)
     # Line offsets of top[x], left[he], left[y] and top[we] (top = above[1:], left after the corner).
     left0 = 2 * we + 2
@@ -342,21 +340,18 @@ def predict_mode(refs: RefSamples, mode: int, w: int, h: int) -> np.ndarray:
     return predict_angular(refs, mode, w, h)
 
 
-def predict_template(
-    refs: RefSamples, we: int, he: int, ah: int, lw: int, h: int, tiled: bool = False
-) -> np.ndarray:
+def predict_template(refs: RefSamples, we: int, he: int, ah: int, lw: int, h: int) -> np.ndarray:
     """Template samples of every mode, one row per mode in ALL_MODES order.
 
     refs belong to the (he, we) template-extended block.  Each row holds
-    that block's prediction at its template positions only, in raster
-    order: the ah rows above the block (all we columns), then the lw
-    columns left of it over its h rows.  With tiled, the row is permuted
-    into the cost layout of those strips,
+    that block's prediction at its template positions only: the ah rows
+    above the block (all we columns) and the lw columns left of it over
+    its h rows, in the cost layout of those strips,
     strip_layout(template_shapes(we, ah, lw, h)), ready for layout_cost.
     Row m equals predict_mode(refs, ALL_MODES[m], we, he) at those
     positions; since ALL_MODES[m] == m, row m is mode m.
     """
-    taps = _template_taps(we, he, ah, lw, h, tiled)
+    taps = _template_taps(we, he, ah, lw, h)
     line = _reference_line(refs)
     out = np.empty((len(ALL_MODES), taps.spread.shape[1]), dtype=np.int64)
     np.sum(taps.planar_coef * line[taps.planar_idx], axis=0, out=out[MODE_PLANAR])

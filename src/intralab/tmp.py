@@ -36,9 +36,10 @@ Candidates are costed in the template's cost layout (cost.strip_layout):
 one flat index into the sample plane gathers a whole batch of displaced
 templates in that order, and cost.layout_cost costs them at once.  A
 candidate that can use only one of the two strips is gathered and
-costed in that strip's layout.  template_costs and mode evaluation read
-through gather_templates, which checks every displaced strip against
-the committed area in one vectorised test and notes each as a read.
+costed in that strip's layout.  template_cost_at and mode evaluation
+read through gather_templates, which checks every displaced strip
+against the committed area in one vectorised test and notes each as a
+read.
 
 tmp_search(..., below=c) returns the best candidate among those that
 cost strictly less than c, or None when no valid candidate does.
@@ -49,8 +50,8 @@ the E-TIMD TMP competition runs.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from typing import Callable, NamedTuple, Sequence
+from functools import lru_cache
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,11 +105,6 @@ def extended_rect(block: BlockRef, t: int) -> Rect:
     return (block.x0 - lw, block.y0 - ah, block.w + lw, block.h + ah)
 
 
-def _shift(rect: Rect, bv: BlockVector) -> Rect:
-    x, y, w, h = rect
-    return (x + bv.dx, y + bv.dy, w, h)
-
-
 def _fully_outside(rect: Rect, dxs, dys, frame_w: int, frame_h: int):
     """Whether rect, displaced by each (dx, dy), lies wholly outside the frame."""
     x, y, w, h = rect
@@ -118,28 +114,6 @@ def _fully_outside(rect: Rect, dxs, dys, frame_w: int, frame_h: int):
 def bv_predict(buf: ReconBuffer, block: BlockRef, bv: BlockVector) -> np.ndarray:
     """Copy the displaced block as the prediction."""
     return buf.read_region(block.x0 + bv.dx, block.y0 + bv.dy, block.w, block.h)
-
-
-def candidate_valid(
-    buf: ReconBuffer,
-    block: BlockRef,
-    bv: BlockVector,
-    t: int,
-    strict_template: bool = True,
-) -> bool:
-    """Causality check for one candidate; (0, 0) always fails."""
-    if not buf.region_available(block.x0 + bv.dx, block.y0 + bv.dy, block.w, block.h):
-        return False
-    for rect in template_rects(block, t, buf.width, buf.height):
-        if rect is None:
-            continue
-        moved = _shift(rect, bv)
-        if buf.region_available(*moved):
-            continue
-        if not strict_template and _fully_outside(rect, bv.dx, bv.dy, buf.width, buf.height):
-            continue
-        return False
-    return True
 
 
 @lru_cache(maxsize=256)
@@ -197,13 +171,14 @@ def _costs_by_use(
     dys: np.ndarray,
     uses: Sequence[np.ndarray],
     metric: str,
-    gather: Callable[[Sequence[Rect], np.ndarray, np.ndarray], tuple[Layout, np.ndarray]],
+    plane: np.ndarray,
 ) -> np.ndarray:
     """Matching cost of each candidate over the strips it uses (uses[k]: it uses rects[k]).
 
-    The candidates that use the same strips are gathered in those strips'
-    layout, after the block's own template as row 0, and costed with one
-    layout_cost call.
+    The candidates that use the same strips are gathered from plane in
+    those strips' layout, after the block's own template as row 0, and
+    costed with one layout_cost call.  Nothing is checked: every strip a
+    candidate uses must already be known to be committed.
     """
     costs = np.zeros(len(dxs), dtype=np.int64)
     if not rects:
@@ -215,31 +190,11 @@ def _costs_by_use(
             continue  # a candidate that uses no strip costs nothing
         sel = np.flatnonzero(pattern == p)
         strips = [rect for k, rect in enumerate(rects) if p >> k & 1]
-        layout, rows = gather(strips, np.append(0, dxs[sel]), np.append(0, dys[sel]))
+        layout, rows = _template_rows(plane, strips, np.append(0, dxs[sel]), np.append(0, dys[sel]))
         diffs = rows[1:]
         diffs -= rows[0]
         costs[sel] = layout_cost(diffs, layout, metric)
     return costs
-
-
-def template_costs(
-    buf: ReconBuffer,
-    block: BlockRef,
-    bvs: Sequence[BlockVector],
-    t: int,
-    metric: str,
-) -> np.ndarray:
-    """Matching cost of each candidate, gathered and costed in the template's layout.
-
-    A displaced strip fully outside the frame contributes nothing; any
-    other displaced strip must be committed, or CausalityError is raised.
-    """
-    check_metric(metric)
-    rects = [r for r in template_rects(block, t, buf.width, buf.height) if r is not None]
-    dxs = np.array([bv.dx for bv in bvs], dtype=np.int64)
-    dys = np.array([bv.dy for bv in bvs], dtype=np.int64)
-    uses = [~_fully_outside(rect, dxs, dys, buf.width, buf.height) for rect in rects]
-    return _costs_by_use(rects, dxs, dys, uses, metric, partial(gather_templates, buf))
 
 
 def template_cost_at(
@@ -249,8 +204,20 @@ def template_cost_at(
     t: int,
     metric: str,
 ) -> int:
-    """Matching cost of one valid candidate."""
-    return int(template_costs(buf, block, [bv], t, metric)[0])
+    """Matching cost of one candidate, gathered and costed in the template's layout.
+
+    A displaced strip fully outside the frame contributes nothing; any
+    other displaced strip must be committed, or CausalityError is raised.
+    """
+    check_metric(metric)
+    strips = [
+        r for r in template_rects(block, t, buf.width, buf.height)
+        if r is not None and not _fully_outside(r, bv.dx, bv.dy, buf.width, buf.height)
+    ]
+    if not strips:
+        return 0
+    layout, rows = gather_templates(buf, strips, np.array([0, bv.dx]), np.array([0, bv.dy]))
+    return int(layout_cost(rows[1:] - rows[0], layout, metric)[0])
 
 
 def _integral(values: np.ndarray) -> np.ndarray:
@@ -398,7 +365,7 @@ def tmp_search(
         dys = dy_lo + chunk // nx
         uses = [usable[chunk] for usable in strip_use]
         # Every chunk candidate was checked and noted as a read above.
-        costs = _costs_by_use(rects, dxs, dys, uses, metric, partial(_template_rows, buf.samples))
+        costs = _costs_by_use(rects, dxs, dys, uses, metric, buf.samples)
         l1 = np.abs(dxs) + np.abs(dys)
         i = np.lexsort((dxs, dys, l1, costs))[0]
         key = (int(costs[i]), int(l1[i]), int(dys[i]), int(dxs[i]))

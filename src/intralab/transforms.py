@@ -81,19 +81,13 @@ def apply_transform(residual: np.ndarray, klass: TransformClass) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _diagonal_scan_indices(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row and column index arrays of diagonal_scan(h, w)."""
+    """Row and column indices of an (h, w) block in diagonal scan: by ascending anti-diagonal, rows first within one."""
     v, u = np.divmod(np.arange(h * w), w)
     order = np.lexsort((v, v + u))
     rows, cols = v[order], u[order]
     rows.setflags(write=False)
     cols.setflags(write=False)
     return rows, cols
-
-
-def diagonal_scan(h: int, w: int) -> list[tuple[int, int]]:
-    """Coefficient scan by ascending anti-diagonal, rows first within one."""
-    rows, cols = _diagonal_scan_indices(h, w)
-    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def energy_compactions(coeffs: np.ndarray, k: int) -> np.ndarray:

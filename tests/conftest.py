@@ -1,10 +1,11 @@
-"""Shared fixtures and buffer-building helpers."""
+"""Shared fixtures, buffer-building helpers and a PGM writer for input files."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from intralab.frames import Frame
 from intralab.grid import BlockRef, ReconBuffer, partition
 
 
@@ -33,6 +34,19 @@ def prefix_buffer(
         region = samples[block.y0 : block.y0 + block.h, block.x0 : block.x0 + block.w]
         buf.commit_block(block, region.astype(np.int32))
     return buf, blocks
+
+
+def write_pgm(frame: Frame, path: str) -> None:
+    """Write a frame as binary PGM; load_frame round-trips it exactly."""
+    maxval = (1 << frame.bit_depth) - 1
+    header = f"P5\n{frame.width} {frame.height}\n{maxval}\n".encode("ascii")
+    if maxval < 256:
+        body = frame.samples.astype(np.uint8).tobytes()
+    else:
+        body = frame.samples.astype(">u2").tobytes()
+    with open(path, "wb") as fh:
+        fh.write(header)
+        fh.write(body)
 
 
 @pytest.fixture

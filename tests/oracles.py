@@ -5,7 +5,10 @@ the vectorized code paths must reproduce.  tile_satd_int64 and
 satd_batch_int64 are the int64 stacked-matmul Hadamard kernel the
 float32 GEMM in intralab.cost replaced, kept as its oracle.
 build_reference_samples is the coordinate-array border gather that
-intralab.intra's slice-based one replaced.  measure_block is the
+intralab.intra's slice-based one replaced.  candidate_valid is the
+one-candidate causality check, one rectangle at a time, that the
+window-wide checks of the template search and the BV list must agree
+with.  measure_block is the
 per-block measurement encode_block ran before measure_blocks batched
 it, with the single-block HoG, transform and compaction bodies of that
 time.
@@ -92,6 +95,27 @@ def template_at_bv(buf: ReconBuffer, block: BlockRef, bv: BlockVector, t: int) -
     return out[0], out[1]
 
 
+def _shift(rect: tuple[int, int, int, int], bv: BlockVector) -> tuple[int, int, int, int]:
+    x, y, w, h = rect
+    return (x + bv.dx, y + bv.dy, w, h)
+
+
+def candidate_valid(buf: ReconBuffer, block: BlockRef, bv: BlockVector, t: int, strict_template: bool = True) -> bool:
+    """Causality check for one candidate; (0, 0) always fails."""
+    if not buf.region_available(block.x0 + bv.dx, block.y0 + bv.dy, block.w, block.h):
+        return False
+    for rect in template_rects(block, t, buf.width, buf.height):
+        if rect is None:
+            continue
+        x, y, w, h = _shift(rect, bv)
+        if buf.region_available(x, y, w, h):
+            continue
+        if not strict_template and (x + w <= 0 or y + h <= 0 or x >= buf.width or y >= buf.height):
+            continue
+        return False
+    return True
+
+
 def sobel_window(window: np.ndarray) -> tuple[int, int]:
     """(g_hor, g_ver) of one 3x3 window."""
     window = np.asarray(window, dtype=np.int64)
@@ -167,7 +191,7 @@ def build_reference_samples(buf: ReconBuffer, x0: int, y0: int, w: int, h: int) 
     return RefSamples(above_filled, left_filled, above_avail, left_avail)
 
 
-def build_hog(samples: np.ndarray, magnitude_weighted: bool = False) -> np.ndarray:
+def build_hog(samples: np.ndarray) -> np.ndarray:
     """Vote histogram indexed by mode (entries 0 and 1 stay zero)."""
     hog = np.zeros(N_MODES, dtype=np.int64)
     g_hor, g_ver = gradient_field(samples)
@@ -179,11 +203,7 @@ def build_hog(samples: np.ndarray, magnitude_weighted: bool = False) -> np.ndarr
     if not nz.any():
         return hog
     modes = _quantize(g_hor[nz].astype(np.float64), g_ver[nz].astype(np.float64))
-    if magnitude_weighted:
-        weights = np.abs(g_hor[nz]) + np.abs(g_ver[nz])
-        np.add.at(hog, modes, weights)
-    else:
-        np.add.at(hog, modes, 1)
+    np.add.at(hog, modes, 1)
     return hog
 
 

@@ -18,9 +18,10 @@ from intralab.bvlist import (
 )
 from intralab.grid import BlockRef
 from intralab.synth import noise_frame
-from intralab.tmp import BlockVector, candidate_valid
+from intralab.tmp import BlockVector
 
 from conftest import prefix_buffer
+from oracles import candidate_valid
 
 
 def test_sampling_points_exact_order():
@@ -46,10 +47,10 @@ def test_store_add_lookup_overlap():
     store = BvStore(32, 32)
     rec = CodingRecord(BlockRef(0, 0, 8, 8, 0), RecordTool.INTRA_TMP, (BlockVector(-4, 0),))
     store.add(rec)
-    assert store.lookup(7, 7) is rec
-    assert store.lookup(8, 7) is None
-    assert store.lookup(-1, 0) is None
-    assert store.lookup(0, 32) is None
+    assert store.records[store.owner_at(7, 7)] is rec
+    assert store.owner_at(8, 7) == -1
+    assert store.owner_at(-1, 0) == -1
+    assert store.owner_at(0, 32) == -1
     with pytest.raises(ValueError):
         store.add(CodingRecord(BlockRef(4, 4, 8, 8, 1), RecordTool.OTHER))
 

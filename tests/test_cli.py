@@ -169,6 +169,16 @@ def test_compare_malformed_record_exits_3(glyph_yuv, tmp_path, capsys):
     assert "record 0" in capsys.readouterr().err
 
 
+def test_compare_mismatched_reports_exits_3(glyph_yuv, tmp_path, capsys):
+    a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+    assert main(run_args(glyph_yuv, "--tool", "dc-only", "--out", a)) == 0
+    assert main(run_args(glyph_yuv, "--tool", "dc-only", "--block-size", "16", "--out", b)) == 0
+    capsys.readouterr()
+    assert main(["compare", a, b]) == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["error: runs cover different block counts"]
+
+
 def test_seed_is_not_a_run_setting(glyph_yuv, tmp_path, capsys):
     config_path = tmp_path / "seeded.json"
     config_path.write_text(json.dumps({"input_path": glyph_yuv, "width": 64, "height": 64, "seed": 3}))

@@ -7,7 +7,6 @@ from hypothesis.extra.numpy import arrays
 from intralab.cost import (
     METRICS,
     SATD_MAX_DIFF,
-    batch_cost,
     bound_pieces,
     layout_cost,
     sad,
@@ -211,13 +210,18 @@ def test_satd_batch_rejects_differences_beyond_bound(shape):
 # --- the one template-cost kernel and its lower bound ---------------------
 
 
+def _region_costs(diffs: np.ndarray, metric: str) -> np.ndarray:
+    """Cost of each (h, w) difference array of an (N, h, w) batch."""
+    return satd_batch(diffs) if metric == "satd" else np.abs(diffs).sum(axis=(1, 2))
+
+
 @settings(max_examples=100, deadline=None)
 @given(data=st.data(), metric=st.sampled_from(METRICS), shape=_KERNEL_SHAPES)
 def test_batch_cost_and_its_lower_bound(data, metric, shape):
     h, w = shape
     diffs = data.draw(arrays(dtype=np.int64, shape=(3, h, w), elements=st.integers(-1023, 1023)))
     pair_cost = satd if metric == "satd" else sad
-    costs = batch_cost(diffs, metric)
+    costs = _region_costs(diffs, metric)
     assert costs.tolist() == [pair_cost(d, np.zeros_like(d)) for d in diffs]
 
     pieces = bound_pieces(h, w, metric)
@@ -235,7 +239,7 @@ def test_batch_cost_and_its_lower_bound(data, metric, shape):
 
 def test_batch_cost_rejects_unknown_metric():
     with pytest.raises(ValueError):
-        batch_cost(np.zeros((1, 4, 4), dtype=np.int64), "ssd")
+        layout_cost(np.zeros((1, 16), dtype=np.int64), strip_layout(((4, 4),)), "ssd")
     with pytest.raises(ValueError):
         bound_pieces(4, 4, "ssd")
 
@@ -246,8 +250,8 @@ def test_empty_batches_cost_nothing(metric, dtype):
     layout = strip_layout(((4, 16), (12, 4)))
     empty = (
         layout_cost(np.zeros((0, len(layout.order)), dtype), layout, metric),
-        batch_cost(np.zeros((0, 8, 8), dtype), metric),
-        batch_cost(np.zeros((0, 6, 12), dtype), metric),
+        layout_cost(np.zeros((0, 64), dtype), strip_layout(((8, 8),)), metric),
+        layout_cost(np.zeros((0, 72), dtype), strip_layout(((6, 12),)), metric),
         satd_batch(np.zeros((0, 8, 8), dtype)),
     )
     for got in empty:
@@ -287,7 +291,7 @@ def test_layout_cost_equals_per_strip_kernel(seed, t, size, clip, depths, metric
     stacked = np.concatenate([s.reshape(n, -1) for s in strips], axis=1)
     assert sorted(layout.order.tolist()) == list(range(stacked.shape[1]))
     got = layout_cost(stacked[:, layout.order], layout, metric)
-    assert got.tolist() == sum(batch_cost(s, metric) for s in strips).tolist()
+    assert got.tolist() == sum(_region_costs(s, metric) for s in strips).tolist()
     oracle = satd_batch_int64 if metric == "satd" else (lambda d: np.abs(d).sum(axis=(1, 2)))
     assert got.tolist() == sum(oracle(s) for s in strips).tolist()
 

@@ -25,7 +25,7 @@ from intralab.harness import RunConfig
 from intralab.intra import ALL_MODES, ANGULAR_MODES
 from intralab.synth import SCREEN_FIXTURES, noise_frame, tiled_glyph_frame
 from intralab.errors import CausalityError
-from intralab.tmp import BlockVector, template_cost_at, template_costs, template_rects
+from intralab.tmp import BlockVector, template_cost_at, template_rects
 
 from conftest import prefix_buffer
 from test_acceptance import _ang, _bv, _closed_weights, _dc, _oracle_etimd, _oracle_timd, _planar
@@ -270,7 +270,8 @@ def test_batched_bv_gather_raises_on_uncommitted_strips():
         with pytest.raises(CausalityError):
             evaluate_candidates(buf, block, 4, "satd", listed)
         with pytest.raises(CausalityError):
-            template_costs(buf, block, [good, bad], 4, "satd")
+            for bv in (good, bad):
+                template_cost_at(buf, block, bv, 4, "satd")
     pool = evaluate_candidates(buf, block, 4, "satd", [BvCandidate(good, Provenance.PRIMARY)])
     assert pool.costs[-1] == template_cost_at(buf, block, good, 4, "satd")
 

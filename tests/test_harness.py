@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intralab import harness
-from intralab.errors import ReplayMismatchError, ValidationError
-from intralab.frames import Frame, load_frame, write_pgm, write_yuv420
+from intralab.errors import FormatError, ReplayMismatchError, ValidationError
+from intralab.frames import Frame, load_frame, write_yuv420
 from intralab.grid import BLOCK_SIZES, ReconBuffer
 from intralab.harness import (
     TOOLS,
@@ -25,6 +25,8 @@ from intralab.harness import (
 )
 from intralab.reporting import Report, read_report, write_report
 from intralab.synth import noise_frame, tiled_glyph_frame
+
+from conftest import write_pgm
 
 
 @pytest.fixture(scope="module")
@@ -217,10 +219,10 @@ def test_compare_lossless_runs_infinite_psnr(tmp_path):
 def test_compare_rejects_mismatched_grids(noise_yuv):
     a = run_experiment(cfg(noise_yuv, tool="dc-only"))
     b = run_experiment(cfg(noise_yuv, tool="dc-only", block_size=16))
-    with pytest.raises(ValidationError):
+    with pytest.raises(FormatError):
         compare_runs(a, b)
     c = run_experiment(cfg(noise_yuv, tool="dc-only", frame_count=2))
-    with pytest.raises(ValidationError):
+    with pytest.raises(FormatError):
         compare_runs(a, c)
 
 
@@ -232,7 +234,7 @@ def test_full_search_range(glyph_yuv):
 
 def test_compare_rejects_empty_runs():
     empty = Report(config={}, records=[], aggregates={"n_blocks": 0})
-    with pytest.raises(ValidationError):
+    with pytest.raises(FormatError):
         compare_runs(empty, empty)
 
 

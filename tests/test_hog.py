@@ -73,24 +73,6 @@ def test_dominant_mode_for_stripe_orientations():
     assert dominant_mode(build_hog(stripes("falling"))) == 34
 
 
-def test_magnitude_weighting_scales_votes():
-    samples = stripes("v")
-    plain = build_hog(samples)
-    weighted = build_hog(samples, magnitude_weighted=True)
-    assert weighted[50] > plain[50]
-    assert (weighted[plain == 0] == 0).all()
-
-
-def test_magnitude_weighting_can_flip_dominance():
-    # two vertical-edge votes against one horizontal edge 100x stronger
-    samples = np.zeros((5, 5), dtype=np.int64)
-    samples[:, 3:] = 2
-    samples[4, :] = 900
-    plain = build_hog(samples)
-    weighted = build_hog(samples, magnitude_weighted=True)
-    assert dominant_mode(plain) != dominant_mode(weighted)
-
-
 def test_dominant_mode_edge_cases():
     assert dominant_mode(np.zeros(67, dtype=np.int64)) is None
     hog = np.zeros(67, dtype=np.int64)
@@ -127,8 +109,7 @@ def test_transform_modes_consider_first_two_only():
     assert transform_mode_for_block(cands, preds) == [30, 1]
 
 
-@pytest.mark.parametrize("magnitude_weighted", [False, True])
-def test_stacked_histograms_match_the_single_block_oracle(rng, magnitude_weighted):
+def test_stacked_histograms_match_the_single_block_oracle(rng):
     stack = rng.integers(0, 1024, size=(20, 6, 9))
     stack[3] = 500  # flat: no votes
     stack[4] = stripes("rising", size=9)[:6]
@@ -137,13 +118,13 @@ def test_stacked_histograms_match_the_single_block_oracle(rng, magnitude_weighte
     windows = np.zeros((3, 3, 3), dtype=np.int64)
     windows[0, 2, 2] = windows[1, 1, 2] = windows[2, 1, 2] = windows[2, 2, 2] = 1
     for samples in (stack, windows):
-        got = build_hogs(samples, magnitude_weighted)
+        got = build_hogs(samples)
         assert got.shape == (len(samples), N_MODES) and got.dtype == np.int64
         for row, block in zip(got, samples):
-            np.testing.assert_array_equal(row, oracle_build_hog(block, magnitude_weighted))
+            np.testing.assert_array_equal(row, oracle_build_hog(block))
     assert not build_hogs(stack)[3].any()
-    assert build_hogs(np.zeros((0, 8, 8)), magnitude_weighted).shape == (0, N_MODES)
-    assert not build_hogs(np.zeros((3, 2, 8)), magnitude_weighted).any()
+    assert build_hogs(np.zeros((0, 8, 8))).shape == (0, N_MODES)
+    assert not build_hogs(np.zeros((3, 2, 8))).any()
 
 
 def test_transform_modes_of_many_blocks_match_one_at_a_time():

@@ -13,16 +13,14 @@ from intralab.synth import noise_frame, tiled_glyph_frame
 from intralab.tmp import (
     BlockVector,
     bv_predict,
-    candidate_valid,
     extended_rect,
     template_cost_at,
-    template_costs,
     template_rects,
     tmp_search,
 )
 
 from conftest import prefix_buffer
-from oracles import block_cost, extract_template, template_at_bv
+from oracles import block_cost, candidate_valid, extract_template, template_at_bv
 from search_oracle import oracle_search
 
 
@@ -153,10 +151,10 @@ def test_template_costs_batch_matches_block_cost(rng):
                 if x >= 0 and y >= 0:
                     total += block_cost(samples[y : y + h, x : x + w], cur, metric)
             want.append(total)
-        assert template_costs(buf, block, bvs, 4, metric).tolist() == want
-    assert template_costs(buf, block, [], 4, "satd").tolist() == []
+        assert [template_cost_at(buf, block, bv, 4, metric) for bv in bvs] == want
     with pytest.raises(CausalityError):
-        template_costs(buf, block, [BlockVector(-8, -8), BlockVector(8, 0)], 4, "satd")
+        for bv in (BlockVector(-8, -8), BlockVector(8, 0)):
+            template_cost_at(buf, block, bv, 4, "satd")
 
 def test_search_finds_exact_period_match():
     samples = tiled_glyph_frame(64, 64, period=8, seed=3)
