@@ -356,6 +356,42 @@ def test_predict_mode_dispatch(rng):
     np.testing.assert_array_equal(predict_mode(refs, 40, 4, 4), predict_angular(refs, 40, 4, 4))
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.sampled_from([1, 2, 4, 6]),
+    size=st.sampled_from([4, 8, 16, 32, 64]),
+    clip=st.tuples(st.integers(0, 63), st.integers(0, 63)),
+    corner=st.tuples(st.sampled_from([0, 1, 2, 3, 8]), st.sampled_from([0, 1, 2, 3, 8])),
+    bit_depth=st.sampled_from([8, 10]),
+)
+def test_template_prediction_matches_full_block(seed, t, size, clip, corner, bit_depth):
+    # A block of a size-grid partition, clipped by the frame edge to
+    # w x h, at distance (x0, y0) from the frame origin.
+    w, h = max(1, size - clip[0] % size), max(1, size - clip[1] % size)
+    x0, y0 = corner
+    lw, ah = min(x0, t), min(y0, t)
+    if lw == 0 and ah == 0:
+        return
+    we, he = lw + w, ah + h
+    rng = np.random.default_rng(seed)
+    refs = _refs(rng, we, he, hi=1 << bit_depth)
+    mask = np.zeros((he, we), dtype=bool)
+    mask[:ah] = True
+    mask[ah:, :lw] = True
+
+    got = predict_template(refs, we, he, ah, lw, h)
+    assert got.shape == (len(ALL_MODES), ah * we + h * lw)
+    # Undo the cost layout so each row runs in raster order.
+    raster = np.empty_like(got)
+    raster[:, strip_layout(template_shapes(we, ah, lw, h)).order] = got
+    for row, mode in zip(raster, ALL_MODES):
+        want = predict_mode(refs, mode, we, he)[mask]
+        np.testing.assert_array_equal(row, want, err_msg=f"mode {mode}")
+        if mode in ANGULAR_MODES:
+            np.testing.assert_array_equal(row, _oracle_angular(refs, mode, we, he)[mask])
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -366,8 +402,6 @@ def test_predict_mode_dispatch(rng):
     bit_depth=st.sampled_from([8, 10]),
 )
 def test_tiled_template_prediction_follows_the_cost_layout(seed, t, size, clip, corner, bit_depth):
-    # A block of a size-grid partition, clipped by the frame edge to
-    # w x h, at distance (x0, y0) from the frame origin.
     w, h = max(1, size - clip[0] % size), max(1, size - clip[1] % size)
     x0, y0 = corner
     lw, ah = min(x0, t), min(y0, t)
@@ -386,6 +420,4 @@ def test_tiled_template_prediction_follows_the_cost_layout(seed, t, size, clip, 
     assert got.shape == (len(ALL_MODES), len(positions))
     for row, mode in zip(got, ALL_MODES):
         np.testing.assert_array_equal(row, predict_mode(refs, mode, we, he).ravel()[positions], err_msg=f"mode {mode}")
-        if mode in ANGULAR_MODES:
-            np.testing.assert_array_equal(row, _oracle_angular(refs, mode, we, he).ravel()[positions])
 
