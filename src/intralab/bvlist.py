@@ -178,12 +178,12 @@ def build_bv_list(
     out: list[BvCandidate] = []
     seen: set[BlockVector] = set()
     for bv, prov in tagged:
+        if len(out) == n_max:
+            break
         if bv in seen:
             continue
         seen.add(bv)
         if not buf.region_available(ex + bv.dx, ey + bv.dy, ew, eh):
             continue
         out.append(BvCandidate(bv, prov))
-        if len(out) == n_max:
-            break
     return out

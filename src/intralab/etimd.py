@@ -28,9 +28,9 @@ the sum of the other selected losses over (N-1) times the total, so a
 cheaper template predicts a larger share.  Selection and weights are
 scale-invariant in the losses.
 
-derive_fusion derives a block's fusion set from decoder-visible state
-alone and commit_fusion predicts, reconstructs and commits the block;
-the encoder and harness.replay_frame both go through the two.
+derive_fusion derives a block's fusion set from the decoder-visible
+part of an EncodeContext, the per-frame coding state of encoder and
+replay alike, and commit_fusion predicts, reconstructs and commits it.
 
 The causal encode loop keeps only what the next block depends on.
 code_block derives, predicts, fuses, reconstructs, commits and records
@@ -302,7 +302,6 @@ class BlockResult:
     tool: str
     fusion: FusionSet
     prediction: np.ndarray = field(repr=False)
-    recon: np.ndarray = field(repr=False)
     pred_sad: int = 0
     pred_satd: int = 0
     pred_sse: int = 0
@@ -316,7 +315,7 @@ class BlockResult:
 
 @dataclass
 class EncodeContext:
-    """Mutable per-frame state threaded through code_block; original holds int64 samples."""
+    """Mutable per-frame coding state of the encoder and the replay; original holds int64 samples."""
 
     original: np.ndarray
     buf: ReconBuffer
@@ -337,9 +336,7 @@ def fusion_predictions(buf: ReconBuffer, block: BlockRef, fusion: FusionSet) -> 
     return preds
 
 
-def derive_fusion(
-    buf: ReconBuffer, store: BvStore, config: RunConfig, block: BlockRef, tool: str
-) -> tuple[FusionSet, list[BvCandidate]]:
+def derive_fusion(ctx: EncodeContext, block: BlockRef, tool: str) -> tuple[FusionSet, list[BvCandidate]]:
     """Decoder-side fusion set and BV list of a block signalled as dc, timd or etimd.
 
     Reads only the committed reconstruction and the BV store, never the
@@ -349,34 +346,29 @@ def derive_fusion(
         return FusionSet([ModeCandidate(kind="dc", cost=0, mode=MODE_DC)], [1.0]), []
     if tool not in ("timd", "etimd"):
         raise ValueError(f"unknown block label {tool!r}; expected dc, timd or etimd")
+    cfg, buf = ctx.config, ctx.buf
     bv_list: list[BvCandidate] = []
-    if tool == "etimd" and config.use_bv_list:
-        bv_list = build_bv_list(store, buf, block, config.template, config.n_max, use_ar=config.use_ar_bv)
-    cands = evaluate_candidates(buf, block, config.template, config.metric, bv_list)
+    if tool == "etimd" and cfg.use_bv_list:
+        bv_list = build_bv_list(ctx.store, buf, block, cfg.template, cfg.n_max, use_ar=cfg.use_ar_bv)
+    cands = evaluate_candidates(buf, block, cfg.template, cfg.metric, bv_list)
     select = select_modes_timd if tool == "timd" else select_modes_etimd
     return select(cands), bv_list
 
 
 def commit_fusion(
-    buf: ReconBuffer,
-    store: BvStore,
-    config: RunConfig,
-    block: BlockRef,
-    tool: str,
-    fusion: FusionSet,
-    orig: np.ndarray,
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    ctx: EncodeContext, block: BlockRef, tool: str, fusion: FusionSet
+) -> tuple[list[np.ndarray], np.ndarray]:
     """Predict, fuse, reconstruct, commit, and record one block in the BV store.
 
-    Returns the per-mode predictions, the fused prediction and the
-    committed reconstruction.
+    Returns the per-mode predictions and the fused prediction.
     """
+    cfg, buf = ctx.config, ctx.buf
     predictions = fusion_predictions(buf, block, fusion)
     prediction = fuse(predictions, fusion.weights, buf.bit_depth)
-    recon = reconstruct_block(orig, prediction, config.closed_loop, config.quant_step, buf.bit_depth)
-    buf.commit_block(block, recon)
-    store.add(coding_record_for(block, tool, fusion))
-    return predictions, prediction, recon
+    orig = ctx.original[block.y0 : block.y0 + block.h, block.x0 : block.x0 + block.w]
+    buf.commit_block(block, reconstruct_block(orig, prediction, cfg.closed_loop, cfg.quant_step, buf.bit_depth))
+    ctx.store.add(coding_record_for(block, tool, fusion))
+    return predictions, prediction
 
 
 def _search_fusion(found: SearchResult) -> FusionSet:
@@ -407,7 +399,7 @@ def derive_block_modes(
         if found is not None:
             return "intratmp", _search_fusion(found), [], found
         tool = "dc"
-    fusion, bv_list = derive_fusion(ctx.buf, ctx.store, cfg, block, tool)
+    fusion, bv_list = derive_fusion(ctx, block, tool)
     if tool == "etimd" and cfg.use_bv_list and cfg.tmp_compete:
         found = tmp_search(
             ctx.buf,
@@ -433,14 +425,12 @@ class CodedBlock(NamedTuple):
 def code_block(ctx: EncodeContext, block: BlockRef) -> CodedBlock:
     """Derive modes, then predict, reconstruct, commit, and record one block; measure nothing."""
     tool, fusion, bv_list, _ = derive_block_modes(ctx, block)
-    orig = ctx.original[block.y0 : block.y0 + block.h, block.x0 : block.x0 + block.w]
-    predictions, prediction, recon = commit_fusion(ctx.buf, ctx.store, ctx.config, block, tool, fusion, orig)
+    predictions, prediction = commit_fusion(ctx, block, tool, fusion)
     result = BlockResult(
         block=block,
         tool=tool,
         fusion=fusion,
         prediction=prediction,
-        recon=recon,
         bv_list_len=len(bv_list),
         n_primary=sum(1 for c in bv_list if c.provenance == Provenance.PRIMARY),
         n_ar=sum(1 for c in bv_list if c.provenance == Provenance.AUTO_RELOCATED),

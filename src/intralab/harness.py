@@ -4,11 +4,11 @@ A run encodes one or more frames block by block, records everything in
 a Report, and optionally replays the whole frame the way a decoder
 would: re-deriving the fused modes from the committed reconstruction
 alone and checking they match what the encoder chose.  Encode and
-replay share one path: etimd.derive_fusion derives a dc/timd/etimd
-block's fusion from decoder-visible state only, and etimd.commit_fusion
-predicts, reconstructs and commits every block.  TIMD-style derivation
-only works if both sides reach the same answer, so the replay is
-asserted, not sampled.
+replay share one state, a fresh etimd.EncodeContext from _context, and
+one path: derive_fusion derives a dc/timd/etimd block's fusion from
+decoder-visible state only, and commit_fusion predicts, reconstructs
+and commits every block.  TIMD-style derivation only works if both
+sides reach the same answer, so the replay is asserted, not sampled.
 """
 
 from __future__ import annotations
@@ -109,6 +109,12 @@ def config_from_dict(values: dict[str, Any]) -> RunConfig:
     return RunConfig(**values)
 
 
+def _context(frame: Frame, config: RunConfig) -> EncodeContext:
+    """Fresh coding state of one frame: nothing committed, no BV recorded."""
+    buf = ReconBuffer(frame.width, frame.height, frame.bit_depth)
+    return EncodeContext(frame.samples.astype(np.int64), buf, BvStore(frame.width, frame.height), config)
+
+
 def encode_frame(
     frame: Frame, config: RunConfig
 ) -> tuple[list[BlockResult], ReconBuffer, BvStore]:
@@ -117,9 +123,7 @@ def encode_frame(
     Each block is coded in turn; the coded blocks are measured in
     batches of MEASURE_BATCH, which nothing in the loop waits for.
     """
-    buf = ReconBuffer(frame.width, frame.height, frame.bit_depth)
-    store = BvStore(frame.width, frame.height)
-    ctx = EncodeContext(original=frame.samples.astype(np.int64), buf=buf, store=store, config=config)
+    ctx = _context(frame, config)
     results: list[BlockResult] = []
     batch: list[CodedBlock] = []
     for block in partition(frame.width, frame.height, config.block_size):
@@ -128,7 +132,7 @@ def encode_frame(
             results += measure_blocks(ctx, batch)
             batch = []
     results += measure_blocks(ctx, batch)
-    return results, buf, store
+    return results, ctx.buf, ctx.store
 
 
 def replay_frame(frame: Frame, config: RunConfig, results: list[BlockResult]) -> ReconBuffer:
@@ -139,23 +143,20 @@ def replay_frame(frame: Frame, config: RunConfig, results: list[BlockResult]) ->
     reconstruction and must agree mode-for-mode before commit_fusion
     commits the block.
     """
-    buf = ReconBuffer(frame.width, frame.height, frame.bit_depth)
-    store = BvStore(frame.width, frame.height)
-    original = frame.samples.astype(np.int64)
+    ctx = _context(frame, config)
     for res in results:
         block = res.block
         if res.tool == "intratmp":
             fusion = res.fusion
         else:
-            fusion, _ = derive_fusion(buf, store, config, block, res.tool)
+            fusion, _ = derive_fusion(ctx, block, res.tool)
             _check_same_fusion(block, res, fusion)
-        orig = original[block.y0 : block.y0 + block.h, block.x0 : block.x0 + block.w]
-        _, prediction, _ = commit_fusion(buf, store, config, block, res.tool, fusion, orig)
+        _, prediction = commit_fusion(ctx, block, res.tool, fusion)
         if not np.array_equal(prediction, res.prediction):
             raise ReplayMismatchError(
                 f"block {block.scan_index} at ({block.x0},{block.y0}): prediction diverged"
             )
-    return buf
+    return ctx.buf
 
 
 def _check_same_fusion(block: BlockRef, res: BlockResult, fusion: FusionSet) -> None:
@@ -169,7 +170,12 @@ def _check_same_fusion(block: BlockRef, res: BlockResult, fusion: FusionSet) -> 
 
 
 def run_experiment(config: RunConfig) -> Report:
-    """Encode the configured frames and assemble the full report."""
+    """Encode the configured frames and assemble the full report.
+
+    Every frame loads first, so truncated input fails before any encode.
+    run_frame takes one frame through encode, replay and records, serially
+    or in a thread pool; timing["encode_s"] and ["replay_s"] sum its times.
+    """
     validate_config(config)
     frames = [
         load_frame(
@@ -183,26 +189,25 @@ def run_experiment(config: RunConfig) -> Report:
         for i in range(config.frame_count)
     ]
 
-    t0 = time.perf_counter()
+    def run_frame(i: int) -> tuple[list[BlockRecord], float, float]:
+        t0 = time.perf_counter()
+        results, _, _ = encode_frame(frames[i], config)
+        t1 = time.perf_counter()
+        if config.measure_replay:
+            replay_frame(frames[i], config, results)
+        t2 = time.perf_counter()
+        return [BlockRecord.from_result(config.frame_start + i, res) for res in results], t1 - t0, t2 - t1
+
     if config.parallel and len(frames) > 1:
         # frames are independent runs, so cross-frame threading is safe
         with ThreadPoolExecutor() as pool:
-            encoded = list(pool.map(lambda f: encode_frame(f, config), frames))
+            runs = list(pool.map(run_frame, range(len(frames))))
     else:
-        encoded = [encode_frame(f, config) for f in frames]
-    timing = {"encode_s": time.perf_counter() - t0}
-
+        runs = [run_frame(i) for i in range(len(frames))]
+    records = [rec for frame_records, _, _ in runs for rec in frame_records]
+    timing = {"encode_s": sum(run[1] for run in runs)}
     if config.measure_replay:
-        t1 = time.perf_counter()
-        for frame, (results, _, _) in zip(frames, encoded):
-            replay_frame(frame, config, results)
-        timing["replay_s"] = time.perf_counter() - t1
-
-    records = [
-        BlockRecord.from_result(config.frame_start + i, res)
-        for i, (results, _, _) in enumerate(encoded)
-        for res in results
-    ]
+        timing["replay_s"] = sum(run[2] for run in runs)
     return Report(
         config=asdict(config),
         records=records,

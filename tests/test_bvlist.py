@@ -160,6 +160,15 @@ def test_build_list_respects_n_max():
     assert capped == full[:2]
 
 
+def test_build_list_n_max_zero_is_empty():
+    samples = noise_frame(64, 64, seed=4)
+    buf, blocks = prefix_buffer(samples, 8, 20)
+    store = BvStore(64, 64)
+    store.add(CodingRecord(BlockRef(24, 16, 8, 8, 0), RecordTool.ETIMD, (BlockVector(-8, -8),)))
+    assert len(build_bv_list(store, buf, blocks[20], t=4, n_max=1)) == 1
+    assert build_bv_list(store, buf, blocks[20], t=4, n_max=0) == []
+
+
 def test_build_list_empty_store():
     samples = noise_frame(64, 64, seed=5)
     buf, blocks = prefix_buffer(samples, 8, 20)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,7 @@ from intralab.harness import (
     validate_config,
 )
 from intralab.reporting import Report, read_report, write_report
-from intralab.synth import noise_frame, tiled_glyph_frame
+from intralab.synth import noise_frame, tiled_glyph_frame, ui_tiles
 
 from conftest import write_pgm
 
@@ -162,6 +163,39 @@ def test_parallel_matches_serial(noise_yuv):
     serial = run_experiment(cfg(noise_yuv, tool="etimd", frame_count=2, parallel=False))
     parallel = run_experiment(cfg(noise_yuv, tool="etimd", frame_count=2, parallel=True))
     assert serial.records == parallel.records
+
+
+def test_n_max_zero_lists_no_bv(tmp_path):
+    path = tmp_path / "tiles.yuv"
+    write_yuv420([ui_tiles(3, size=64)], str(path))
+    listed = run_experiment(cfg(path, tool="etimd"))
+    assert max(r.bv_list_len for r in listed.records) > 0  # the fixture does list BVs
+    report = run_experiment(cfg(path, tool="etimd", n_max=0))
+    assert [r.bv_list_len for r in report.records] == [0] * len(report.records)
+    assert not any(m.startswith("bv:") for r in report.records if r.tool == "etimd" for m in r.modes)
+
+
+def test_run_memory_does_not_grow_with_frame_count(tmp_path):
+    # Each frame is encoded, replayed and turned into records before the
+    # next, so a frame's reconstruction, BV store and block arrays are gone
+    # once its records exist.  On 128x128 noise with timd and 16x16 blocks
+    # the tracemalloc peak grew by ~0.12 MiB per extra frame (the loaded
+    # frame and its records); keeping every frame's encode alive until the
+    # run ends grew it by ~0.40 MiB.
+    path = tmp_path / "noise.yuv"
+    write_yuv420([noise_frame(128, 128, seed=50 + i) for i in range(6)], str(path))
+    config = cfg(path, width=128, height=128, block_size=16, tool="timd")
+    run_experiment(config)  # fill the per-geometry caches before measuring
+    peaks = {}
+    for n in (2, 6):
+        tracemalloc.start()
+        try:
+            run_experiment(dataclasses.replace(config, frame_count=n))
+            _, peaks[n] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    per_frame = (peaks[6] - peaks[2]) / 4
+    assert per_frame <= 0.25 * 2**20, f"{per_frame / 2**20:.2f} MiB per extra frame"
 
 
 def test_measure_replay_off_skips_timing(noise_yuv):

@@ -72,7 +72,6 @@ def test_record_from_result(rng):
         tool="etimd",
         fusion=fusion,
         prediction=pred,
-        recon=pred,
         pred_sad=100,
         pred_satd=120,
         pred_sse=50,
