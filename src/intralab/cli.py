@@ -1,9 +1,12 @@
 """Command-line front end.
 
 Two subcommands: `run` encodes frames under one configuration and
-writes a report; `compare` diffs two reports block by block.  Exit
-codes: 0 on success, 2 for configuration problems, 3 for unreadable,
-malformed or mismatched input files.
+writes a report; `compare` diffs two reports block by block.  Each
+RunConfig field is one `run` flag derived from the field: `--field-name`
+(`--input` and `--format` for input_path and input_format), on/off for
+a bool, an integer for an int, and the field's "choices" metadata as its
+choices.  Exit codes: 0 on success, 2 for configuration problems, 3 for
+unreadable, malformed or mismatched input files.
 """
 
 from __future__ import annotations
@@ -14,11 +17,13 @@ import sys
 from dataclasses import fields
 from typing import Any, Sequence
 
-from .cost import METRICS
 from .errors import FormatError, TruncatedInputError, ValidationError
-from .frames import FORMATS
-from .harness import RunConfig, TOOLS, compare_runs, config_from_dict, run_experiment, validate_config
+from .harness import RunConfig, compare_runs, config_from_dict, run_experiment, validate_config
 from .reporting import load_json, read_report, write_report
+
+_FLAG_NAMES = {"input_path": "--input", "input_format": "--format"}
+_FLAG_HELP = {"input_path": "input frame file", "search_range": 'window radius in samples, or "full"'}
+_FLAG_KINDS: dict[str, dict[str, Any]] = {"bool": {"action": argparse.BooleanOptionalAction}, "int": {"type": int}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -27,30 +32,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="encode frames and write a report")
     run.add_argument("--config", help="JSON file with config values; explicit flags win")
-    run.add_argument("--input", help="input frame file")
-    run.add_argument("--format", choices=FORMATS, dest="input_format")
-    run.add_argument("--width", type=int)
-    run.add_argument("--height", type=int)
-    run.add_argument("--bit-depth", type=int, choices=(8, 10))
-    run.add_argument("--frame-start", type=int)
-    run.add_argument("--frame-count", type=int)
-    run.add_argument("--block-size", type=int)
-    run.add_argument("--tool", choices=TOOLS)
-    run.add_argument("--metric", choices=METRICS)
-    run.add_argument("--search-range", help='window radius in samples, or "full"')
-    run.add_argument("--template", type=int)
-    run.add_argument("--n-max", type=int)
-    run.add_argument("--quant-step", type=int)
-    for name in (
-        "use-bv-list",
-        "use-ar-bv",
-        "use-hog-transform",
-        "tmp-compete",
-        "closed-loop",
-        "parallel",
-        "measure-replay",
-    ):
-        run.add_argument(f"--{name}", action=argparse.BooleanOptionalAction, default=None)
+    for f in fields(RunConfig):
+        flag = _FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        kind = dict(_FLAG_KINDS.get(f.type, {}), **f.metadata)
+        run.add_argument(flag, dest=f.name, default=None, help=_FLAG_HELP.get(f.name), **kind)
     run.add_argument("--out", help="report output path")
     run.add_argument("--out-format", choices=("json", "csv"), default="json")
     run.set_defaults(func=_cmd_run)
@@ -63,9 +48,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_RUN_FIELDS = tuple(
-    f.name for f in fields(RunConfig) if f.name not in ("input_path", "search_range")
-)
+def _search_range(given: str) -> int | None:
+    if given == "full":
+        return None
+    try:
+        return int(given)
+    except ValueError:
+        raise ValidationError('--search-range takes an integer or "full"') from None
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -75,20 +64,10 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(loaded, dict):
             raise ValidationError(f"{args.config}: config file must hold a JSON object")
         values.update(loaded)
-    if args.input is not None:
-        values["input_path"] = args.input
-    for name in _RUN_FIELDS:
-        given = getattr(args, name)
+    for f in fields(RunConfig):
+        given = getattr(args, f.name)
         if given is not None:
-            values[name] = given
-    if args.search_range is not None:
-        if args.search_range == "full":
-            values["search_range"] = None
-        else:
-            try:
-                values["search_range"] = int(args.search_range)
-            except ValueError:
-                raise ValidationError('--search-range takes an integer or "full"') from None
+            values[f.name] = _search_range(given) if f.name == "search_range" else given
     config = config_from_dict(values)
     validate_config(config)
     return config

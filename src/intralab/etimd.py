@@ -34,13 +34,15 @@ replay alike, and commit_fusion predicts, reconstructs and commits it.
 
 The causal encode loop keeps only what the next block depends on.
 code_block derives, predicts, fuses, reconstructs, commits and records
-one block, and counts its BV list.  What nothing downstream reads is
-measured after the fact: measure_blocks takes a batch of coded blocks
-and fills in their prediction SAD, SATD and squared error and, with
-use_hog_transform, the transform modes, class and energy compaction
-(reconstruct_block quantizes in the pixel domain and the BV store
-records only fusion BVs, so neither waits for them).  encode_block is
-code_block plus a batch of one.
+one block, counts its BV list, and returns its BlockResult unmeasured.
+What nothing downstream reads is measured after the fact: measure_blocks
+fills in a batch of those with prediction SAD, SATD and squared error
+and, with use_hog_transform, the transform modes, class and energy
+compaction (reconstruct_block quantizes in the pixel domain and the BV
+store records only fusion BVs, so neither waits for them).  The HoG
+reads the BV predictors among the first two fusion entries back with
+bv_predict, exact since no committed sample is ever rewritten.
+encode_block is code_block plus a batch of one.
 
 harness.encode_frame measures every MEASURE_BATCH coded blocks.  Each
 measure_blocks call has a fixed cost, and every coded block it holds
@@ -56,7 +58,7 @@ from collections import defaultdict
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -355,20 +357,17 @@ def derive_fusion(ctx: EncodeContext, block: BlockRef, tool: str) -> tuple[Fusio
     return select(cands), bv_list
 
 
-def commit_fusion(
-    ctx: EncodeContext, block: BlockRef, tool: str, fusion: FusionSet
-) -> tuple[list[np.ndarray], np.ndarray]:
+def commit_fusion(ctx: EncodeContext, block: BlockRef, tool: str, fusion: FusionSet) -> np.ndarray:
     """Predict, fuse, reconstruct, commit, and record one block in the BV store.
 
-    Returns the per-mode predictions and the fused prediction.
+    Returns the fused prediction.
     """
     cfg, buf = ctx.config, ctx.buf
-    predictions = fusion_predictions(buf, block, fusion)
-    prediction = fuse(predictions, fusion.weights, buf.bit_depth)
+    prediction = fuse(fusion_predictions(buf, block, fusion), fusion.weights, buf.bit_depth)
     orig = ctx.original[block.y0 : block.y0 + block.h, block.x0 : block.x0 + block.w]
     buf.commit_block(block, reconstruct_block(orig, prediction, cfg.closed_loop, cfg.quant_step, buf.bit_depth))
     ctx.store.add(coding_record_for(block, tool, fusion))
-    return predictions, prediction
+    return prediction
 
 
 def _search_fusion(found: SearchResult) -> FusionSet:
@@ -415,47 +414,40 @@ def derive_block_modes(
     return tool, fusion, bv_list, None
 
 
-class CodedBlock(NamedTuple):
-    """A committed block whose BlockResult still lacks the measured fields."""
-
-    result: BlockResult
-    lead_predictions: list[np.ndarray]  # per-mode predictions of the first two fusion entries
-
-
-def code_block(ctx: EncodeContext, block: BlockRef) -> CodedBlock:
+def code_block(ctx: EncodeContext, block: BlockRef) -> BlockResult:
     """Derive modes, then predict, reconstruct, commit, and record one block; measure nothing."""
     tool, fusion, bv_list, _ = derive_block_modes(ctx, block)
-    predictions, prediction = commit_fusion(ctx, block, tool, fusion)
-    result = BlockResult(
+    return BlockResult(
         block=block,
         tool=tool,
         fusion=fusion,
-        prediction=prediction,
+        prediction=commit_fusion(ctx, block, tool, fusion),
         bv_list_len=len(bv_list),
         n_primary=sum(1 for c in bv_list if c.provenance == Provenance.PRIMARY),
         n_ar=sum(1 for c in bv_list if c.provenance == Provenance.AUTO_RELOCATED),
     )
-    return CodedBlock(result, predictions[:2])
 
 
-def measure_blocks(ctx: EncodeContext, coded: Sequence[CodedBlock]) -> list[BlockResult]:
+def measure_blocks(ctx: EncodeContext, results: list[BlockResult]) -> list[BlockResult]:
     """Fill in the measured fields of a batch of coded blocks; returns their results in order.
 
     The blocks are stacked per shape, and each stack's prediction
     residuals get one SAD, one squared-error sum and one satd_batch call.
     With use_hog_transform, transform_modes runs one HoG pass per shape
-    over the BV predictors among the first two fusion entries, and each
-    (shape, transform class) of transform size gets one apply_transforms
-    and one energy_compactions call over its k = h*w/4 lowest
-    frequencies.
+    over the BV predictors among the first two fusion entries, read back
+    from the reconstruction, and each (shape, transform class) of
+    transform size gets one apply_transforms and one energy_compactions
+    call over its k = h*w/4 lowest frequencies.
     """
-    results = [c.result for c in coded]
     by_shape: dict[tuple[int, int], list[int]] = defaultdict(list)
     for i, res in enumerate(results):
         by_shape[(res.block.h, res.block.w)].append(i)
     use_hog = ctx.config.use_hog_transform
     if use_hog:
-        modes = transform_modes([res.fusion.modes for res in results], [c.lead_predictions for c in coded])
+        leads = [res.fusion.modes[:2] for res in results]
+        bv_preds = [[bv_predict(ctx.buf, res.block, c.bv) if c.kind == "bv" else None for c in lead]
+                    for res, lead in zip(results, leads)]
+        modes = transform_modes(leads, bv_preds)
     for (h, w), idx in by_shape.items():
         group = [results[i] for i in idx]
         origs = np.stack([ctx.original[r.block.y0 : r.block.y0 + h, r.block.x0 : r.block.x0 + w] for r in group])

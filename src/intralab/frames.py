@@ -23,6 +23,7 @@ import numpy as np
 from .errors import FormatError, TruncatedInputError, ValidationError
 
 FORMATS = ("yuv-planar", "pgm")
+BIT_DEPTHS = (8, 10)
 
 
 @dataclass
@@ -48,8 +49,8 @@ class Frame:
 def _validate_geometry(width: int, height: int, bit_depth: int) -> None:
     if width <= 0 or height <= 0:
         raise ValidationError(f"frame dimensions must be positive, got {width}x{height}")
-    if bit_depth not in (8, 10):
-        raise ValidationError(f"bit_depth must be 8 or 10, got {bit_depth}")
+    if bit_depth not in BIT_DEPTHS:
+        raise ValidationError(f"bit_depth must be one of {BIT_DEPTHS}, got {bit_depth}")
 
 
 def load_frame(

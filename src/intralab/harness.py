@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from operator import attrgetter
 from typing import Any
 
@@ -28,7 +28,6 @@ from .etimd import (
     MEASURE_BATCH,
     TOOLS,
     BlockResult,
-    CodedBlock,
     EncodeContext,
     FusionSet,
     code_block,
@@ -36,29 +35,35 @@ from .etimd import (
     derive_fusion,
     measure_blocks,
 )
-from .frames import FORMATS, Frame, load_frame
+from .frames import BIT_DEPTHS, FORMATS, Frame, load_frame
 from .grid import BLOCK_SIZES, BlockRef, ReconBuffer, partition
 from .reporting import JSON_TYPE_CHECKS, BlockRecord, Report, compute_aggregates
 from .tmp import DEFAULT_SEARCH_RANGE, DEFAULT_TEMPLATE
+
+
+def _one_of(default: Any, choices: tuple) -> Any:
+    return field(default=default, metadata={"choices": choices})
 
 
 @dataclass(frozen=True)
 class RunConfig:
     """Resolved settings for one experiment run.
 
+    A field with "choices" metadata takes only those values.  The `run`
+    flags, their choices and the validation all derive from these fields.
     search_range None means the full causal area.
     """
 
     input_path: str
-    input_format: str = "yuv-planar"
+    input_format: str = _one_of("yuv-planar", FORMATS)
     width: int = 0
     height: int = 0
-    bit_depth: int = 8
+    bit_depth: int = _one_of(8, BIT_DEPTHS)
     frame_start: int = 0
     frame_count: int = 1
-    block_size: int = 16
-    tool: str = "etimd"
-    metric: str = "satd"
+    block_size: int = _one_of(16, BLOCK_SIZES)
+    tool: str = _one_of("etimd", TOOLS)
+    metric: str = _one_of("satd", METRICS)
     use_bv_list: bool = True
     use_ar_bv: bool = True
     use_hog_transform: bool = False
@@ -77,11 +82,10 @@ def validate_config(config: RunConfig) -> None:
         if not ok:
             raise ValidationError(message)
 
-    require(config.input_format in FORMATS, f"input_format must be one of {FORMATS}")
-    require(config.tool in TOOLS, f"tool must be one of {TOOLS}")
-    require(config.metric in METRICS, f"metric must be one of {METRICS}")
-    require(config.block_size in BLOCK_SIZES, f"block_size must be one of {BLOCK_SIZES}")
-    require(config.bit_depth in (8, 10), "bit_depth must be 8 or 10")
+    for f in fields(config):
+        if "choices" in f.metadata:
+            choices = f.metadata["choices"]
+            require(getattr(config, f.name) in choices, f"{f.name} must be one of {choices}")
     require(config.width >= 1 and config.height >= 1, "width and height must be positive")
     require(config.frame_start >= 0, "frame_start must be >= 0")
     require(config.frame_count >= 1, "frame_count must be >= 1")
@@ -125,7 +129,7 @@ def encode_frame(
     """
     ctx = _context(frame, config)
     results: list[BlockResult] = []
-    batch: list[CodedBlock] = []
+    batch: list[BlockResult] = []
     for block in partition(frame.width, frame.height, config.block_size):
         batch.append(code_block(ctx, block))
         if len(batch) == MEASURE_BATCH:
@@ -151,7 +155,7 @@ def replay_frame(frame: Frame, config: RunConfig, results: list[BlockResult]) ->
         else:
             fusion, _ = derive_fusion(ctx, block, res.tool)
             _check_same_fusion(block, res, fusion)
-        _, prediction = commit_fusion(ctx, block, res.tool, fusion)
+        prediction = commit_fusion(ctx, block, res.tool, fusion)
         if not np.array_equal(prediction, res.prediction):
             raise ReplayMismatchError(
                 f"block {block.scan_index} at ({block.x0},{block.y0}): prediction diverged"
@@ -172,38 +176,35 @@ def _check_same_fusion(block: BlockRef, res: BlockResult, fusion: FusionSet) -> 
 def run_experiment(config: RunConfig) -> Report:
     """Encode the configured frames and assemble the full report.
 
-    Every frame loads first, so truncated input fails before any encode.
-    run_frame takes one frame through encode, replay and records, serially
-    or in a thread pool; timing["encode_s"] and ["replay_s"] sum its times.
+    The last frame loads first, so truncated input fails before any
+    encode.  run_frame loads one frame and takes it through encode,
+    replay and records, serially or in a thread pool, so only frames in
+    flight stay resident; timing["encode_s"] and ["replay_s"] sum its times.
     """
     validate_config(config)
-    frames = [
-        load_frame(
-            config.input_path,
-            config.input_format,
-            config.width,
-            config.height,
-            bit_depth=config.bit_depth,
-            frame_index=config.frame_start + i,
-        )
-        for i in range(config.frame_count)
-    ]
+
+    def load(i: int) -> Frame:
+        return load_frame(config.input_path, config.input_format, config.width, config.height,
+                          bit_depth=config.bit_depth, frame_index=config.frame_start + i)
+
+    load(config.frame_count - 1)
 
     def run_frame(i: int) -> tuple[list[BlockRecord], float, float]:
+        frame = load(i)
         t0 = time.perf_counter()
-        results, _, _ = encode_frame(frames[i], config)
+        results, _, _ = encode_frame(frame, config)
         t1 = time.perf_counter()
         if config.measure_replay:
-            replay_frame(frames[i], config, results)
+            replay_frame(frame, config, results)
         t2 = time.perf_counter()
         return [BlockRecord.from_result(config.frame_start + i, res) for res in results], t1 - t0, t2 - t1
 
-    if config.parallel and len(frames) > 1:
+    if config.parallel and config.frame_count > 1:
         # frames are independent runs, so cross-frame threading is safe
         with ThreadPoolExecutor() as pool:
-            runs = list(pool.map(run_frame, range(len(frames))))
+            runs = list(pool.map(run_frame, range(config.frame_count)))
     else:
-        runs = [run_frame(i) for i in range(len(frames))]
+        runs = [run_frame(i) for i in range(config.frame_count)]
     records = [rec for frame_records, _, _ in runs for rec in frame_records]
     timing = {"encode_s": sum(run[1] for run in runs)}
     if config.measure_replay:

@@ -115,7 +115,7 @@ def transform_modes(modes: Sequence[Sequence], predictions: Sequence[Sequence[np
     """transform_mode_for_block of many blocks: one HoG pass per predictor shape.
 
     modes[i] and predictions[i] are block i's fusion entries and their
-    prediction blocks.
+    prediction blocks; only the predictions of BV entries are read.
     """
     out: list[list[int]] = []
     bv_preds: dict[tuple[int, ...], list[tuple[int, int, np.ndarray]]] = defaultdict(list)

@@ -273,17 +273,14 @@ def _window_bounds(buf, block, rects, curs, dx_lo, dx_hi, dy_lo, dy_hi, metric, 
     valid = over_window(avail_ii, block.x0, block.y0, block.w, block.h) == block.w * block.h
     bounds = np.zeros((ny, nx), dtype=np.int64)
     strip_use = []
+    dxs, dys = np.arange(dx_lo, dx_hi + 1), np.arange(dy_lo, dy_hi + 1)[:, None]
     for rect, cur in zip(rects, curs):
         sx, sy, sw, sh = rect
         usable = over_window(avail_ii, *rect) == sw * sh
         if strict_template:
             valid &= usable
         else:
-            xs = sx + np.arange(dx_lo, dx_hi + 1)
-            ys = sy + np.arange(dy_lo, dy_hi + 1)
-            x_out = (xs + sw <= 0) | (xs >= buf.width)
-            y_out = (ys + sh <= 0) | (ys >= buf.height)
-            valid &= usable | x_out[None, :] | y_out[:, None]
+            valid &= usable | _fully_outside(rect, dxs, dys, buf.width, buf.height)
         strip_bound = np.zeros((ny, nx), dtype=np.int64)
         for px, py, pw, ph, shift in bound_pieces(sh, sw, metric):
             cur_sum = int(cur[py : py + ph, px : px + pw].sum())

@@ -1,11 +1,14 @@
+import argparse
 import json
 import sys
+from collections import Counter
+from dataclasses import fields
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from intralab.cli import main
+from intralab.cli import build_parser, main
 from intralab.frames import write_yuv420
 from intralab.harness import RunConfig
 from intralab.reporting import read_report
@@ -157,6 +160,91 @@ def test_boolean_optional_flags(glyph_yuv, tmp_path):
     assert config["use_bv_list"] is False
     assert config["measure_replay"] is False
     assert config["use_hog_transform"] is True
+
+
+# The run flag of every RunConfig field.
+RUN_FLAGS = {
+    "input_path": "--input",
+    "input_format": "--format",
+    "width": "--width",
+    "height": "--height",
+    "bit_depth": "--bit-depth",
+    "frame_start": "--frame-start",
+    "frame_count": "--frame-count",
+    "block_size": "--block-size",
+    "tool": "--tool",
+    "metric": "--metric",
+    "use_bv_list": "--use-bv-list",
+    "use_ar_bv": "--use-ar-bv",
+    "use_hog_transform": "--use-hog-transform",
+    "tmp_compete": "--tmp-compete",
+    "closed_loop": "--closed-loop",
+    "quant_step": "--quant-step",
+    "search_range": "--search-range",
+    "template": "--template",
+    "n_max": "--n-max",
+    "parallel": "--parallel",
+    "measure_replay": "--measure-replay",
+}
+CHOICE_FIELDS = {f.name: f.metadata["choices"] for f in fields(RunConfig) if "choices" in f.metadata}
+
+
+def _run_parser():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["run"]
+
+
+def test_every_run_config_field_has_exactly_one_flag():
+    assert list(RUN_FLAGS) == [f.name for f in fields(RunConfig)]
+    assert set(CHOICE_FIELDS) == {"input_format", "bit_depth", "block_size", "tool", "metric"}
+    actions = [a for a in _run_parser()._actions if a.dest in RUN_FLAGS]
+    assert Counter(a.dest for a in actions) == Counter(RUN_FLAGS.keys())
+    for action in actions:
+        assert action.option_strings[0] == RUN_FLAGS[action.dest]
+        assert action.choices == CHOICE_FIELDS.get(action.dest)
+
+
+@pytest.mark.parametrize("polarity", [True, False])
+def test_each_flag_sets_its_field_over_the_config_file(glyph_yuv, tmp_path, polarity):
+    # The file holds a different value for every field, so a field lands
+    # in the report's config as flagged only if its own flag set it.
+    flagged = {
+        "input_path": glyph_yuv, "input_format": "yuv-planar", "width": 64, "height": 64,
+        "bit_depth": 8, "frame_start": 0, "frame_count": 1, "block_size": 8, "tool": "etimd",
+        "metric": "sad", "quant_step": 4, "search_range": 16 if polarity else None,
+        "template": 2, "n_max": 3,
+    }
+    in_file = {
+        "input_path": "elsewhere.yuv", "input_format": "pgm", "width": 32, "height": 16,
+        "bit_depth": 10, "frame_start": 1, "frame_count": 2, "block_size": 16, "tool": "timd",
+        "metric": "satd", "quant_step": 8, "search_range": None if polarity else 16,
+        "template": 4, "n_max": 5,
+    }
+    args = ["run", "--config", str(tmp_path / "file.json"), "--out", str(tmp_path / "r.json")]
+    for f in fields(RunConfig):
+        flag = RUN_FLAGS[f.name]
+        if f.type == "bool":
+            flagged[f.name], in_file[f.name] = polarity, not polarity
+            args.append(flag if polarity else "--no-" + flag[2:])
+        else:
+            value = flagged[f.name]
+            args += [flag, "full" if value is None else str(value)]
+    (tmp_path / "file.json").write_text(json.dumps(in_file))
+    assert main(args) == 0
+    assert read_report(str(tmp_path / "r.json")).config == flagged
+
+
+@pytest.mark.parametrize("name", sorted(CHOICE_FIELDS))
+def test_out_of_set_value_exits_2_as_flag_and_in_config_file(glyph_yuv, tmp_path, capsys, name):
+    choices = CHOICE_FIELDS[name]
+    bad = "bogus" if isinstance(choices[0], str) else max(choices) + 1
+    with pytest.raises(SystemExit) as exc:
+        main(run_args(glyph_yuv, RUN_FLAGS[name], str(bad)))
+    assert exc.value.code == 2
+    config_path = tmp_path / "bad.json"
+    config_path.write_text(json.dumps({"input_path": glyph_yuv, "width": 64, "height": 64, name: bad}))
+    assert main(["run", "--config", str(config_path)]) == 2
+    assert f"{name} must be one of" in capsys.readouterr().err
 
 
 def test_compare_malformed_record_exits_3(glyph_yuv, tmp_path, capsys):

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intralab import harness
-from intralab.errors import FormatError, ReplayMismatchError, ValidationError
+from intralab.errors import FormatError, ReplayMismatchError, TruncatedInputError, ValidationError
 from intralab.frames import Frame, load_frame, write_yuv420
 from intralab.grid import BLOCK_SIZES, ReconBuffer
 from intralab.harness import (
@@ -177,11 +177,11 @@ def test_n_max_zero_lists_no_bv(tmp_path):
 
 def test_run_memory_does_not_grow_with_frame_count(tmp_path):
     # Each frame is encoded, replayed and turned into records before the
-    # next, so a frame's reconstruction, BV store and block arrays are gone
-    # once its records exist.  On 128x128 noise with timd and 16x16 blocks
-    # the tracemalloc peak grew by ~0.12 MiB per extra frame (the loaded
-    # frame and its records); keeping every frame's encode alive until the
-    # run ends grew it by ~0.40 MiB.
+    # next, so a frame's samples, reconstruction, BV store and block arrays
+    # are gone once its records exist.  On 128x128 noise with timd and
+    # 16x16 blocks the tracemalloc peak grew by ~0.09 MiB per extra frame
+    # (its records); loading every frame up front grew it by ~0.12 MiB, and
+    # keeping every frame's encode alive until the run ends by ~0.40 MiB.
     path = tmp_path / "noise.yuv"
     write_yuv420([noise_frame(128, 128, seed=50 + i) for i in range(6)], str(path))
     config = cfg(path, width=128, height=128, block_size=16, tool="timd")
@@ -196,6 +196,14 @@ def test_run_memory_does_not_grow_with_frame_count(tmp_path):
             tracemalloc.stop()
     per_frame = (peaks[6] - peaks[2]) / 4
     assert per_frame <= 0.25 * 2**20, f"{per_frame / 2**20:.2f} MiB per extra frame"
+
+
+def test_truncated_input_fails_before_any_encode(glyph_yuv):
+    # glyph_yuv holds one frame; the second is checked before the first is encoded.
+    with mock.patch.object(harness, "encode_frame", side_effect=AssertionError("encoded")) as encode:
+        with pytest.raises(TruncatedInputError):
+            run_experiment(cfg(glyph_yuv, frame_count=2))
+    encode.assert_not_called()
 
 
 def test_measure_replay_off_skips_timing(noise_yuv):
