@@ -31,9 +31,10 @@ evaluation, the BV list and every template match cost through it, so a
 BV and an intra mode are costed alike.  bound_pieces gives the pieces of
 the DC lower bound the template search prunes with.
 
-All pair kernels accept integer sample arrays of identical shape and
-return Python ints.  satd(a, b) == satd(b, a) and adding a constant to
-both inputs leaves every cost unchanged.
+sad(a, b) and satd(a, b) take two integer sample arrays of one shape
+(..., h, w) and return the cost of each (h, w) pair in the leading
+shape, a NumPy scalar for one pair.  satd(a, b) == satd(b, a) and adding
+a constant to both inputs leaves every cost unchanged.
 """
 
 from __future__ import annotations
@@ -63,22 +64,19 @@ _KRON = {n: np.kron(_hadamard(n), _hadamard(n)).astype(np.float32) for n in (4, 
 _NORM_SHIFT = {4: 1, 8: 2}
 
 
-def _check_pair(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pair_diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    if a.ndim != 2:
-        raise ValueError(f"expected 2-D sample arrays, got {a.ndim}-D")
-    return a, b
+    if a.ndim < 2:
+        raise ValueError(f"expected sample arrays of 2 or more dimensions, got {a.ndim}-D")
+    return a.astype(np.int64) - b.astype(np.int64)
 
 
-def sad(a: np.ndarray, b: np.ndarray) -> int:
-    """Sum of absolute differences."""
-    a, b = _check_pair(a, b)
-    if a.size == 0:
-        return 0
-    return int(np.abs(a.astype(np.int64) - b.astype(np.int64)).sum())
+def sad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sum of absolute differences of each (h, w) pair."""
+    return np.abs(_pair_diffs(a, b)).sum(axis=(-2, -1))
 
 
 def _tile_satd(diffs: np.ndarray, tile: int) -> np.ndarray:
@@ -210,10 +208,8 @@ def bound_pieces(h: int, w: int, metric: str) -> list[tuple[int, int, int, int, 
     return pieces
 
 
-def satd(a: np.ndarray, b: np.ndarray) -> int:
-    """Hadamard transformed-difference cost of one array pair."""
-    a, b = _check_pair(a, b)
-    if a.size == 0:
-        return 0
-    d = a.astype(np.int64) - b.astype(np.int64)
-    return int(satd_batch(d[None])[0])
+def satd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Hadamard transformed-difference cost of each (h, w) pair."""
+    d = _pair_diffs(a, b)
+    lead, (h, w) = d.shape[:-2], d.shape[-2:]
+    return satd_batch(d.reshape((int(np.prod(lead)), h, w))).reshape(lead)[()]

@@ -33,7 +33,7 @@ part of an EncodeContext, the per-frame coding state of encoder and
 replay alike, and commit_fusion predicts, reconstructs and commits it.
 
 The causal encode loop keeps only what the next block depends on.
-code_block derives, predicts, fuses, reconstructs, commits and records
+encode_block derives, predicts, fuses, reconstructs, commits and records
 one block, counts its BV list, and returns its BlockResult unmeasured.
 What nothing downstream reads is measured after the fact: measure_blocks
 fills in a batch of those with prediction SAD, SATD and squared error
@@ -42,7 +42,6 @@ compaction (reconstruct_block quantizes in the pixel domain and the BV
 store records only fusion BVs, so neither waits for them).  The HoG
 reads the BV predictors among the first two fusion entries back with
 bv_predict, exact since no committed sample is ever rewritten.
-encode_block is code_block plus a batch of one.
 
 harness.encode_frame measures every MEASURE_BATCH coded blocks.  Each
 measure_blocks call has a fixed cost, and every coded block it holds
@@ -63,9 +62,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bvlist import BvCandidate, BvStore, CodingRecord, Provenance, RecordTool, build_bv_list
-from .cost import layout_cost, satd_batch
+from .cost import layout_cost, sad, satd
 from .grid import BlockRef, ReconBuffer, reconstruct_block
-from .hog import transform_modes
+from .hog import transform_mode_for_block
 from .intra import (
     ALL_MODES,
     MODE_DC,
@@ -83,7 +82,7 @@ from .tmp import (
     template_rects,
     tmp_search,
 )
-from .transforms import TRANSFORM_SIZES, apply_transforms, energy_compactions, transform_class
+from .transforms import TRANSFORM_SIZES, apply_transform, energy_compaction, transform_class
 
 if TYPE_CHECKING:
     from .harness import RunConfig
@@ -414,7 +413,7 @@ def derive_block_modes(
     return tool, fusion, bv_list, None
 
 
-def code_block(ctx: EncodeContext, block: BlockRef) -> BlockResult:
+def encode_block(ctx: EncodeContext, block: BlockRef) -> BlockResult:
     """Derive modes, then predict, reconstruct, commit, and record one block; measure nothing."""
     tool, fusion, bv_list, _ = derive_block_modes(ctx, block)
     return BlockResult(
@@ -431,13 +430,13 @@ def code_block(ctx: EncodeContext, block: BlockRef) -> BlockResult:
 def measure_blocks(ctx: EncodeContext, results: list[BlockResult]) -> list[BlockResult]:
     """Fill in the measured fields of a batch of coded blocks; returns their results in order.
 
-    The blocks are stacked per shape, and each stack's prediction
-    residuals get one SAD, one squared-error sum and one satd_batch call.
-    With use_hog_transform, transform_modes runs one HoG pass per shape
-    over the BV predictors among the first two fusion entries, read back
-    from the reconstruction, and each (shape, transform class) of
-    transform size gets one apply_transforms and one energy_compactions
-    call over its k = h*w/4 lowest frequencies.
+    The blocks are stacked per shape, and each stack gets one sad, one
+    satd and one squared-error sum.  With use_hog_transform, one
+    transform_mode_for_block call over the batch reads the BV predictors
+    among the first two fusion entries back from the reconstruction, and
+    each (shape, transform class) of transform size gets one
+    apply_transform and one energy_compaction call over its k = h*w/4
+    lowest frequencies.
     """
     by_shape: dict[tuple[int, int], list[int]] = defaultdict(list)
     for i, res in enumerate(results):
@@ -447,16 +446,16 @@ def measure_blocks(ctx: EncodeContext, results: list[BlockResult]) -> list[Block
         leads = [res.fusion.modes[:2] for res in results]
         bv_preds = [[bv_predict(ctx.buf, res.block, c.bv) if c.kind == "bv" else None for c in lead]
                     for res, lead in zip(results, leads)]
-        modes = transform_modes(leads, bv_preds)
+        modes = transform_mode_for_block(leads, bv_preds)
     for (h, w), idx in by_shape.items():
         group = [results[i] for i in idx]
         origs = np.stack([ctx.original[r.block.y0 : r.block.y0 + h, r.block.x0 : r.block.x0 + w] for r in group])
-        residuals = origs.astype(np.int64) - np.stack([r.prediction for r in group])
-        sads = np.abs(residuals).sum(axis=(1, 2)).tolist()
+        preds = np.stack([r.prediction for r in group])
+        residuals = origs - preds
+        sads, satds = sad(origs, preds).tolist(), satd(origs, preds).tolist()
         sses = (residuals * residuals).sum(axis=(1, 2)).tolist()
-        satds = satd_batch(residuals).tolist()
-        for res, sad, satd, sse in zip(group, sads, satds, sses):
-            res.pred_sad, res.pred_satd, res.pred_sse = sad, satd, sse
+        for res, measured in zip(group, zip(sads, satds, sses)):
+            res.pred_sad, res.pred_satd, res.pred_sse = measured
         if not use_hog:
             continue
         classes = [transform_class(modes[i][0]) for i in idx]
@@ -466,15 +465,10 @@ def measure_blocks(ctx: EncodeContext, results: list[BlockResult]) -> list[Block
             continue
         for klass in set(classes):
             rows = [n for n, c in enumerate(classes) if c is klass]
-            compactions = energy_compactions(apply_transforms(residuals[rows], klass), max(1, h * w // 4))
+            compactions = energy_compaction(apply_transform(residuals[rows], klass), max(1, h * w // 4))
             for n, compaction in zip(rows, compactions.tolist()):
                 group[n].compaction = compaction
     return results
-
-
-def encode_block(ctx: EncodeContext, block: BlockRef) -> BlockResult:
-    """Code one block and measure it: a batch of one."""
-    return measure_blocks(ctx, [code_block(ctx, block)])[0]
 
 
 def coding_record_for(block: BlockRef, tool: str, fusion: FusionSet) -> CodingRecord:

@@ -30,15 +30,15 @@ from .etimd import (
     BlockResult,
     EncodeContext,
     FusionSet,
-    code_block,
     commit_fusion,
     derive_fusion,
+    encode_block,
     measure_blocks,
 )
 from .frames import BIT_DEPTHS, FORMATS, Frame, load_frame
 from .grid import BLOCK_SIZES, BlockRef, ReconBuffer, partition
 from .reporting import JSON_TYPE_CHECKS, BlockRecord, Report, compute_aggregates
-from .tmp import DEFAULT_SEARCH_RANGE, DEFAULT_TEMPLATE
+from .tmp import DEFAULT_SEARCH_RANGE, DEFAULT_TEMPLATE, TEMPLATES
 
 
 def _one_of(default: Any, choices: tuple) -> Any:
@@ -71,7 +71,7 @@ class RunConfig:
     closed_loop: bool = False
     quant_step: int = 8
     search_range: int | None = DEFAULT_SEARCH_RANGE
-    template: int = DEFAULT_TEMPLATE
+    template: int = _one_of(DEFAULT_TEMPLATE, TEMPLATES)
     n_max: int = DEFAULT_N_MAX
     parallel: bool = False
     measure_replay: bool = True
@@ -89,7 +89,6 @@ def validate_config(config: RunConfig) -> None:
     require(config.width >= 1 and config.height >= 1, "width and height must be positive")
     require(config.frame_start >= 0, "frame_start must be >= 0")
     require(config.frame_count >= 1, "frame_count must be >= 1")
-    require(config.template >= 1, "template must be >= 1")
     require(config.n_max >= 0, "n_max must be >= 0")
     require(config.quant_step >= 1, "quant_step must be >= 1")
     require(
@@ -131,7 +130,7 @@ def encode_frame(
     results: list[BlockResult] = []
     batch: list[BlockResult] = []
     for block in partition(frame.width, frame.height, config.block_size):
-        batch.append(code_block(ctx, block))
+        batch.append(encode_block(ctx, block))
         if len(batch) == MEASURE_BATCH:
             results += measure_blocks(ctx, batch)
             batch = []

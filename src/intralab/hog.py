@@ -10,10 +10,11 @@ The dominant mode replaces block-vector entries among the first two
 fusion modes when a transform class has to be chosen for a block whose
 prediction has no angular identity of its own.
 
-build_hogs and transform_modes work on many blocks at once: one Sobel
-pass over a stack of equally shaped blocks, each distinct gradient pair
-quantized once, and one bincount for all histograms.  build_hog,
-dominant_mode and transform_mode_for_block are their batch-of-one forms.
+build_hog and dominant_mode take one block (histogram) or a stack with
+any leading shape, and return results in that leading shape: one Sobel
+pass over the stack, each distinct gradient pair quantized once, and one
+bincount for all histograms.  transform_mode_for_block takes lists of
+blocks and runs one such pass per predictor shape.
 """
 
 from __future__ import annotations
@@ -70,52 +71,46 @@ def _quantize(g_hor: np.ndarray, g_ver: np.ndarray) -> np.ndarray:
     return modes
 
 
-def build_hogs(samples: np.ndarray) -> np.ndarray:
-    """Vote histograms of an (N, h, w) stack of sample blocks, one row of N_MODES per block.
+def build_hog(samples: np.ndarray) -> np.ndarray:
+    """Vote histogram (last axis: N_MODES) of an (h, w) block, or of each block of a (..., h, w) stack.
 
-    Each distinct non-zero (g_hor, g_ver) pair of the stack is quantized
-    once, and all votes land with one bincount.
+    Entries 0 and 1 stay zero.  Each distinct non-zero (g_hor, g_ver)
+    pair of the stack is quantized once, and all votes land with one
+    bincount.
     """
     samples = np.asarray(samples)
-    n = len(samples)
+    lead = samples.shape[:-2]
+    n = int(np.prod(lead))
     g_hor, g_ver = gradient_field(samples)
     size = g_hor.shape[-2] * g_hor.shape[-1]
     g_hor, g_ver = g_hor.reshape(n, size), g_ver.reshape(n, size)
     rows, cols = np.nonzero((g_hor != 0) | (g_ver != 0))
     g_hor, g_ver = g_hor[rows, cols], g_ver[rows, cols]
     if not len(rows):
-        return np.zeros((n, N_MODES), dtype=np.int64)
+        return np.zeros(lead + (N_MODES,), dtype=np.int64)
     # One int64 key per pair: the offsets from the minima in mixed radix.
     lo_hor, lo_ver = g_hor.min(), g_ver.min()
     keys = (g_hor - lo_hor) * (g_ver.max() - lo_ver + 1) + (g_ver - lo_ver)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     modes = _quantize(g_hor[first].astype(np.float64), g_ver[first].astype(np.float64))[inverse]
     votes = np.bincount(rows * N_MODES + modes, minlength=n * N_MODES)
-    return votes.astype(np.int64, copy=False).reshape(n, N_MODES)
+    return votes.astype(np.int64, copy=False).reshape(lead + (N_MODES,))
 
 
-def build_hog(samples: np.ndarray) -> np.ndarray:
-    """Vote histogram indexed by mode (entries 0 and 1 stay zero)."""
-    return build_hogs(np.asarray(samples)[None])[0]
+def dominant_mode(hog: np.ndarray) -> np.ndarray:
+    """Most frequent mode of a histogram, or of each along the last axis; ties to the lower index, -1 when empty."""
+    hog = np.asarray(hog)
+    return np.where(hog.any(axis=-1), np.argmax(hog[..., 2:], axis=-1) + 2, -1)[()]
 
 
-def dominant_modes(hogs: np.ndarray) -> np.ndarray:
-    """Most frequent mode of each histogram row, ties to the lower index; -1 for an empty row."""
-    hogs = np.asarray(hogs)
-    return np.where(hogs.any(axis=1), np.argmax(hogs[:, 2:], axis=1) + 2, -1)
+def transform_mode_for_block(modes: Sequence[Sequence], predictions: Sequence[Sequence[np.ndarray]]) -> list[list[int]]:
+    """Transform-driving modes of many blocks: each block's first two fusion
+    entries, with every BV entry replaced by the dominant HoG mode of its own
+    predictor (Planar when the predictor has no gradients at all).
 
-
-def dominant_mode(hog: np.ndarray) -> int | None:
-    """Most frequent mode, ties to the lower index; None for an empty histogram."""
-    mode = int(dominant_modes(np.asarray(hog)[None])[0])
-    return None if mode < 0 else mode
-
-
-def transform_modes(modes: Sequence[Sequence], predictions: Sequence[Sequence[np.ndarray]]) -> list[list[int]]:
-    """transform_mode_for_block of many blocks: one HoG pass per predictor shape.
-
-    modes[i] and predictions[i] are block i's fusion entries and their
-    prediction blocks; only the predictions of BV entries are read.
+    modes[i] are block i's fusion entries, exposing .kind and .mode, and
+    predictions[i] the matching prediction blocks; only the predictions
+    of BV entries are read, with one HoG pass per predictor shape.
     """
     out: list[list[int]] = []
     bv_preds: dict[tuple[int, ...], list[tuple[int, int, np.ndarray]]] = defaultdict(list)
@@ -126,18 +121,7 @@ def transform_modes(modes: Sequence[Sequence], predictions: Sequence[Sequence[np
             if cand.kind == "bv":
                 bv_preds[np.shape(pred)].append((i, j, pred))
     for entries in bv_preds.values():
-        dominant = dominant_modes(build_hogs(np.stack([pred for _, _, pred in entries])))
+        dominant = dominant_mode(build_hog(np.stack([pred for _, _, pred in entries])))
         for (i, j, _), mode in zip(entries, dominant.tolist()):
             out[i][j] = MODE_PLANAR if mode < 0 else mode
     return out
-
-
-def transform_mode_for_block(modes: Sequence, predictions: Sequence[np.ndarray]) -> list[int]:
-    """Transform-driving modes: the first two fusion entries, with every
-    BV entry replaced by the dominant HoG mode of its own predictor
-    (Planar when the predictor has no gradients at all).
-
-    modes are fusion entries exposing .kind and .mode; predictions are
-    the matching prediction blocks.
-    """
-    return transform_modes([modes], [predictions])[0]

@@ -24,9 +24,10 @@ and never at import:
   interpolates each distinct tap once (2,146 taps for the 9,360 angular
   samples of a 16x16 block with t = 4) and spreads them with one take.
 
-Filled with blocks up to 64x64 and templates up to 8 deep, the two caches
-together hold at most 32 MiB (BLOCK_TAPS_ENTRIES and TEMPLATE_TAPS_ENTRIES
-are chosen for that); a template table grows linearly with t.
+Filled with blocks up to 64x64 and templates up to 8 deep (tmp.TEMPLATES),
+the two caches together hold at most 32 MiB (BLOCK_TAPS_ENTRIES and
+TEMPLATE_TAPS_ENTRIES are chosen for that); a template table grows
+linearly with t.
 
 Predictions run in int64 on samples below 2^bit_depth <= 2^10, which
 cannot overflow: an interpolation sum peaks at 32 * 1023 + 16, and the

@@ -60,6 +60,8 @@ from .errors import CausalityError
 from .grid import BlockRef, ReconBuffer
 
 DEFAULT_TEMPLATE = 4
+# The template depths a run takes, which bound the intra tap caches.
+TEMPLATES = tuple(range(1, 9))
 DEFAULT_SEARCH_RANGE = 64
 # Candidates costed per batched kernel call; bounds the search's peak memory.
 SEARCH_CHUNK = 512

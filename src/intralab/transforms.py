@@ -5,9 +5,10 @@ pair: Planar/DC use DCT-II both ways (class DC0); horizontal-set
 angular modes 2..33 use DST-VII horizontally; the diagonal mode 34 uses
 DST-VII both ways; vertical-set modes 35..66 use DST-VII vertically.
 Kernels are orthonormal floating-point DCT-II / DST-VII matrices, so
-coefficient energy equals residual energy (Parseval).  apply_transforms
-and energy_compactions work on a stack of equally shaped blocks;
-apply_transform and energy_compaction are their batch-of-one forms.
+coefficient energy equals residual energy (Parseval).  apply_transform
+and energy_compaction take one (h, w) block or a stack of equally
+shaped blocks with any leading shape, and return results in that
+leading shape (a NumPy scalar compaction for one block).
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ def dst7_matrix(n: int) -> np.ndarray:
 _KERNELS = {"dct2": dct2_matrix, "dst7": dst7_matrix}
 
 
-def apply_transforms(residuals: np.ndarray, klass: TransformClass) -> np.ndarray:
-    """Forward separable transform of each block of an (N, h, w) residual stack."""
+def apply_transform(residuals: np.ndarray, klass: TransformClass) -> np.ndarray:
+    """Forward separable transform of an (h, w) residual block or of each block of a (..., h, w) stack."""
     residuals = np.asarray(residuals, dtype=np.float64)
     h, w = residuals.shape[-2:]
     if h not in TRANSFORM_SIZES or w not in TRANSFORM_SIZES:
@@ -71,12 +72,6 @@ def apply_transforms(residuals: np.ndarray, klass: TransformClass) -> np.ndarray
     hmat = _KERNELS[hor_name](w)
     vmat = _KERNELS[ver_name](h)
     return np.matmul(np.matmul(vmat, residuals), hmat.T)
-
-
-def apply_transform(residual: np.ndarray, klass: TransformClass) -> np.ndarray:
-    """Forward separable transform of a residual block."""
-    h, w = np.shape(residual)
-    return apply_transforms(np.reshape(residual, (1, h, w)), klass)[0]
 
 
 @lru_cache(maxsize=64)
@@ -90,29 +85,21 @@ def _diagonal_scan_indices(h: int, w: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def energy_compactions(coeffs: np.ndarray, k: int) -> np.ndarray:
+def energy_compaction(coeffs: np.ndarray, k: int) -> np.ndarray:
     """Fraction of total energy held by the k lowest-frequency coefficients of each (h, w) block.
 
     The head is a cumulative sum in scan order, i.e. summed sequentially
     from the lowest frequency.  A zero block compacts perfectly by
     convention (1.0).
     """
-    n, h, w = np.shape(coeffs)
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    h, w = coeffs.shape[-2:]
     if not 1 <= k <= h * w:
         raise ValueError(f"k={k} out of range 1..{h * w}")
-    energy = np.asarray(coeffs, dtype=np.float64).reshape(n, h * w) ** 2
+    energy = coeffs.reshape(coeffs.shape[:-2] + (h * w,)) ** 2
     # Each row of a C-ordered array sums pairwise, as one block's own .sum() does.
-    total = energy.sum(axis=1)
+    total = energy.sum(axis=-1)
     rows, cols = _diagonal_scan_indices(h, w)
-    head = np.cumsum(energy[:, rows[:k] * w + cols[:k]], axis=1)[:, -1]
+    head = np.cumsum(energy[..., rows[:k] * w + cols[:k]], axis=-1)[..., -1]
     zero = total == 0.0
-    return np.where(zero, 1.0, head / np.where(zero, 1.0, total))
-
-
-def energy_compaction(coeffs: np.ndarray, k: int) -> float:
-    """Fraction of total energy held by the k lowest-frequency coefficients.
-
-    A zero block compacts perfectly by convention (returns 1.0).
-    """
-    h, w = np.shape(coeffs)
-    return float(energy_compactions(np.reshape(coeffs, (1, h, w)), k)[0])
+    return np.where(zero, 1.0, head / np.where(zero, 1.0, total))[()]

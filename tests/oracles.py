@@ -9,9 +9,9 @@ intralab.intra's slice-based one replaced.  candidate_valid is the
 one-candidate causality check, one rectangle at a time, that the
 window-wide checks of the template search and the BV list must agree
 with.  measure_block is the
-per-block measurement encode_block ran before measure_blocks batched
-it, with the single-block HoG, transform and compaction bodies of that
-time.
+per-block measurement the encoder ran on each block before
+measure_blocks batched it, with the single-block HoG, transform and
+compaction bodies of that time.
 """
 
 from __future__ import annotations

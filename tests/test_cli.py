@@ -196,7 +196,7 @@ def _run_parser():
 
 def test_every_run_config_field_has_exactly_one_flag():
     assert list(RUN_FLAGS) == [f.name for f in fields(RunConfig)]
-    assert set(CHOICE_FIELDS) == {"input_format", "bit_depth", "block_size", "tool", "metric"}
+    assert set(CHOICE_FIELDS) == {"input_format", "bit_depth", "block_size", "tool", "metric", "template"}
     actions = [a for a in _run_parser()._actions if a.dest in RUN_FLAGS]
     assert Counter(a.dest for a in actions) == Counter(RUN_FLAGS.keys())
     for action in actions:

@@ -114,6 +114,13 @@ def test_satd_batch_matches_scalar(rng):
     batch = satd_batch(diffs)
     for i in range(7):
         assert batch[i] == satd(diffs[i], np.zeros((8, 20), dtype=np.int64))
+    for shape in ((7, 8, 20), (2, 3, 6, 9), (2, 3, 3, 10), (0, 4, 4)):
+        a = rng.integers(0, 256, size=shape)
+        b = rng.integers(0, 256, size=shape)
+        pairs = list(zip(a.reshape(-1, *shape[-2:]), b.reshape(-1, *shape[-2:])))
+        for cost in (sad, satd):
+            assert cost(a, b).shape == shape[:-2]
+            assert cost(a, b).ravel().tolist() == [int(cost(p, q)) for p, q in pairs]
 
 
 def test_satd_batch_empty():

@@ -17,6 +17,7 @@ from intralab.etimd import (
     encode_block,
     evaluate_candidates,
     fuse,
+    measure_blocks,
     select_modes_etimd,
     select_modes_timd,
 )
@@ -440,7 +441,7 @@ def test_encode_block_stats_consistent(rng):
     cfg = _cfg(tool="timd")
     ctx, blocks = _ctx(samples, cfg, 0)
     for b in blocks[:9]:
-        res = encode_block(ctx, b)
+        res = measure_blocks(ctx, [encode_block(ctx, b)])[0]
         orig = samples[b.y0 : b.y0 + b.h, b.x0 : b.x0 + b.w].astype(np.int64)
         assert res.pred_sad == int(np.abs(res.prediction - orig).sum())
         assert res.pred_sse == int(((res.prediction - orig) ** 2).sum())
@@ -451,7 +452,7 @@ def test_encode_block_measures_transform():
     samples = tiled_glyph_frame(64, 64, period=8, seed=30)
     cfg = _cfg(tool="etimd", use_hog_transform=True)
     ctx, blocks = _ctx(samples, cfg, 0)
-    results = [encode_block(ctx, b) for b in blocks[:12]]
+    results = measure_blocks(ctx, [encode_block(ctx, b) for b in blocks[:12]])
     for res in results:
         assert res.transform_modes is not None
         assert res.transform_class_name in ("DC0", "H", "D", "V")

@@ -2,17 +2,10 @@ import numpy as np
 import pytest
 
 from intralab.etimd import ModeCandidate
-from intralab.hog import (
-    N_MODES,
-    build_hog,
-    build_hogs,
-    dominant_mode,
-    gradient_field,
-    transform_mode_for_block,
-    transform_modes,
-)
+from intralab.hog import N_MODES, build_hog, dominant_mode, gradient_field, transform_mode_for_block
 
 from oracles import build_hog as oracle_build_hog
+from oracles import dominant_mode as oracle_dominant_mode
 from oracles import orientation_to_mode, sobel_window
 from oracles import transform_mode_for_block as oracle_transform_modes
 
@@ -74,7 +67,7 @@ def test_dominant_mode_for_stripe_orientations():
 
 
 def test_dominant_mode_edge_cases():
-    assert dominant_mode(np.zeros(67, dtype=np.int64)) is None
+    assert dominant_mode(np.zeros(67, dtype=np.int64)) == -1
     hog = np.zeros(67, dtype=np.int64)
     hog[30] = 5
     hog[44] = 5
@@ -87,26 +80,26 @@ def _cand(kind: str, mode: int | None = None) -> ModeCandidate:
 
 def test_transform_modes_pass_through_angular():
     preds = [np.zeros((8, 8)), np.zeros((8, 8))]
-    got = transform_mode_for_block([_cand("angular", 30), _cand("planar", 0)], preds)
-    assert got == [30, 0]
+    got = transform_mode_for_block([[_cand("angular", 30), _cand("planar", 0)]], [preds])
+    assert got == [[30, 0]]
 
 
 def test_transform_modes_replace_bv_with_hog():
     got = transform_mode_for_block(
-        [_cand("bv"), _cand("angular", 40)], [stripes("h"), np.zeros((8, 8))]
+        [[_cand("bv"), _cand("angular", 40)]], [[stripes("h"), np.zeros((8, 8))]]
     )
-    assert got == [18, 40]
+    assert got == [[18, 40]]
 
 
 def test_transform_modes_flat_bv_predictor_falls_back_to_planar():
-    got = transform_mode_for_block([_cand("bv")], [np.full((8, 8), 77)])
-    assert got == [0]
+    got = transform_mode_for_block([[_cand("bv")]], [[np.full((8, 8), 77)]])
+    assert got == [[0]]
 
 
 def test_transform_modes_consider_first_two_only():
     cands = [_cand("angular", 30), _cand("dc", 1), _cand("bv")]
     preds = [np.zeros((8, 8))] * 3
-    assert transform_mode_for_block(cands, preds) == [30, 1]
+    assert transform_mode_for_block([cands], [preds]) == [[30, 1]]
 
 
 def test_stacked_histograms_match_the_single_block_oracle(rng):
@@ -117,14 +110,18 @@ def test_stacked_histograms_match_the_single_block_oracle(rng):
     # keys collide unless the radix spans the whole g_ver range.
     windows = np.zeros((3, 3, 3), dtype=np.int64)
     windows[0, 2, 2] = windows[1, 1, 2] = windows[2, 1, 2] = windows[2, 2, 2] = 1
-    for samples in (stack, windows):
-        got = build_hogs(samples)
-        assert got.shape == (len(samples), N_MODES) and got.dtype == np.int64
-        for row, block in zip(got, samples):
+    for samples in (stack, windows, stack[:18].reshape(2, 9, 6, 9)):
+        got = build_hog(samples)
+        assert got.shape == samples.shape[:-2] + (N_MODES,) and got.dtype == np.int64
+        for row, block in zip(got.reshape(-1, N_MODES), samples.reshape(-1, *samples.shape[-2:])):
             np.testing.assert_array_equal(row, oracle_build_hog(block))
-    assert not build_hogs(stack)[3].any()
-    assert build_hogs(np.zeros((0, 8, 8))).shape == (0, N_MODES)
-    assert not build_hogs(np.zeros((3, 2, 8))).any()
+        modes = dominant_mode(got)
+        assert modes.shape == samples.shape[:-2]
+        want = [oracle_dominant_mode(row) for row in got.reshape(-1, N_MODES)]
+        assert modes.ravel().tolist() == [-1 if mode is None else mode for mode in want]
+    assert not build_hog(stack)[3].any() and dominant_mode(build_hog(stack))[3] == -1
+    assert build_hog(np.zeros((0, 8, 8))).shape == (0, N_MODES)
+    assert not build_hog(np.zeros((3, 2, 8))).any()
 
 
 def test_transform_modes_of_many_blocks_match_one_at_a_time():
@@ -134,7 +131,7 @@ def test_transform_modes_of_many_blocks_match_one_at_a_time():
         ([_cand("angular", 30), _cand("bv")], [np.zeros((4, 4)), stripes("v", size=4, band=1)]),
         ([_cand("bv"), _cand("bv")], [stripes("falling"), stripes("rising")]),
     ]
-    got = transform_modes([m for m, _ in blocks], [p for _, p in blocks])
+    got = transform_mode_for_block([m for m, _ in blocks], [p for _, p in blocks])
     assert got == [oracle_transform_modes(m, p) for m, p in blocks]
-    assert got == [transform_mode_for_block(m, p) for m, p in blocks]
-    assert transform_modes([], []) == []
+    assert got == [transform_mode_for_block([m], [p])[0] for m, p in blocks]
+    assert transform_mode_for_block([], []) == []

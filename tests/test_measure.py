@@ -5,8 +5,10 @@ in batches of MEASURE_BATCH afterwards.  Every measured BlockResult
 field must equal oracles.measure_block, the per-block measurement it
 replaced, on the benchmark workloads' first frames and on hypothesis
 frames.  The per-mode predictions the oracle needs are re-derived by
-replaying the committed reconstructions block by block.  perfbench/ is
-only read.
+replaying the committed reconstructions block by block.  Under
+perfbench's span tracer, the encode loop calls each measurement kernel
+once per batch, not per block, and every name the benchmark traces runs
+on the encode and replay path.  perfbench/ is only read.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from intralab import harness
 from intralab.etimd import MEASURE_BATCH, TOOLS, fuse, fusion_predictions
 from intralab.frames import Frame
 from intralab.grid import ReconBuffer, partition
@@ -130,13 +133,35 @@ def _load_spans():
 spans = _load_spans()
 
 
-def test_encode_loop_makes_no_per_block_measurement_call():
+@pytest.fixture(scope="module")
+def traced_smallblock():
+    """Frame 0 of smallblock-closedloop, the one workload that turns every layer on, encoded and
+    replayed under spans.Tracer: its results and the calls of each traced name."""
     frame, cfg = _frame0("smallblock-closedloop")
     tracer = spans.Tracer()
-    with tracer.installed():
-        results, _, _ = encode_frame(frame, cfg)
-    calls = tracer.summary()["calls"]
-    per_block = ("etimd.encode_block", "cost.sad", "cost.satd", "hog.transform_mode_for_block",
-                 "transforms.apply_transform", "transforms.energy_compaction")
-    assert {name: calls[name] for name in per_block} == dict.fromkeys(per_block, 0)
+    with tracer.installed():  # patches intralab's namespaces, so call through harness
+        results, _, _ = harness.encode_frame(frame, cfg)
+        harness.replay_frame(frame, cfg, results)
+    return results, tracer.summary()["calls"]
+
+
+def test_encode_loop_makes_no_per_block_measurement_call(traced_smallblock):
+    results, calls = traced_smallblock
+    batches = len(results) // MEASURE_BATCH + 1  # measure_blocks calls, the trailing empty one included
+    assert calls["etimd.encode_block"] == len(results) == 1024 and batches == 33
+    for name in ("cost.sad", "cost.satd", "hog.transform_mode_for_block"):
+        assert 0 < calls[name] <= batches, name
+    for name in ("transforms.apply_transform", "transforms.energy_compaction"):
+        assert 0 < calls[name] <= 4 * batches, name  # one per transform class
     assert calls["cost.satd_batch"] > 0 and all(r.compaction is not None for r in results)
+
+
+def test_every_traced_name_runs_on_the_program_path(traced_smallblock):
+    # process_frame calls load_frame and the reporting layer around the encode
+    # and replay; only tests call template_cost_at.
+    outside = {"frames.load_frame", "reporting.records", "reporting.aggregates", "reporting.write_report",
+               "tmp.template_cost_at"}
+    traced = [name for name, *_ in spans.TRACED]
+    assert outside <= set(traced)
+    _, calls = traced_smallblock
+    assert [name for name in traced if name not in outside and not calls[name]] == []

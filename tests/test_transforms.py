@@ -8,11 +8,9 @@ from intralab.transforms import (
     TransformClass,
     _diagonal_scan_indices,
     apply_transform,
-    apply_transforms,
     dct2_matrix,
     dst7_matrix,
     energy_compaction,
-    energy_compactions,
     transform_class,
 )
 
@@ -167,12 +165,17 @@ def test_stacked_transforms_and_compactions_match_the_single_block_oracle(rng, k
         for w in TRANSFORM_SIZES:
             residuals = rng.integers(-255, 256, size=(4, h, w))
             residuals[2] = 0
-            coeffs = apply_transforms(residuals, klass)
-            for k in sorted({1, max(1, h * w // 4), h * w}):
-                got = energy_compactions(coeffs, k).tolist()
-                for residual, block_coeffs, compaction in zip(residuals, coeffs, got):
-                    want = oracle_apply_transform(residual, klass)
-                    assert np.array_equal(block_coeffs, want)
-                    assert compaction == oracle_energy_compaction(want, k)
-    empty = apply_transforms(np.zeros((0, 4, 8)), klass)
-    assert empty.shape == (0, 4, 8) and energy_compactions(empty, 3).shape == (0,)
+            for stack in (residuals, np.stack([residuals[:3], residuals[1:]])):  # (4, h, w), (2, 3, h, w)
+                coeffs = apply_transform(stack, klass)
+                assert coeffs.shape == stack.shape
+                for k in sorted({1, max(1, h * w // 4), h * w}):
+                    got = energy_compaction(coeffs, k)
+                    assert got.shape == stack.shape[:-2]
+                    for residual, block_coeffs, compaction in zip(
+                        stack.reshape(-1, h, w), coeffs.reshape(-1, h, w), got.ravel().tolist()
+                    ):
+                        want = oracle_apply_transform(residual, klass)
+                        assert np.array_equal(block_coeffs, want)
+                        assert compaction == oracle_energy_compaction(want, k)
+    empty = apply_transform(np.zeros((0, 4, 8)), klass)
+    assert empty.shape == (0, 4, 8) and energy_compaction(empty, 3).shape == (0,)
