@@ -108,8 +108,9 @@ def _int_pel_bvs(record: CodingRecord) -> tuple[BlockVector, ...]:
     return tuple(normalize_bv(bv, record.precision) for bv in record.bvs)
 
 
-def _sampling_points(block: BlockRef) -> list[tuple[int, int]]:
-    w, h = block.w, block.h
+@lru_cache(maxsize=64)
+def _sampling_offsets(w: int, h: int) -> tuple[tuple[int, int], ...]:
+    """The sampling points of any (h, w) block, relative to its origin, in visit order."""
     base = [(-1, h - 1), (w - 1, -1), (w, -1), (-1, h), (-1, -1)]
     points = list(base)
     for k in (1, 2):
@@ -117,13 +118,7 @@ def _sampling_points(block: BlockRef) -> list[tuple[int, int]]:
             ox = -k * w if px < 0 else (k * w if px >= w else 0)
             oy = -k * h if py < 0 else (k * h if py >= h else 0)
             points.append((px + ox, py + oy))
-    return points
-
-
-@lru_cache(maxsize=64)
-def _sampling_offsets(w: int, h: int) -> tuple[tuple[int, int], ...]:
-    """_sampling_points of any (h, w) block."""
-    return tuple(_sampling_points(BlockRef(0, 0, w, h, 0)))
+    return tuple(points)
 
 
 def sample_spatial_bvs(store: BvStore, block: BlockRef) -> list[BlockVector]:

@@ -207,7 +207,8 @@ def evaluate_candidates(
     Every candidate is costed on the identical template geometry: the
     frame-clipped above/left strips of the block, in their cost layout.
     Mode candidates predict only those samples, all 67 at once, as part
-    of the template-extended block predicted from its own references.
+    of the template-extended block predicted from its own references,
+    placed by the same strips made relative to it.
     The block's template and every listed BV's displaced template come
     from one gather, which raises CausalityError unless each displaced
     strip is committed, and all 67 + len(bv_list) rows are costed with
@@ -220,9 +221,8 @@ def evaluate_candidates(
         raise ValueError("block has no template; fall back to DC instead")
 
     ex, ey, we, he = extended_rect(block, t)
-    ah, lw = block.y0 - ey, block.x0 - ex
     refs = build_reference_samples(buf, ex, ey, we, he)
-    preds = predict_template(refs, we, he, ah, lw, block.h)
+    preds = predict_template(refs, we, he, tuple((x - ex, y - ey, w, h) for x, y, w, h in rects))
     dxs = np.array([0] + [c.bv.dx for c in bv_list], dtype=np.int64)
     dys = np.array([0] + [c.bv.dy for c in bv_list], dtype=np.int64)
     layout, rows = gather_templates(buf, rects, dxs, dys)

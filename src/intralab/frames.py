@@ -8,6 +8,7 @@ Two input formats are supported:
 * ``pgm`` -- binary PGM (P5).  maxval > 255 means two bytes per sample,
   most significant byte first, as the format requires.
 
+A PGM whose maxval needs more than the declared bit depth is rejected.
 Loaded samples are always masked to the declared bit depth so malformed
 high bytes cannot leak out-of-range values into the pipeline.
 """
@@ -151,6 +152,8 @@ def _load_pgm(path: str, width: int, height: int, bit_depth: int) -> Frame:
             raise ValidationError(
                 f"{path}: pgm is {w}x{h}, expected {width}x{height}"
             )
+        if maxval >= 1 << bit_depth:
+            raise ValidationError(f"{path}: pgm maxval {maxval} exceeds {bit_depth}-bit samples")
         bytes_per_sample = 1 if maxval < 256 else 2
         need = w * h * bytes_per_sample
         _require_bytes(fh, path, fh.tell(), need)

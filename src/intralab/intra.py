@@ -16,13 +16,14 @@ and never at import:
 
 - _block_taps(w, h): the taps of all 65 modes over a (h, w) block in
   small dtypes; predict_angular gathers one mode from it.
-- _template_taps(we, he, ah, lw, h): for the template samples of a
-  (he, we) template-extended block only, in the strips' cost layout
-  (cost.strip_layout), the Planar terms (four line indices and
-  coefficients per sample) and the distinct angular taps with the
-  index that spreads them over 65 rows; predict_template
-  interpolates each distinct tap once (2,146 taps for the 9,360 angular
-  samples of a 16x16 block with t = 4) and spreads them with one take.
+- _template_taps(we, he, strips): for the samples of a (he, we)
+  template-extended block under its template strips (rectangles
+  relative to that block), in the order of cost.strip_offsets(strips,
+  we), the Planar terms (four line indices and coefficients per sample)
+  and the distinct angular taps with the index that spreads them over
+  65 rows; predict_template interpolates each distinct tap once (2,146
+  taps for the 9,360 angular samples of a 16x16 block with t = 4) and
+  spreads them with one take.
 
 Filled with blocks up to 64x64 and templates up to 8 deep (tmp.TEMPLATES),
 the two caches together hold at most 32 MiB (BLOCK_TAPS_ENTRIES and
@@ -50,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cost import strip_layout
+from .cost import Rect, strip_offsets
 from .grid import ReconBuffer
 
 MODE_PLANAR = 0
@@ -234,11 +235,6 @@ def _block_taps(w: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _frozen(i0.astype(itype), i1.astype(itype), w1.astype(np.uint8))
 
 
-def template_shapes(we: int, ah: int, lw: int, h: int) -> tuple[tuple[int, int], ...]:
-    """(h, w) of the template strips that are present: above (ah x we), then left (h x lw)."""
-    return tuple(shape for shape in ((ah, we), (h, lw)) if shape[0] and shape[1])
-
-
 class TemplateTaps(NamedTuple):
     """Everything predict_template reads for one template geometry.
 
@@ -257,18 +253,15 @@ class TemplateTaps(NamedTuple):
 
 
 @lru_cache(maxsize=TEMPLATE_TAPS_ENTRIES)
-def _template_taps(we: int, he: int, ah: int, lw: int, h: int) -> TemplateTaps:
-    """Tables of the template samples of a (he, we) template-extended block.
+def _template_taps(we: int, he: int, strips: tuple[Rect, ...]) -> TemplateTaps:
+    """Tables of the samples under strips, rectangles of a (he, we) template-extended block.
 
-    The samples run in the order of the strips' cost layout.  A tap whose
-    weight w1 is 0 reads i0 alone, so its i1 is set to i0 before the taps
-    are made distinct.
+    The samples run in the strips' cost layout.  A tap whose weight w1
+    is 0 reads i0 alone, so its i1 is set to i0 before the taps are made
+    distinct.
     """
-    mask = np.zeros((he, we), dtype=bool)
-    mask[:ah] = True
-    mask[ah : ah + h, :lw] = True
-    keep = np.flatnonzero(mask)[strip_layout(template_shapes(we, ah, lw, h)).order]
-    ys, xs = np.divmod(keep, we)
+    x0, y0 = strips[0][:2]
+    ys, xs = np.divmod(strip_offsets(strips, we)[1] + y0 * we + x0, we)
     # Line offsets of top[x], left[he], left[y] and top[we] (top = above[1:], left after the corner).
     left0 = 2 * we + 2
     planar_idx = np.stack([1 + xs, np.full_like(xs, left0 + he), left0 + ys, np.full_like(xs, 1 + we)])
@@ -341,18 +334,17 @@ def predict_mode(refs: RefSamples, mode: int, w: int, h: int) -> np.ndarray:
     return predict_angular(refs, mode, w, h)
 
 
-def predict_template(refs: RefSamples, we: int, he: int, ah: int, lw: int, h: int) -> np.ndarray:
+def predict_template(refs: RefSamples, we: int, he: int, strips: tuple[Rect, ...]) -> np.ndarray:
     """Template samples of every mode, one row per mode in ALL_MODES order.
 
-    refs belong to the (he, we) template-extended block.  Each row holds
-    that block's prediction at its template positions only: the ah rows
-    above the block (all we columns) and the lw columns left of it over
-    its h rows, in the cost layout of those strips,
-    strip_layout(template_shapes(we, ah, lw, h)), ready for layout_cost.
+    refs belong to the (he, we) template-extended block, and strips are
+    the template's (x, y, w, h) rectangles relative to it.  Each row
+    holds that block's prediction at the strips' positions only, in
+    their cost layout, strip_offsets(strips, we), ready for layout_cost.
     Row m equals predict_mode(refs, ALL_MODES[m], we, he) at those
     positions; since ALL_MODES[m] == m, row m is mode m.
     """
-    taps = _template_taps(we, he, ah, lw, h)
+    taps = _template_taps(we, he, strips)
     line = _reference_line(refs)
     out = np.empty((len(ALL_MODES), taps.spread.shape[1]), dtype=np.int64)
     np.sum(taps.planar_coef * line[taps.planar_idx], axis=0, out=out[MODE_PLANAR])

@@ -33,13 +33,13 @@ the best cost found; a candidate that could tie with the best always
 has a bound no higher than it, so the tie order is unaffected.
 
 Candidates are costed in the template's cost layout (cost.strip_layout):
-one flat index into the sample plane gathers a whole batch of displaced
-templates in that order, and cost.layout_cost costs them at once.  A
-candidate that can use only one of the two strips is gathered and
-costed in that strip's layout.  template_cost_at and mode evaluation
-read through gather_templates, which checks every displaced strip
-against the committed area in one vectorised test and notes each as a
-read.
+one flat index into the sample plane (cost.strip_offsets) gathers a
+whole batch of displaced templates in that order, and cost.layout_cost
+costs them at once.  A candidate that can use only one of the two
+strips is gathered and costed in that strip's layout.  template_cost_at
+and mode evaluation read through gather_templates, which checks every
+displaced strip against the committed area in one vectorised test and
+notes each as a read.
 
 tmp_search(..., below=c) returns the best candidate among those that
 cost strictly less than c, or None when no valid candidate does.
@@ -50,12 +50,11 @@ the E-TIMD TMP competition runs.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cost import Layout, bound_pieces, check_metric, layout_cost, strip_layout
+from .cost import Layout, Rect, bound_pieces, check_metric, layout_cost, strip_offsets
 from .errors import CausalityError
 from .grid import BlockRef, ReconBuffer
 
@@ -78,33 +77,26 @@ class SearchResult(NamedTuple):
     cost: int
 
 
-Rect = tuple[int, int, int, int]
-
-
-def template_rects(block: BlockRef, t: int, frame_w: int, frame_h: int) -> tuple[Rect | None, Rect | None]:
-    """Frame-clipped (above, left) strip rectangles, None when absent."""
-    x0, y0 = block.x0, block.y0
-    above = None
-    if y0 > 0:
-        ax = max(x0 - t, 0)
-        ay = max(y0 - t, 0)
-        above = (ax, ay, x0 + block.w - ax, y0 - ay)
-    left = None
-    if x0 > 0:
-        lx = max(x0 - t, 0)
-        left = (lx, y0, x0 - lx, block.h)
-    return above, left
-
-
 def extended_rect(block: BlockRef, t: int) -> Rect:
     """The template-extended block: the block grown left and up by its strips' depths.
 
-    The block and its frame-clipped strips tile exactly this rectangle,
-    so a candidate passes the strict check iff the rectangle, displaced,
-    is committed.
+    The one definition of the template: the block and its strips
+    (template_rects) tile exactly this rectangle, so a candidate passes
+    the strict check iff the rectangle, displaced, is committed.
     """
     lw, ah = min(block.x0, t), min(block.y0, t)
     return (block.x0 - lw, block.y0 - ah, block.w + lw, block.h + ah)
+
+
+def template_rects(block: BlockRef, t: int, frame_w: int, frame_h: int) -> tuple[Rect | None, Rect | None]:
+    """The (above, left) strips of extended_rect(block, t), None when absent.
+
+    Above is its top rows, corner included; left is its columns beside
+    the block.  frame_w and frame_h are not read.
+    """
+    ex, ey, we, _ = extended_rect(block, t)
+    ah, lw = block.y0 - ey, block.x0 - ex
+    return ((ex, ey, we, ah) if ah else None), ((ex, block.y0, lw, block.h) if lw else None)
 
 
 def _fully_outside(rect: Rect, dxs, dys, frame_w: int, frame_h: int):
@@ -118,26 +110,13 @@ def bv_predict(buf: ReconBuffer, block: BlockRef, bv: BlockVector) -> np.ndarray
     return buf.read_region(block.x0 + bv.dx, block.y0 + bv.dy, block.w, block.h)
 
 
-@lru_cache(maxsize=256)
-def _strip_offsets(strips: tuple[Rect, ...], width: int) -> tuple[Layout, np.ndarray]:
-    """Layout of the strips and each of its positions' flat offset from the first strip's origin."""
-    x0, y0 = strips[0][:2]
-    flat = np.concatenate(
-        [((y - y0 + np.arange(h))[:, None] * width + (x - x0 + np.arange(w))).ravel() for x, y, w, h in strips]
-    )
-    layout = strip_layout(tuple((h, w) for _, _, w, h in strips))
-    offsets = flat[layout.order]
-    offsets.setflags(write=False)  # shared by every caller
-    return layout, offsets
-
-
 def _template_rows(
     plane: np.ndarray, strips: Sequence[Rect], dxs: np.ndarray, dys: np.ndarray
 ) -> tuple[Layout, np.ndarray]:
     """Layout of the strips and plane's values under them displaced by each (dx, dy), one row each."""
     x0, y0 = strips[0][:2]
     width = plane.shape[1]
-    layout, offsets = _strip_offsets(tuple((x - x0, y - y0, w, h) for x, y, w, h in strips), width)
+    layout, offsets = strip_offsets(tuple((x - x0, y - y0, w, h) for x, y, w, h in strips), width)
     return layout, plane.ravel()[offsets + ((y0 + dys) * width + x0 + dxs)[:, None]]
 
 
@@ -257,17 +236,14 @@ def _window_integrals(buf: ReconBuffer, x0: int, y0: int, x1: int, y1: int) -> t
     return _integral(avail), _integral(committed)
 
 
-def _window_bounds(buf, block, rects, curs, dx_lo, dx_hi, dy_lo, dy_hi, metric, strict_template):
+def _window_bounds(buf, block, t, rects, curs, dx_lo, dx_hi, dy_lo, dy_hi, metric, strict_template):
     """Validity, cost lower bound and per-strip usability over the (ny, nx) candidate grid."""
     nx, ny = dx_hi - dx_lo + 1, dy_hi - dy_lo + 1
-    # The bounding box of every displaced rectangle; it may overhang the
-    # frame by up to t samples to the left and top.
-    shapes = rects + [(block.x0, block.y0, block.w, block.h)]
-    bx0 = min(r[0] for r in shapes) + dx_lo
-    by0 = min(r[1] for r in shapes) + dy_lo
-    bx1 = max(r[0] + r[2] for r in shapes) + dx_hi
-    by1 = max(r[1] + r[3] for r in shapes) + dy_hi
-    avail_ii, sample_ii = _window_integrals(buf, bx0, by0, bx1, by1)
+    # The window is the extended rectangle swept over the displacements;
+    # it may overhang the frame by up to t samples to the left and top.
+    ex, ey, we, he = extended_rect(block, t)
+    bx0, by0 = ex + dx_lo, ey + dy_lo
+    avail_ii, sample_ii = _window_integrals(buf, bx0, by0, ex + we + dx_hi, ey + he + dy_hi)
 
     def over_window(ii, rx, ry, rw, rh):
         return _box_sums(ii, rx + dx_lo - bx0, ry + dy_lo - by0, rw, rh, nx, ny)
@@ -343,7 +319,7 @@ def tmp_search(
     nx = dx_hi - dx_lo + 1
     curs = [buf.read_region(*rect).astype(np.int64) for rect in rects]
     valid, bounds, strip_use = _window_bounds(
-        buf, block, rects, curs, dx_lo, dx_hi, dy_lo, dy_hi, metric, strict_template
+        buf, block, t, rects, curs, dx_lo, dx_hi, dy_lo, dy_hi, metric, strict_template
     )
     if buf.read_hook is not None:
         for (sx, sy, sw, sh), usable in zip(rects, strip_use):

@@ -10,7 +10,7 @@ from intralab.bvlist import (
     CodingRecord,
     Provenance,
     RecordTool,
-    _sampling_points,
+    _sampling_offsets,
     build_bv_list,
     derive_ar_bvs,
     normalize_bv,
@@ -31,12 +31,12 @@ def test_sampling_points_exact_order():
         (-9, 7), (7, -9), (16, -9), (-9, 16), (-9, -9),
         (-17, 7), (7, -17), (24, -17), (-17, 24), (-17, -17),
     ]
-    assert _sampling_points(block) == want
+    assert list(_sampling_offsets(block.w, block.h)) == want
 
 
 def test_sampling_points_scale_with_block():
     block = BlockRef(64, 64, 16, 4, 0)
-    points = _sampling_points(block)
+    points = _sampling_offsets(block.w, block.h)
     assert points[0] == (-1, 3)
     assert points[5] == (-17, 3)  # ring 1 shifts left by w
     assert points[8] == (-17, 8)  # below-left shifts down by h

@@ -115,6 +115,15 @@ def test_validation_errors_exit_2(glyph_yuv, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_pgm_deeper_than_bit_depth_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.pgm"
+    path.write_bytes(b"P5\n8 8\n1023\n" + bytes(2 * 64))
+    args = ["run", "--input", str(path), "--format", "pgm", "--width", "8", "--height", "8", "--block-size", "8"]
+    assert main([*args, "--bit-depth", "8"]) == 2
+    assert "maxval 1023" in capsys.readouterr().err
+    assert main([*args, "--bit-depth", "10", "--out", str(tmp_path / "run.json")]) == 0
+
+
 @pytest.mark.parametrize(
     "key, value",
     [

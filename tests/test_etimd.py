@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from intralab.bvlist import BvCandidate, BvStore, Provenance, RecordTool, build_bv_list
@@ -23,12 +23,13 @@ from intralab.etimd import (
 )
 from intralab.grid import ReconBuffer, partition
 from intralab.harness import RunConfig
-from intralab.intra import ALL_MODES, ANGULAR_MODES
+from intralab.intra import ALL_MODES, ANGULAR_MODES, predict_mode
 from intralab.synth import SCREEN_FIXTURES, noise_frame, tiled_glyph_frame
 from intralab.errors import CausalityError
-from intralab.tmp import BlockVector, template_cost_at, template_rects
+from intralab.tmp import BlockVector, extended_rect, template_cost_at, template_rects
 
 from conftest import prefix_buffer
+import oracles
 from test_acceptance import _ang, _bv, _closed_weights, _dc, _oracle_etimd, _oracle_timd, _planar
 
 
@@ -289,6 +290,41 @@ def test_evaluate_notes_each_read_once_per_strip():
     for dx, dy in [(0, 0)] + bvs:
         for x, y, w, h in strips:
             assert reads.count((x + dx, y + dy, w, h)) == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    size=st.tuples(st.integers(5, 40), st.integers(5, 40)),
+    block_size=st.sampled_from([4, 8, 16]),
+    t=st.integers(1, 8),
+    metric=st.sampled_from(["satd", "sad"]),
+    bit_depth=st.sampled_from([8, 10]),
+)
+def test_pool_mode_costs_match_full_block_predictions(data, size, block_size, t, metric, bit_depth):
+    # Mode m costs its full-block prediction of the template-extended
+    # block, cut to each template strip and costed there against the
+    # committed samples under it, with oracle references.
+    fw, fh = size
+    blocks = partition(fw, fh, block_size)
+    assume(len(blocks) > 1)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    samples = rng.integers(0, 1 << bit_depth, size=(fh, fw))
+    n = data.draw(st.integers(1, len(blocks) - 1))
+    buf, _ = prefix_buffer(samples, block_size, n, bit_depth)
+    block = blocks[n]
+
+    pool = evaluate_candidates(buf, block, t, metric)
+    ex, ey, we, he = extended_rect(block, t)
+    refs = oracles.build_reference_samples(buf, ex, ey, we, he)
+    strips = [r for r in template_rects(block, t, fw, fh) if r is not None]
+    for m in ALL_MODES:
+        pred = predict_mode(refs, m, we, he)
+        want = sum(
+            int(oracles.block_cost(pred[y - ey : y - ey + h, x - ex : x - ex + w], samples[y : y + h, x : x + w], metric))
+            for x, y, w, h in strips
+        )
+        assert pool.costs[m] == want, f"mode {m}"
 
 
 def test_evaluate_requires_template():

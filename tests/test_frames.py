@@ -114,6 +114,16 @@ def test_pgm_dimension_mismatch(rng, tmp_path):
         load_frame(path, "pgm", 7, 10)
 
 
+def test_pgm_maxval_beyond_bit_depth_is_rejected(tmp_path):
+    # 256 and 1023 would wrap to 0 and 255 if masked to 8 bits.
+    path = str(tmp_path / "deep.pgm")
+    with open(path, "wb") as fh:
+        fh.write(b"P5\n4 1\n1023\n" + np.array([0, 255, 256, 1023], dtype=">u2").tobytes())
+    with pytest.raises(ValidationError, match="maxval 1023"):
+        load_frame(path, "pgm", 4, 1, bit_depth=8)
+    np.testing.assert_array_equal(load_frame(path, "pgm", 4, 1, bit_depth=10).samples, [[0, 255, 256, 1023]])
+
+
 def test_pgm_truncated_body(tmp_path):
     path = str(tmp_path / "t.pgm")
     with open(path, "wb") as fh:

@@ -28,7 +28,6 @@ from intralab.intra import (
     predict_mode,
     predict_planar,
     predict_template,
-    template_shapes,
 )
 from intralab.cost import strip_layout
 
@@ -305,7 +304,7 @@ def test_tap_caches_stay_within_their_byte_budget():
     sizes = [(w, h) for w in range(56, 65) for h in range(56, 65)]
     blocks = sorted(sizes, key=lambda s: -s[0] * s[1])
     # A template table grows with its sample count, 8 * (w + 8) + 8 * h.
-    templates = [(w + 8, h + 8, 8, 8, h) for w, h in sorted(sizes, key=lambda s: -sum(s))]
+    templates = [(w + 8, h + 8, ((0, 0, w + 8, 8), (0, 8, 8, h))) for w, h in sorted(sizes, key=lambda s: -sum(s))]
     caches = (intra._block_taps, intra._template_taps)
     for cache in caches:
         cache.cache_clear()
@@ -379,12 +378,13 @@ def test_template_prediction_matches_full_block(seed, t, size, clip, corner, bit
     mask = np.zeros((he, we), dtype=bool)
     mask[:ah] = True
     mask[ah:, :lw] = True
+    strips = tuple(r for r in ((0, 0, we, ah), (0, ah, lw, h)) if r[2] and r[3])
 
-    got = predict_template(refs, we, he, ah, lw, h)
+    got = predict_template(refs, we, he, strips)
     assert got.shape == (len(ALL_MODES), ah * we + h * lw)
     # Undo the cost layout so each row runs in raster order.
     raster = np.empty_like(got)
-    raster[:, strip_layout(template_shapes(we, ah, lw, h)).order] = got
+    raster[:, strip_layout(tuple((sh, sw) for _, _, sw, sh in strips)).order] = got
     for row, mode in zip(raster, ALL_MODES):
         want = predict_mode(refs, mode, we, he)[mask]
         np.testing.assert_array_equal(row, want, err_msg=f"mode {mode}")
@@ -413,10 +413,11 @@ def test_tiled_template_prediction_follows_the_cost_layout(seed, t, size, clip, 
     mask = np.zeros((he, we), dtype=bool)
     mask[:ah] = True
     mask[ah:, :lw] = True
+    strips = tuple(r for r in ((0, 0, we, ah), (0, ah, lw, h)) if r[2] and r[3])
     # The raster template positions of the extended block, in layout order.
-    positions = np.flatnonzero(mask)[strip_layout(template_shapes(we, ah, lw, h)).order]
+    positions = np.flatnonzero(mask)[strip_layout(tuple((sh, sw) for _, _, sw, sh in strips)).order]
 
-    got = predict_template(refs, we, he, ah, lw, h)
+    got = predict_template(refs, we, he, strips)
     assert got.shape == (len(ALL_MODES), len(positions))
     for row, mode in zip(got, ALL_MODES):
         np.testing.assert_array_equal(row, predict_mode(refs, mode, we, he).ravel()[positions], err_msg=f"mode {mode}")
