@@ -3,16 +3,17 @@
 BVs originate in already-coded blocks: an IntraTMP-coded block carries
 its search result, an E-TIMD-coded block carries whatever BV modes took
 part in its fusion.  For the current block, candidates are gathered by
-sampling the coding records at five adjacent positions (left, above,
-above-right, below-left, above-left) and at two outward rings of the
-same five positions offset by k*w horizontally and k*h vertically,
-k in {1, 2}.
+sampling the vectors each committed block used at five adjacent
+positions (left, above, above-right, below-left, above-left) and at two
+outward rings of the same five positions offset by k*w horizontally and
+k*h vertically, k in {1, 2}.
 
 On top of the sampled primaries, each primary v is auto-relocated: the
-record covering the displaced block's top-left pixel contributes its
+block covering the displaced block's top-left pixel contributes its
 own BVs v_sec, yielding candidates v + v_sec (a single derivation
 level).  Sub-pel BVs (1/16 units) are normalized to integer pixels by
-an arithmetic shift of 4 bits toward negative infinity before use.
+an arithmetic shift of 4 bits toward negative infinity when the store
+takes them.
 
 The final list keeps first occurrences, drops candidates that fail the
 causal availability check for the current block (displaced block plus
@@ -21,6 +22,7 @@ its full template), and truncates to n_max entries.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -31,12 +33,6 @@ from .grid import BlockRef, ReconBuffer
 from .tmp import BlockVector, extended_rect
 
 DEFAULT_N_MAX = 20
-
-
-class RecordTool(str, Enum):
-    INTRA_TMP = "intratmp"
-    ETIMD = "etimd"
-    OTHER = "other"
 
 
 class BvPrecision(str, Enum):
@@ -50,48 +46,40 @@ class Provenance(str, Enum):
 
 
 @dataclass(frozen=True)
-class CodingRecord:
-    """How one committed block was predicted.
-
-    bvs is non-empty exactly when the block's prediction used a BV
-    (IntraTMP copy, or BV modes inside an E-TIMD fusion).  precision
-    declares the unit of the stored vectors.
-    """
-
-    block: BlockRef
-    tool: RecordTool
-    bvs: tuple[BlockVector, ...] = ()
-    precision: BvPrecision = BvPrecision.INT_PEL
-
-
-@dataclass(frozen=True)
 class BvCandidate:
     bv: BlockVector
     provenance: Provenance
 
 
 class BvStore:
-    """Pixel-position lookup over the coding records committed so far."""
+    """Pixel-position lookup of the integer-pel BVs each committed block used."""
 
     def __init__(self, width: int, height: int):
         self.width = width
         self.height = height
-        self._owner = np.full((height, width), -1, dtype=np.int32)
-        self.records: list[CodingRecord] = []
+        # Entry 0 is the empty tuple of every pixel no committed block covers.
+        self._owner = np.zeros((height, width), dtype=np.int32)
+        self._bvs: list[tuple[BlockVector, ...]] = [()]
 
-    def add(self, record: CodingRecord) -> None:
-        b = record.block
-        region = self._owner[b.y0 : b.y0 + b.h, b.x0 : b.x0 + b.w]
-        if (region != -1).any():
-            raise ValueError(f"record for block {b.scan_index} overlaps an existing record")
-        region[:] = len(self.records)
-        self.records.append(record)
+    def add(
+        self, block: BlockRef, bvs: Iterable[BlockVector] = (), precision: BvPrecision = BvPrecision.INT_PEL
+    ) -> None:
+        """Record a committed block and the BVs its prediction used, given in precision units.
 
-    def owner_at(self, x: int, y: int) -> int:
-        """Index into records of the record covering pixel (x, y); -1 outside the committed area."""
+        bvs is non-empty exactly when the prediction used a BV (IntraTMP
+        copy, or BV modes inside an E-TIMD fusion).
+        """
+        region = self._owner[block.y0 : block.y0 + block.h, block.x0 : block.x0 + block.w]
+        if region.any():
+            raise ValueError(f"block {block.scan_index} overlaps a block already in the store")
+        region[:] = len(self._bvs)
+        self._bvs.append(tuple(normalize_bv(bv, precision) for bv in bvs))
+
+    def bvs_at(self, x: int, y: int) -> tuple[BlockVector, ...]:
+        """Integer-pel BVs of the block covering pixel (x, y); () where no block does."""
         if 0 <= x < self.width and 0 <= y < self.height:
-            return self._owner.item(y, x)
-        return -1
+            return self._bvs[self._owner.item(y, x)]
+        return ()
 
 
 def normalize_bv(bv: BlockVector, precision: BvPrecision) -> BlockVector:
@@ -99,13 +87,6 @@ def normalize_bv(bv: BlockVector, precision: BvPrecision) -> BlockVector:
     if precision == BvPrecision.INT_PEL:
         return bv
     return BlockVector(bv.dx >> 4, bv.dy >> 4)
-
-
-def _int_pel_bvs(record: CodingRecord) -> tuple[BlockVector, ...]:
-    """The record's BVs normalized to integer pels."""
-    if record.precision == BvPrecision.INT_PEL:
-        return record.bvs
-    return tuple(normalize_bv(bv, record.precision) for bv in record.bvs)
 
 
 @lru_cache(maxsize=64)
@@ -122,15 +103,13 @@ def _sampling_offsets(w: int, h: int) -> tuple[tuple[int, int], ...]:
 
 
 def sample_spatial_bvs(store: BvStore, block: BlockRef) -> list[BlockVector]:
-    """Normalized BVs of the records under the sampling points, in visit order.
+    """BVs of the blocks under the sampling points, in visit order.
 
     Duplicates are kept here; the list builder deduplicates downstream.
     """
     out: list[BlockVector] = []
     for px, py in _sampling_offsets(block.w, block.h):
-        idx = store.owner_at(block.x0 + px, block.y0 + py)
-        if idx >= 0:
-            out += _int_pel_bvs(store.records[idx])
+        out += store.bvs_at(block.x0 + px, block.y0 + py)
     return out
 
 
@@ -139,13 +118,8 @@ def derive_ar_bvs(store: BvStore, primaries: list[BlockVector], block: BlockRef)
 
     A single derivation level: the outputs are not themselves chased.
     """
-    out: list[BlockVector] = []
-    for v in primaries:
-        idx = store.owner_at(block.x0 + v.dx, block.y0 + v.dy)
-        if idx >= 0:
-            for sec in _int_pel_bvs(store.records[idx]):
-                out.append(BlockVector(v.dx + sec.dx, v.dy + sec.dy))
-    return out
+    return [BlockVector(v.dx + sec.dx, v.dy + sec.dy)
+            for v in primaries for sec in store.bvs_at(block.x0 + v.dx, block.y0 + v.dy)]
 
 
 def build_bv_list(

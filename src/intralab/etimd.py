@@ -39,7 +39,7 @@ What nothing downstream reads is measured after the fact: measure_blocks
 fills in a batch of those with prediction SAD, SATD and squared error
 and, with use_hog_transform, the transform modes, class and energy
 compaction (reconstruct_block quantizes in the pixel domain and the BV
-store records only fusion BVs, so neither waits for them).  The HoG
+store holds only the BVs each fusion used, so neither waits for them).  The HoG
 reads the BV predictors among the first two fusion entries back with
 bv_predict, exact since no committed sample is ever rewritten.
 
@@ -61,7 +61,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .bvlist import BvCandidate, BvStore, CodingRecord, Provenance, RecordTool, build_bv_list
+from .bvlist import BvCandidate, BvStore, Provenance, build_bv_list
 from .cost import layout_cost, sad, satd
 from .grid import BlockRef, ReconBuffer, reconstruct_block
 from .hog import transform_mode_for_block
@@ -87,16 +87,9 @@ from .transforms import TRANSFORM_SIZES, apply_transform, energy_compaction, tra
 if TYPE_CHECKING:
     from .harness import RunConfig
 
-# The RunConfig.tool values.  dc-only codes every block as dc.
+# The RunConfig.tool values.  Any tool codes a block dc that has no template
+# or whose IntraTMP search found nothing, and dc-only codes every block dc.
 TOOLS = ("etimd", "timd", "intratmp", "dc-only")
-# Block label -> the tool its BV-store entry records.  A block of any tool
-# that has no template, or whose IntraTMP search found nothing, is dc.
-RECORD_TOOLS = {
-    "dc": RecordTool.OTHER,
-    "timd": RecordTool.OTHER,
-    "etimd": RecordTool.ETIMD,
-    "intratmp": RecordTool.INTRA_TMP,
-}
 
 # Coded blocks per measure_blocks call in harness.encode_frame (see the module docstring).
 MEASURE_BATCH = 32
@@ -356,8 +349,8 @@ def derive_fusion(ctx: EncodeContext, block: BlockRef, tool: str) -> tuple[Fusio
     return select(cands), bv_list
 
 
-def commit_fusion(ctx: EncodeContext, block: BlockRef, tool: str, fusion: FusionSet) -> np.ndarray:
-    """Predict, fuse, reconstruct, commit, and record one block in the BV store.
+def commit_fusion(ctx: EncodeContext, block: BlockRef, fusion: FusionSet) -> np.ndarray:
+    """Predict, fuse, reconstruct, commit, and store the fusion's BVs of one block.
 
     Returns the fused prediction.
     """
@@ -365,7 +358,7 @@ def commit_fusion(ctx: EncodeContext, block: BlockRef, tool: str, fusion: Fusion
     prediction = fuse(fusion_predictions(buf, block, fusion), fusion.weights, buf.bit_depth)
     orig = ctx.original[block.y0 : block.y0 + block.h, block.x0 : block.x0 + block.w]
     buf.commit_block(block, reconstruct_block(orig, prediction, cfg.closed_loop, cfg.quant_step, buf.bit_depth))
-    ctx.store.add(coding_record_for(block, tool, fusion))
+    ctx.store.add(block, [c.bv for c in fusion.modes if c.kind == "bv"])
     return prediction
 
 
@@ -374,14 +367,11 @@ def _search_fusion(found: SearchResult) -> FusionSet:
     return FusionSet([cand], [1.0])
 
 
-def derive_block_modes(
-    ctx: EncodeContext, block: BlockRef
-) -> tuple[str, FusionSet, list[BvCandidate], SearchResult | None]:
+def derive_block_modes(ctx: EncodeContext, block: BlockRef) -> tuple[str, FusionSet, list[BvCandidate]]:
     """Encoder choices on top of derive_fusion: tool, IntraTMP search, TMP competition.
 
-    Returns the tool label, the fusion set, the BV candidate list, and
-    the template-matching search outcome (None when no search ran or
-    none won).
+    Returns the block label, the fusion set and the BV candidate list;
+    a block the template-matching search codes is labelled intratmp.
     """
     cfg = ctx.config
     if cfg.tool not in TOOLS:
@@ -395,7 +385,7 @@ def derive_block_modes(
             ctx.buf, block, cfg.search_range, cfg.template, cfg.metric, strict_template=False
         )
         if found is not None:
-            return "intratmp", _search_fusion(found), [], found
+            return "intratmp", _search_fusion(found), []
         tool = "dc"
     fusion, bv_list = derive_fusion(ctx, block, tool)
     if tool == "etimd" and cfg.use_bv_list and cfg.tmp_compete:
@@ -409,18 +399,18 @@ def derive_block_modes(
             below=fusion.modes[0].cost,
         )
         if found is not None:
-            return "intratmp", _search_fusion(found), bv_list, found
-    return tool, fusion, bv_list, None
+            return "intratmp", _search_fusion(found), bv_list
+    return tool, fusion, bv_list
 
 
 def encode_block(ctx: EncodeContext, block: BlockRef) -> BlockResult:
     """Derive modes, then predict, reconstruct, commit, and record one block; measure nothing."""
-    tool, fusion, bv_list, _ = derive_block_modes(ctx, block)
+    tool, fusion, bv_list = derive_block_modes(ctx, block)
     return BlockResult(
         block=block,
         tool=tool,
         fusion=fusion,
-        prediction=commit_fusion(ctx, block, tool, fusion),
+        prediction=commit_fusion(ctx, block, fusion),
         bv_list_len=len(bv_list),
         n_primary=sum(1 for c in bv_list if c.provenance == Provenance.PRIMARY),
         n_ar=sum(1 for c in bv_list if c.provenance == Provenance.AUTO_RELOCATED),
@@ -469,8 +459,3 @@ def measure_blocks(ctx: EncodeContext, results: list[BlockResult]) -> list[Block
             for n, compaction in zip(rows, compactions.tolist()):
                 group[n].compaction = compaction
     return results
-
-
-def coding_record_for(block: BlockRef, tool: str, fusion: FusionSet) -> CodingRecord:
-    """The BV-store entry a coded block leaves behind for its successors."""
-    return CodingRecord(block, RECORD_TOOLS[tool], tuple(c.bv for c in fusion.modes if c.kind == "bv"))

@@ -25,6 +25,8 @@ from .errors import FormatError, TruncatedInputError, ValidationError
 
 FORMATS = ("yuv-planar", "pgm")
 BIT_DEPTHS = (8, 10)
+# Longest PGM header token read: far above any real width, height or maxval.
+_PGM_TOKEN_MAX = 32
 
 
 @dataclass
@@ -128,6 +130,8 @@ def _read_pgm_token(fh: io.BufferedReader) -> bytes:
             if token:
                 return token
             continue
+        if len(token) == _PGM_TOKEN_MAX:
+            raise FormatError(f"pgm header token longer than {_PGM_TOKEN_MAX} bytes")
         token += ch
 
 

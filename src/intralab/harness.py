@@ -154,7 +154,7 @@ def replay_frame(frame: Frame, config: RunConfig, results: list[BlockResult]) ->
         else:
             fusion, _ = derive_fusion(ctx, block, res.tool)
             _check_same_fusion(block, res, fusion)
-        prediction = commit_fusion(ctx, block, res.tool, fusion)
+        prediction = commit_fusion(ctx, block, fusion)
         if not np.array_equal(prediction, res.prediction):
             raise ReplayMismatchError(
                 f"block {block.scan_index} at ({block.x0},{block.y0}): prediction diverged"

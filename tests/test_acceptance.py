@@ -21,7 +21,7 @@ import numpy as np
 
 from search_oracle import oracle_search
 
-from intralab.bvlist import BvPrecision, BvStore, CodingRecord, Provenance, RecordTool, build_bv_list
+from intralab.bvlist import BvPrecision, BvStore, Provenance, build_bv_list
 from intralab.etimd import (
     EncodeContext,
     ModeCandidate,
@@ -261,8 +261,7 @@ def _chain_fixture():
     for b in blocks[: current.scan_index]:
         buf.commit_block(b, samples[b.y0 : b.y0 + b.h, b.x0 : b.x0 + b.w].astype(np.int32))
         bvs, prec = vectors.get((b.x0, b.y0), ((), BvPrecision.INT_PEL))
-        tool = RecordTool.INTRA_TMP if bvs else RecordTool.OTHER
-        store.add(CodingRecord(block=b, tool=tool, bvs=bvs, precision=prec))
+        store.add(b, bvs, prec)
     return buf, store, current
 
 

@@ -7,9 +7,7 @@ from intralab.bvlist import (
     BvCandidate,
     BvPrecision,
     BvStore,
-    CodingRecord,
     Provenance,
-    RecordTool,
     _sampling_offsets,
     build_bv_list,
     derive_ar_bvs,
@@ -45,14 +43,17 @@ def test_sampling_points_scale_with_block():
 
 def test_store_add_lookup_overlap():
     store = BvStore(32, 32)
-    rec = CodingRecord(BlockRef(0, 0, 8, 8, 0), RecordTool.INTRA_TMP, (BlockVector(-4, 0),))
-    store.add(rec)
-    assert store.records[store.owner_at(7, 7)] is rec
-    assert store.owner_at(8, 7) == -1
-    assert store.owner_at(-1, 0) == -1
-    assert store.owner_at(0, 32) == -1
+    store.add(BlockRef(0, 0, 8, 8, 0), (BlockVector(-4, 0),))
+    store.add(BlockRef(8, 0, 8, 8, 1))
+    assert store.bvs_at(7, 7) == (BlockVector(-4, 0),)
+    assert store.bvs_at(8, 7) == ()
+    assert store.bvs_at(16, 0) == ()
+    assert store.bvs_at(-1, 0) == ()
+    assert store.bvs_at(0, 32) == ()
     with pytest.raises(ValueError):
-        store.add(CodingRecord(BlockRef(4, 4, 8, 8, 1), RecordTool.OTHER))
+        store.add(BlockRef(4, 4, 8, 8, 2))
+    with pytest.raises(ValueError):  # a block without BVs still covers its pixels
+        store.add(BlockRef(12, 4, 8, 8, 2), (BlockVector(-4, 0),))
 
 
 def test_normalize_bv_floor_shift():
@@ -71,15 +72,8 @@ def test_normalize_matches_floor_division(dx, dy):
 
 def test_sample_spatial_bvs_visit_order():
     store = BvStore(64, 64)
-    store.add(CodingRecord(BlockRef(8, 16, 8, 8, 0), RecordTool.INTRA_TMP, (BlockVector(-2, 0),)))
-    store.add(
-        CodingRecord(
-            BlockRef(16, 8, 8, 8, 1),
-            RecordTool.ETIMD,
-            (BlockVector(16, -32), BlockVector(-48, 0)),
-            precision=BvPrecision.SIXTEENTH,
-        )
-    )
+    store.add(BlockRef(8, 16, 8, 8, 0), (BlockVector(-2, 0),))
+    store.add(BlockRef(16, 8, 8, 8, 1), (BlockVector(16, -32), BlockVector(-48, 0)), BvPrecision.SIXTEENTH)
     block = BlockRef(16, 16, 8, 8, 2)
     got = sample_spatial_bvs(store, block)
     # left point first, then the two above-point BVs normalized from 1/16 units
@@ -90,15 +84,15 @@ def test_derive_ar_single_level():
     store = BvStore(64, 64)
     block = BlockRef(32, 32, 8, 8, 3)
     # the block v1 points at carries v2; the block v1+v2 points at carries v3
-    store.add(CodingRecord(BlockRef(24, 24, 8, 8, 0), RecordTool.INTRA_TMP, (BlockVector(-8, 0),)))
-    store.add(CodingRecord(BlockRef(16, 24, 8, 8, 1), RecordTool.INTRA_TMP, (BlockVector(-4, 0),)))
+    store.add(BlockRef(24, 24, 8, 8, 0), (BlockVector(-8, 0),))
+    store.add(BlockRef(16, 24, 8, 8, 1), (BlockVector(-4, 0),))
     ar = derive_ar_bvs(store, [BlockVector(-8, -8)], block)
     assert ar == [BlockVector(-16, -8)]  # v1 + v2, and v3 is never chased
 
 
 def test_derive_ar_skips_bv_free_records():
     store = BvStore(64, 64)
-    store.add(CodingRecord(BlockRef(24, 24, 8, 8, 0), RecordTool.OTHER))
+    store.add(BlockRef(24, 24, 8, 8, 0))
     assert derive_ar_bvs(store, [BlockVector(-8, -8)], BlockRef(32, 32, 8, 8, 1)) == []
 
 
@@ -109,9 +103,9 @@ def test_build_list_dedup_keeps_primary_tag():
     store = BvStore(64, 64)
     # left neighbor's BV relocates to a record whose BV reproduces the
     # above neighbor's primary, so (-16, -8) arrives twice
-    store.add(CodingRecord(BlockRef(24, 16, 8, 8, 0), RecordTool.INTRA_TMP, (BlockVector(-8, -8),)))
-    store.add(CodingRecord(BlockRef(24, 8, 8, 8, 1), RecordTool.INTRA_TMP, (BlockVector(-8, 0),)))
-    store.add(CodingRecord(BlockRef(32, 8, 8, 8, 2), RecordTool.INTRA_TMP, (BlockVector(-16, -8),)))
+    store.add(BlockRef(24, 16, 8, 8, 0), (BlockVector(-8, -8),))
+    store.add(BlockRef(24, 8, 8, 8, 1), (BlockVector(-8, 0),))
+    store.add(BlockRef(32, 8, 8, 8, 2), (BlockVector(-16, -8),))
 
     lst = build_bv_list(store, buf, block, t=4, n_max=20, use_ar=True)
     assert [c.bv for c in lst] == [
@@ -127,8 +121,8 @@ def test_build_list_ar_provenance_and_validity():
     buf, blocks = prefix_buffer(samples, 8, 20)
     block = blocks[20]  # (32, 16)
     store = BvStore(64, 64)
-    store.add(CodingRecord(BlockRef(24, 16, 8, 8, 0), RecordTool.INTRA_TMP, (BlockVector(-8, -8),)))
-    store.add(CodingRecord(BlockRef(24, 8, 8, 8, 1), RecordTool.INTRA_TMP, (BlockVector(-16, 0),)))
+    store.add(BlockRef(24, 16, 8, 8, 0), (BlockVector(-8, -8),))
+    store.add(BlockRef(24, 8, 8, 8, 1), (BlockVector(-16, 0),))
     lst = build_bv_list(store, buf, block, t=4, n_max=20, use_ar=True)
     assert BvCandidate(BlockVector(-8, -8), Provenance.PRIMARY) in lst
     assert BvCandidate(BlockVector(-24, -8), Provenance.AUTO_RELOCATED) in lst
@@ -142,7 +136,7 @@ def test_build_list_drops_invalid_candidates():
     block = blocks[9]  # (8, 8)
     store = BvStore(64, 64)
     # points into uncommitted area below
-    store.add(CodingRecord(BlockRef(0, 8, 8, 8, 0), RecordTool.INTRA_TMP, (BlockVector(0, 16),)))
+    store.add(BlockRef(0, 8, 8, 8, 0), (BlockVector(0, 16),))
     assert build_bv_list(store, buf, block, t=4) == []
 
 
@@ -153,7 +147,7 @@ def test_build_list_respects_n_max():
     store = BvStore(64, 64)
     # left neighbor with many distinct valid BVs
     bvs = tuple(BlockVector(-8 * k, -8) for k in range(1, 4))
-    store.add(CodingRecord(BlockRef(24, 16, 8, 8, 0), RecordTool.ETIMD, bvs))
+    store.add(BlockRef(24, 16, 8, 8, 0), bvs)
     full = build_bv_list(store, buf, block, t=4, n_max=20, use_ar=False)
     capped = build_bv_list(store, buf, block, t=4, n_max=2, use_ar=False)
     assert len(full) == 3
@@ -164,7 +158,7 @@ def test_build_list_n_max_zero_is_empty():
     samples = noise_frame(64, 64, seed=4)
     buf, blocks = prefix_buffer(samples, 8, 20)
     store = BvStore(64, 64)
-    store.add(CodingRecord(BlockRef(24, 16, 8, 8, 0), RecordTool.ETIMD, (BlockVector(-8, -8),)))
+    store.add(BlockRef(24, 16, 8, 8, 0), (BlockVector(-8, -8),))
     assert len(build_bv_list(store, buf, blocks[20], t=4, n_max=1)) == 1
     assert build_bv_list(store, buf, blocks[20], t=4, n_max=0) == []
 
@@ -180,8 +174,8 @@ def test_build_list_without_ar():
     buf, blocks = prefix_buffer(samples, 8, 20)
     block = blocks[20]
     store = BvStore(64, 64)
-    store.add(CodingRecord(BlockRef(24, 16, 8, 8, 0), RecordTool.INTRA_TMP, (BlockVector(-8, -8),)))
-    store.add(CodingRecord(BlockRef(16, 8, 8, 8, 1), RecordTool.INTRA_TMP, (BlockVector(-8, 0),)))
+    store.add(BlockRef(24, 16, 8, 8, 0), (BlockVector(-8, -8),))
+    store.add(BlockRef(16, 8, 8, 8, 1), (BlockVector(-8, 0),))
     lst = build_bv_list(store, buf, block, t=4, use_ar=False)
     assert all(c.provenance == Provenance.PRIMARY for c in lst)
     assert [c.bv for c in lst] == [BlockVector(-8, -8)]

@@ -1,6 +1,7 @@
 import argparse
 import json
 import sys
+import time
 from collections import Counter
 from dataclasses import fields
 
@@ -122,6 +123,15 @@ def test_pgm_deeper_than_bit_depth_exits_2(tmp_path, capsys):
     assert main([*args, "--bit-depth", "8"]) == 2
     assert "maxval 1023" in capsys.readouterr().err
     assert main([*args, "--bit-depth", "10", "--out", str(tmp_path / "run.json")]) == 0
+
+
+def test_oversized_pgm_header_token_exits_3_quickly(tmp_path, capsys):
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P5\n" + b"8" * 1_000_000 + b" 8\n255\n" + bytes(64))
+    start = time.perf_counter()
+    assert main(["run", "--input", str(path), "--format", "pgm", "--width", "8", "--height", "8"]) == 3
+    assert time.perf_counter() - start < 5.0  # reading the token byte by byte to its end takes ~30 s
+    assert "header token" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

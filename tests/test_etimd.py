@@ -3,11 +3,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from intralab.bvlist import BvCandidate, BvStore, Provenance, RecordTool, build_bv_list
+from intralab.bvlist import BvCandidate, BvStore, Provenance, build_bv_list
 from intralab import harness
 from intralab.cli import build_parser
 from intralab.etimd import (
-    RECORD_TOOLS,
     TOOLS,
     CandidatePool,
     EncodeContext,
@@ -367,34 +366,34 @@ def _cfg(**kw):
 
 def test_derive_dc_for_first_block():
     ctx, blocks = _ctx(noise_frame(64, 64, seed=20), _cfg(tool="etimd"), 0)
-    tool, fusion, bv_list, found = derive_block_modes(ctx, blocks[0])
-    assert tool == "dc" and fusion.weights == [1.0] and bv_list == [] and found is None
+    tool, fusion, bv_list = derive_block_modes(ctx, blocks[0])
+    assert tool == "dc" and fusion.weights == [1.0] and bv_list == []
 
 
 def test_derive_dc_only_tool():
     ctx, blocks = _ctx(noise_frame(64, 64, seed=21), _cfg(tool="dc-only"), 12)
-    tool, fusion, _, _ = derive_block_modes(ctx, blocks[12])
+    tool, fusion, _ = derive_block_modes(ctx, blocks[12])
     assert tool == "dc"
     assert fusion.modes[0].label() == "dc"
 
 
 def test_derive_intratmp_finds_match():
     ctx, blocks = _ctx(tiled_glyph_frame(64, 64, period=8, seed=22), _cfg(tool="intratmp"), 12)
-    tool, fusion, _, found = derive_block_modes(ctx, blocks[12])
+    tool, fusion, _ = derive_block_modes(ctx, blocks[12])
     assert tool == "intratmp"
-    assert found is not None and found.cost == 0
-    assert fusion.modes[0].bv == found.bv and fusion.weights == [1.0]
+    assert len(fusion.modes) == 1 and fusion.modes[0].kind == "bv" and fusion.modes[0].cost == 0
+    assert fusion.weights == [1.0]
 
 
 def test_derive_intratmp_falls_back_to_dc():
     ctx, blocks = _ctx(noise_frame(64, 64, seed=23), _cfg(tool="intratmp", search_range=4), 1)
-    tool, fusion, _, found = derive_block_modes(ctx, blocks[1])  # (8, 0)
-    assert tool == "dc" and found is None
+    tool, fusion, _ = derive_block_modes(ctx, blocks[1])  # (8, 0)
+    assert tool == "dc" and fusion.modes[0].kind == "dc"
 
 
 def test_derive_timd_all_template_modes():
     ctx, blocks = _ctx(noise_frame(64, 64, seed=24), _cfg(tool="timd"), 12)
-    tool, fusion, bv_list, _ = derive_block_modes(ctx, blocks[12])
+    tool, fusion, bv_list = derive_block_modes(ctx, blocks[12])
     assert tool == "timd" and bv_list == []
     assert all(c.kind in ("angular", "planar", "dc") for c in fusion.modes)
 
@@ -402,16 +401,16 @@ def test_derive_timd_all_template_modes():
 def test_derive_etimd_compete_switches_on_cheaper_search():
     samples = tiled_glyph_frame(64, 64, period=8, seed=25)
     ctx, blocks = _ctx(samples, _cfg(tool="etimd", tmp_compete=True), 12)
-    tool, fusion, _, found = derive_block_modes(ctx, blocks[12])
+    tool, fusion, _ = derive_block_modes(ctx, blocks[12])
     # angular fusion cannot reach cost 0 on glyph noise, the search can
     assert tool == "intratmp"
-    assert found is not None and found.cost == 0
+    assert len(fusion.modes) == 1 and fusion.modes[0].kind == "bv" and fusion.modes[0].cost == 0
 
 
 def test_derive_etimd_compete_needs_strict_improvement():
     flat = np.full((64, 64), 200, dtype=np.uint16)
     ctx, blocks = _ctx(flat, _cfg(tool="etimd", tmp_compete=True), 12)
-    tool, fusion, _, found = derive_block_modes(ctx, blocks[12])
+    tool, fusion, _ = derive_block_modes(ctx, blocks[12])
     assert tool == "etimd"  # fusion already at cost 0, search cannot beat it
     assert fusion.modes[0].cost == 0
 
@@ -419,8 +418,8 @@ def test_derive_etimd_compete_needs_strict_improvement():
 def test_derive_etimd_without_compete_keeps_fusion():
     samples = tiled_glyph_frame(64, 64, period=8, seed=26)
     ctx, blocks = _ctx(samples, _cfg(tool="etimd", tmp_compete=False), 12)
-    tool, _, _, found = derive_block_modes(ctx, blocks[12])
-    assert tool == "etimd" and found is None
+    tool, _, _ = derive_block_modes(ctx, blocks[12])
+    assert tool == "etimd"
 
 
 def test_derive_unknown_tool():
@@ -443,15 +442,13 @@ def test_encode_block_commits_and_records():
     assert ctx.buf.n_committed == len(blocks)
     # open loop commits the original samples
     np.testing.assert_array_equal(ctx.buf.samples, samples.astype(np.int32))
-    assert len(ctx.store.records) == len(blocks)
-    for res, rec in zip(results, ctx.store.records):
+    for res in results:
+        stored = ctx.store.bvs_at(res.block.x0, res.block.y0)
+        assert stored == tuple(c.bv for c in res.fusion.modes if c.kind == "bv")
         if res.tool == "intratmp":
-            assert rec.tool == RecordTool.INTRA_TMP and len(rec.bvs) == 1
-        elif res.tool == "etimd":
-            assert rec.tool == RecordTool.ETIMD
-            assert len(rec.bvs) == sum(1 for c in res.fusion.modes if c.kind == "bv")
-        else:
-            assert rec.tool == RecordTool.OTHER and rec.bvs == ()
+            assert len(stored) == 1
+        elif res.tool != "etimd":
+            assert stored == ()
     assert any(res.tool == "intratmp" for res in results)
 
 
@@ -466,10 +463,8 @@ def test_one_tool_table_feeds_config_cli_and_records():
     for tool in TOOLS:
         ctx, blocks = _ctx(samples, _cfg(tool=tool, search_range=16), 0)
         for b in blocks:
-            res = encode_block(ctx, b)
-            assert ctx.store.records[-1].tool == RECORD_TOOLS[res.tool]
-            labels.add(res.tool)
-    assert labels == set(RECORD_TOOLS)
+            labels.add(encode_block(ctx, b).tool)
+    assert labels == {"dc", "timd", "etimd", "intratmp"}
 
 
 def test_encode_block_stats_consistent(rng):

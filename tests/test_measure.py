@@ -8,7 +8,8 @@ frames.  The per-mode predictions the oracle needs are re-derived by
 replaying the committed reconstructions block by block.  Under
 perfbench's span tracer, the encode loop calls each measurement kernel
 once per batch, not per block, and every name the benchmark traces runs
-on the encode and replay path.  perfbench/ is only read.
+on the encode and replay path.  Its count pass gives the same counters
+twice over one frame.  perfbench/ is only read.
 """
 
 from __future__ import annotations
@@ -165,3 +166,12 @@ def test_every_traced_name_runs_on_the_program_path(traced_smallblock):
     assert outside <= set(traced)
     _, calls = traced_smallblock
     assert [name for name in traced if name not in outside and not calls[name]] == []
+
+
+def test_count_pass_is_repeatable_and_counts_the_bv_list():
+    # perfbench's count pass patches the bvlist functions and tmp_search; two
+    # passes over one frame must agree, or run.py marks the run incorrect.
+    frame, cfg = _frame0("screen-etimd")
+    first, second = (spans.count_pass(lambda: harness.encode_frame(frame, cfg)[0]) for _ in range(2))
+    assert first == second
+    assert [name for name in ("bvlist.sampled", "bvlist.kept", "tmp.search.calls") if first[name] <= 0] == []
