@@ -214,8 +214,8 @@ def evaluate_candidates(
         raise ValueError("block has no template; fall back to DC instead")
 
     ex, ey, we, he = extended_rect(block, t)
-    refs = build_reference_samples(buf, ex, ey, we, he)
-    preds = predict_template(refs, we, he, tuple((x - ex, y - ey, w, h) for x, y, w, h in rects))
+    line = build_reference_samples(buf, ex, ey, we, he)
+    preds = predict_template(line, we, he, tuple((x - ex, y - ey, w, h) for x, y, w, h in rects))
     dxs = np.array([0] + [c.bv.dx for c in bv_list], dtype=np.int64)
     dys = np.array([0] + [c.bv.dy for c in bv_list], dtype=np.int64)
     layout, rows = gather_templates(buf, rects, dxs, dys)
@@ -318,15 +318,15 @@ class EncodeContext:
 
 
 def fusion_predictions(buf: ReconBuffer, block: BlockRef, fusion: FusionSet) -> list[np.ndarray]:
-    refs = None
+    line = None
     preds = []
     for cand in fusion.modes:
         if cand.kind == "bv":
             preds.append(bv_predict(buf, block, cand.bv))
         else:
-            if refs is None:
-                refs = build_reference_samples(buf, block.x0, block.y0, block.w, block.h)
-            preds.append(predict_mode(refs, cand.mode, block.w, block.h))
+            if line is None:
+                line = build_reference_samples(buf, block.x0, block.y0, block.w, block.h)
+            preds.append(predict_mode(line, cand.mode, block.w, block.h))
     return preds
 
 

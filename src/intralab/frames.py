@@ -115,8 +115,8 @@ def _require_bytes(fh: io.BufferedReader, path: str, offset: int, need: int) -> 
         raise TruncatedInputError(f"{path}: needs {need} sample bytes at offset {offset}, has {size} bytes")
 
 
-def _read_pgm_token(fh: io.BufferedReader) -> bytes:
-    """Read one whitespace-delimited header token, skipping # comments."""
+def _read_pgm_number(fh: io.BufferedReader) -> int:
+    """Read one whitespace-delimited header number in ASCII decimal, skipping # comments."""
     token = b""
     while True:
         ch = fh.read(1)
@@ -127,9 +127,11 @@ def _read_pgm_token(fh: io.BufferedReader) -> bytes:
                 ch = fh.read(1)
             continue
         if ch.isspace():
-            if token:
-                return token
-            continue
+            if not token:
+                continue
+            if not token.isdigit():  # int() would also take a sign or underscores
+                raise FormatError(f"pgm header token {token!r} is not a decimal number")
+            return int(token)
         if len(token) == _PGM_TOKEN_MAX:
             raise FormatError(f"pgm header token longer than {_PGM_TOKEN_MAX} bytes")
         token += ch
@@ -144,12 +146,7 @@ def _load_pgm(path: str, width: int, height: int, bit_depth: int) -> Frame:
         magic = fh.read(2)
         if magic != b"P5":
             raise FormatError(f"{path}: not a binary PGM (magic {magic!r})")
-        try:
-            w = int(_read_pgm_token(fh))
-            h = int(_read_pgm_token(fh))
-            maxval = int(_read_pgm_token(fh))
-        except ValueError as exc:
-            raise FormatError(f"{path}: malformed pgm header") from exc
+        w, h, maxval = (_read_pgm_number(fh) for _ in range(3))
         if maxval <= 0 or maxval >= 65536:
             raise FormatError(f"{path}: pgm maxval {maxval} out of range")
         if (w, h) != (width, height):

@@ -7,28 +7,24 @@ each output sample onto the reference line at 1/32-sample precision and
 applies a 2-tap linear interpolation; negative-angle modes extend the
 main reference from the side reference the usual way.
 
-All angular samples are gathered from one reference line,
-above ‖ corner ‖ left: sample p of mode m is
+Every mode reads one reference line, above ‖ corner ‖ left (the
+output of build_reference_samples): angular sample p of mode m is
 ((32 - w1) * line[i0] + w1 * line[i1] + 16) >> 5 with taps (i0, i1, w1)
-that depend on the block shape alone.  _angular_taps holds the angle
-math.  Two bounded LRU caches hold the tables, each built on first use
-and never at import:
+that depend on the block shape alone, and _angular_taps holds the angle
+math.  One bounded LRU cache, _template_taps(we, he, strips), holds the
+tables, each built on first use and never at import: for the samples
+of a (he, we) block under its template strips (rectangles relative to
+that block), in the order of cost.strip_offsets(strips, we), the Planar
+terms (four line indices and coefficients per sample) and the distinct
+angular taps with the index that spreads them over 65 rows.
+predict_template interpolates each distinct tap once (2,146 taps for
+the 9,360 angular samples of a 16x16 block with t = 4) and spreads them
+with one take; predict_mode reads one row of the table of the whole
+block as its own one-strip template.
 
-- _block_taps(w, h): the taps of all 65 modes over a (h, w) block in
-  small dtypes; predict_angular gathers one mode from it.
-- _template_taps(we, he, strips): for the samples of a (he, we)
-  template-extended block under its template strips (rectangles
-  relative to that block), in the order of cost.strip_offsets(strips,
-  we), the Planar terms (four line indices and coefficients per sample)
-  and the distinct angular taps with the index that spreads them over
-  65 rows; predict_template interpolates each distinct tap once (2,146
-  taps for the 9,360 angular samples of a 16x16 block with t = 4) and
-  spreads them with one take.
-
-Filled with blocks up to 64x64 and templates up to 8 deep (tmp.TEMPLATES),
-the two caches together hold at most 32 MiB (BLOCK_TAPS_ENTRIES and
-TEMPLATE_TAPS_ENTRIES are chosen for that); a template table grows
-linearly with t.
+Filled with whole blocks up to 64x64 (2.6 MiB each at most) or
+templates up to 8 deep (tmp.TEMPLATES), the cache holds at most 32 MiB;
+TEMPLATE_TAPS_ENTRIES is chosen for that.
 
 Predictions run in int64 on samples below 2^bit_depth <= 2^10, which
 cannot overflow: an interpolation sum peaks at 32 * 1023 + 16, and the
@@ -45,7 +41,6 @@ mid-gray, 1 << (bit_depth - 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -62,9 +57,8 @@ MODE_VER = 50
 ANGULAR_MODES = tuple(range(2, 67))
 ALL_MODES = (MODE_PLANAR, MODE_DC) + ANGULAR_MODES
 
-# Entries of the two tap caches, sized to the byte budget in the docstring.
-BLOCK_TAPS_ENTRIES = 8
-TEMPLATE_TAPS_ENTRIES = 24
+# Entries of the tap cache, sized to the byte budget in the docstring.
+TEMPLATE_TAPS_ENTRIES = 12
 
 # Displacement per row step, in 1/32 sample units, for modes 2..66.
 INTRA_PRED_ANGLE = (
@@ -104,22 +98,6 @@ def mode_direction(mode: int) -> tuple[int, int]:
     return (-32, a)
 
 
-@dataclass
-class RefSamples:
-    """Padded reference border of one block.
-
-    above holds 2w + 1 samples starting at the top-left corner; left
-    holds the 2h samples down the left edge (corner excluded).  The
-    *_available masks record which positions held committed samples
-    before padding.
-    """
-
-    above: np.ndarray
-    left: np.ndarray
-    above_available: np.ndarray
-    left_available: np.ndarray
-
-
 def _note_runs(buf: ReconBuffer, x: int, y: int, taken: np.ndarray, along_row: bool) -> None:
     """Report each contiguous run of read samples, from (x, y) along a row or down a column."""
     idx = np.flatnonzero(taken)
@@ -134,12 +112,15 @@ def _note_runs(buf: ReconBuffer, x: int, y: int, taken: np.ndarray, along_row: b
             buf.note_read(x, y + first, 1, n)
 
 
-def build_reference_samples(buf: ReconBuffer, x0: int, y0: int, w: int, h: int) -> RefSamples:
-    """Gather and pad the reference border of the block at (x0, y0).
+def build_reference_samples(buf: ReconBuffer, x0: int, y0: int, w: int, h: int) -> np.ndarray:
+    """Padded reference line of the block at (x0, y0): above ‖ corner ‖ left, int64.
 
-    The border is read into one buffer in padding scan order (the left
-    column bottom-up, then the corner and the above row), so padding is
-    one forward fill, run only when a sample is missing.
+    above holds the 2w + 1 samples from the top-left corner along the
+    row above, left the 2h samples down the left column (corner
+    excluded).  The border is read into one buffer in padding scan
+    order (the left column bottom-up, then the corner and the above
+    row), so padding is one forward fill, run only when a sample is
+    missing.
     """
     n_left = 2 * h
     scan = np.zeros(n_left + 2 * w + 1, dtype=np.int64)
@@ -168,7 +149,7 @@ def build_reference_samples(buf: ReconBuffer, x0: int, y0: int, w: int, h: int) 
             scan = scan[pos]
         else:
             scan.fill(1 << (buf.bit_depth - 1))
-    return RefSamples(scan[n_left:], scan[:n_left][::-1], avail[n_left:], avail[:n_left][::-1])
+    return np.concatenate((scan[n_left:], scan[n_left : n_left + 1], scan[n_left - 1 :: -1]))
 
 
 def _invert_angle(angle: int) -> int:
@@ -227,16 +208,8 @@ def _frozen(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-@lru_cache(maxsize=BLOCK_TAPS_ENTRIES)
-def _block_taps(w: int, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Taps of all 65 angular modes over an (h, w) block, each (65, h, w) in a small dtype."""
-    i0, i1, w1 = _mode_taps(np.arange(h)[:, None], np.arange(w)[None, :], w, h)
-    itype = np.min_scalar_type(2 * w + 2 * h + 1)
-    return _frozen(i0.astype(itype), i1.astype(itype), w1.astype(np.uint8))
-
-
 class TemplateTaps(NamedTuple):
-    """Everything predict_template reads for one template geometry.
+    """Everything predict_template and predict_mode read for one template geometry.
 
     Planar sample j is (sum_k planar_coef[k, j] * line[planar_idx[k, j]]
     + we * he) // (2 * we * he).  The angular samples are the distinct
@@ -254,7 +227,7 @@ class TemplateTaps(NamedTuple):
 
 @lru_cache(maxsize=TEMPLATE_TAPS_ENTRIES)
 def _template_taps(we: int, he: int, strips: tuple[Rect, ...]) -> TemplateTaps:
-    """Tables of the samples under strips, rectangles of a (he, we) template-extended block.
+    """Tables of the samples under strips, rectangles of a (he, we) block.
 
     The samples run in the strips' cost layout.  A tap whose weight w1
     is 0 reads i0 alone, so its i1 is set to i0 before the taps are made
@@ -278,10 +251,6 @@ def _template_taps(we: int, he: int, strips: tuple[Rect, ...]) -> TemplateTaps:
     ))
 
 
-def _reference_line(refs: RefSamples) -> np.ndarray:
-    return np.concatenate([refs.above, refs.above[:1], refs.left]).astype(np.int64, copy=False)
-
-
 def _interpolate(line: np.ndarray, i0: np.ndarray, i1: np.ndarray, w1: np.ndarray) -> np.ndarray:
     """((32 - w1) * line[i0] + w1 * line[i1] + 16) >> 5, in place on the two gathers."""
     v0 = line[i0]
@@ -295,62 +264,51 @@ def _interpolate(line: np.ndarray, i0: np.ndarray, i1: np.ndarray, w1: np.ndarra
     return v0
 
 
-def predict_angular(refs: RefSamples, mode: int, w: int, h: int) -> np.ndarray:
-    """Angular prediction of a (h, w) block from padded references."""
-    angle_of(mode)  # rejects non-angular modes
-    k = mode - ANGULAR_MODES[0]
-    i0, i1, w1 = _block_taps(w, h)
-    return _interpolate(_reference_line(refs), i0[k], i1[k], w1[k])
+def _dc_value(line: np.ndarray, w: int, h: int) -> int:
+    """Rounded mean of the w above and h left references of an (h, w) block."""
+    total = int(line[1 : w + 1].sum()) + int(line[2 * w + 2 : 2 * w + 2 + h].sum())
+    return (total + (w + h) // 2) // (w + h)
 
 
-def _dc_value(refs: RefSamples, w: int, h: int) -> int:
-    total = int(refs.above[1 : w + 1].sum()) + int(refs.left[:h].sum())
-    count = w + h
-    return (total + count // 2) // count
+def _planar(line: np.ndarray, taps: TemplateTaps, we: int, he: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Planar samples of a (he, we) block at a table's positions: the mean of two linear interpolations."""
+    out = np.sum(taps.planar_coef * line[taps.planar_idx], axis=0, out=out)
+    out += we * he
+    out //= 2 * we * he
+    return out
 
 
-def predict_dc(refs: RefSamples, w: int, h: int) -> np.ndarray:
-    """Constant block at the rounded mean of w above + h left references."""
-    return np.full((h, w), _dc_value(refs, w, h), dtype=np.int64)
-
-
-def predict_planar(refs: RefSamples, w: int, h: int) -> np.ndarray:
-    """Planar prediction: mean of the two linear interpolations."""
-    top = refs.above[1 : w + 2].astype(np.int64)
-    left = refs.left[: h + 1].astype(np.int64)
-    y = np.arange(h, dtype=np.int64)[:, None]
-    x = np.arange(w, dtype=np.int64)[None, :]
-    pred_v = (h - 1 - y) * top[None, :w] + (y + 1) * left[h]
-    pred_h = (w - 1 - x) * left[:h, None] + (x + 1) * top[w]
-    num = pred_v * w + pred_h * h
-    return (num + w * h) // (2 * w * h)
-
-
-def predict_mode(refs: RefSamples, mode: int, w: int, h: int) -> np.ndarray:
-    if mode == MODE_PLANAR:
-        return predict_planar(refs, w, h)
+def predict_mode(line: np.ndarray, mode: int, w: int, h: int) -> np.ndarray:
+    """Prediction of one mode over an (h, w) block from its reference line."""
     if mode == MODE_DC:
-        return predict_dc(refs, w, h)
-    return predict_angular(refs, mode, w, h)
+        return np.full((h, w), _dc_value(line, w, h), dtype=np.int64)
+    block = ((0, 0, w, h),)
+    taps = _template_taps(w, h, block)
+    if mode == MODE_PLANAR:
+        row = _planar(line, taps, w, h)
+    else:
+        angle_of(mode)  # rejects modes outside ALL_MODES
+        u = taps.spread[mode - ANGULAR_MODES[0]]
+        row = _interpolate(line, taps.i0[u], taps.i1[u], taps.w1[u])
+    out = np.empty(w * h, dtype=np.int64)
+    out[strip_offsets(block, w)[1]] = row
+    return out.reshape(h, w)
 
 
-def predict_template(refs: RefSamples, we: int, he: int, strips: tuple[Rect, ...]) -> np.ndarray:
+def predict_template(line: np.ndarray, we: int, he: int, strips: tuple[Rect, ...]) -> np.ndarray:
     """Template samples of every mode, one row per mode in ALL_MODES order.
 
-    refs belong to the (he, we) template-extended block, and strips are
+    line belongs to the (he, we) template-extended block, and strips are
     the template's (x, y, w, h) rectangles relative to it.  Each row
     holds that block's prediction at the strips' positions only, in
     their cost layout, strip_offsets(strips, we), ready for layout_cost.
-    Row m equals predict_mode(refs, ALL_MODES[m], we, he) at those
+    Row m equals predict_mode(line, ALL_MODES[m], we, he) at those
     positions; since ALL_MODES[m] == m, row m is mode m.
     """
     taps = _template_taps(we, he, strips)
-    line = _reference_line(refs)
     out = np.empty((len(ALL_MODES), taps.spread.shape[1]), dtype=np.int64)
-    np.sum(taps.planar_coef * line[taps.planar_idx], axis=0, out=out[MODE_PLANAR])
-    out[MODE_PLANAR] += we * he
-    out[MODE_PLANAR] //= 2 * we * he
-    out[MODE_DC] = _dc_value(refs, we, he)
+    _planar(line, taps, we, he, out=out[MODE_PLANAR])
+    out[MODE_DC] = _dc_value(line, we, he)
     # mode="clip" lets take write straight into out; every index is in range.
     np.take(_interpolate(line, taps.i0, taps.i1, taps.w1), taps.spread, out=out[ANGULAR_MODES[0] :], mode="clip")
     return out

@@ -5,7 +5,9 @@ the vectorized code paths must reproduce.  tile_satd_int64 and
 satd_batch_int64 are the int64 stacked-matmul Hadamard kernel the
 float32 GEMM in intralab.cost replaced, kept as its oracle.
 build_reference_samples is the coordinate-array border gather that
-intralab.intra's slice-based one replaced.  candidate_valid is the
+intralab.intra's slice-based one replaced, and predict_samples and
+predict_block the sample-at-a-time Planar, DC and angular formulas
+that intralab.intra's shared tap tables must reproduce.  candidate_valid is the
 one-candidate causality check, one rectangle at a time, that the
 window-wide checks of the template search and the BV list must agree
 with.  measure_block is the
@@ -21,7 +23,7 @@ import numpy as np
 from intralab.cost import METRICS, sad, satd, satd_tiling
 from intralab.grid import BlockRef, ReconBuffer
 from intralab.hog import N_MODES, _quantize, gradient_field
-from intralab.intra import MODE_PLANAR, RefSamples
+from intralab.intra import MODE_DC, MODE_PLANAR, angle_of
 from intralab.tmp import BlockVector, template_rects
 from intralab.transforms import _KERNELS, TRANSFORM_SIZES, _diagonal_scan_indices, transform_class
 
@@ -153,8 +155,8 @@ def _note_runs(buf: ReconBuffer, xs: np.ndarray, ys: np.ndarray, taken: np.ndarr
         buf.note_read(x0, y0, x1 - x0 + 1, y1 - y0 + 1)
 
 
-def build_reference_samples(buf: ReconBuffer, x0: int, y0: int, w: int, h: int) -> RefSamples:
-    """Padded reference border of the block at (x0, y0), one coordinate array per edge."""
+def build_reference_samples(buf: ReconBuffer, x0: int, y0: int, w: int, h: int) -> np.ndarray:
+    """Padded reference line above ‖ corner ‖ left of the block at (x0, y0), one coordinate array per edge."""
     default = 1 << (buf.bit_depth - 1)
 
     ax = np.arange(x0 - 1, x0 + 2 * w)
@@ -188,7 +190,58 @@ def build_reference_samples(buf: ReconBuffer, x0: int, y0: int, w: int, h: int) 
     filled = _forward_fill(scan_vals, scan_avail, default)
     left_filled = filled[: 2 * h][::-1].copy()
     above_filled = filled[2 * h :]
-    return RefSamples(above_filled, left_filled, above_avail, left_avail)
+    return np.concatenate([above_filled, above_filled[:1], left_filled])
+
+
+def predict_samples(line: np.ndarray, mode: int, w: int, h: int, positions) -> np.ndarray:
+    """Samples at (x, y) positions of mode's prediction of an (h, w) block, one at a time.
+
+    line is above ‖ corner ‖ left: above holds the 2w + 1 samples from
+    the top-left corner along the row above, left the 2h samples down
+    the left column.
+    """
+    above = [int(v) for v in line[: 2 * w + 1]]
+    left = [int(v) for v in line[2 * w + 2 :]]
+    assert len(left) == 2 * h and line[2 * w + 1] == line[0]
+    if mode == MODE_PLANAR:
+
+        def sample(x, y):
+            pv = (h - 1 - y) * above[1 + x] + (y + 1) * left[h]
+            ph = (w - 1 - x) * left[y] + (x + 1) * above[1 + w]
+            return (pv * w + ph * h + w * h) // (2 * w * h)
+
+        return np.array([sample(x, y) for x, y in positions], dtype=np.int64)
+    if mode == MODE_DC:
+        dc = (sum(above[1 : w + 1]) + sum(left[:h]) + (w + h) // 2) // (w + h)
+        return np.array([dc for _ in positions], dtype=np.int64)
+
+    # Angular: project along the main reference (above for vertical-set
+    # modes, corner ‖ left for horizontal-set ones), extended past the
+    # corner from the side reference for negative angles.
+    angle = angle_of(mode)
+    if mode >= 34:
+        main = lambda i: above[min(i, 2 * w)]
+        side = lambda j: above[0] if j == 0 else left[min(j, 2 * h) - 1]
+    else:
+        main = lambda i: above[0] if i == 0 else left[min(i, 2 * h) - 1]
+        side = lambda j: above[min(j, 2 * w)]
+    inv = round(512 * 32 / abs(angle)) if angle < 0 else 0
+
+    def ref(i):
+        return main(i) if i >= 0 else side((-i * inv + 256) >> 9)
+
+    def sample(x, y):
+        s, b = (y + 1, x) if mode >= 34 else (x + 1, y)
+        proj = s * angle
+        i = b + (proj >> 5) + 1
+        return ((32 - (proj & 31)) * ref(i) + (proj & 31) * ref(i + 1) + 16) >> 5
+
+    return np.array([sample(x, y) for x, y in positions], dtype=np.int64)
+
+
+def predict_block(line: np.ndarray, mode: int, w: int, h: int) -> np.ndarray:
+    """Mode's prediction of a whole (h, w) block, one sample at a time."""
+    return predict_samples(line, mode, w, h, [(x, y) for y in range(h) for x in range(w)]).reshape(h, w)
 
 
 def build_hog(samples: np.ndarray) -> np.ndarray:

@@ -161,6 +161,12 @@ def test_io_errors_exit_3(glyph_yuv, tmp_path, capsys):
     not_a_report = tmp_path / "junk.json"
     not_a_report.write_text("scan_index,tool\n")
     assert main(["compare", str(not_a_report), str(not_a_report)]) == 3
+    # PGM header numbers that int() alone would read as 4 and 255
+    for header in (b"P5\n+4 4\n255\n", b"P5\n4 4\n2_55\n"):
+        pgm = tmp_path / "signed.pgm"
+        pgm.write_bytes(header + bytes(16))
+        args = ["run", "--input", str(pgm), "--format", "pgm", "--width", "4", "--height", "4", "--block-size", "4"]
+        assert main([*args, "--out", str(tmp_path / "r.json")]) == 3
     assert "error:" in capsys.readouterr().err
 
 

@@ -315,10 +315,10 @@ def test_pool_mode_costs_match_full_block_predictions(data, size, block_size, t,
 
     pool = evaluate_candidates(buf, block, t, metric)
     ex, ey, we, he = extended_rect(block, t)
-    refs = oracles.build_reference_samples(buf, ex, ey, we, he)
+    line = oracles.build_reference_samples(buf, ex, ey, we, he)
     strips = [r for r in template_rects(block, t, fw, fh) if r is not None]
     for m in ALL_MODES:
-        pred = predict_mode(refs, m, we, he)
+        pred = predict_mode(line, m, we, he)
         want = sum(
             int(oracles.block_cost(pred[y - ey : y - ey + h, x - ex : x - ex + w], samples[y : y + h, x : x + w], metric))
             for x, y, w, h in strips

@@ -107,6 +107,16 @@ def test_pgm_bad_magic(tmp_path):
         load_frame(path, "pgm", 4, 2)
 
 
+@pytest.mark.parametrize("header", [b"P5\n+4 4\n255\n", b"P5\n4 4\n2_55\n", b"P5\n4 -4\n255\n"])
+def test_pgm_header_numbers_must_be_ascii_decimal(tmp_path, header):
+    # int() alone reads "+4" as 4 and "2_55" as 255.
+    path = str(tmp_path / "signed.pgm")
+    with open(path, "wb") as fh:
+        fh.write(header + bytes(16))
+    with pytest.raises(FormatError, match="not a decimal number"):
+        load_frame(path, "pgm", 4, 4)
+
+
 def test_pgm_dimension_mismatch(rng, tmp_path):
     path = str(tmp_path / "img.pgm")
     write_pgm(Frame(10, 7, 8, _plane(rng, 10, 7, 8)), path)

@@ -19,14 +19,10 @@ from intralab.intra import (
     MODE_HOR,
     MODE_PLANAR,
     MODE_VER,
-    RefSamples,
     angle_of,
     build_reference_samples,
     mode_direction,
-    predict_angular,
-    predict_dc,
     predict_mode,
-    predict_planar,
     predict_template,
 )
 from intralab.cost import strip_layout
@@ -35,65 +31,48 @@ from conftest import committed_buffer, prefix_buffer
 import oracles
 
 
-def _refs(rng, w, h, lo=0, hi=256):
+def _line(rng, w, h, lo=0, hi=256):
+    """A random reference line above ‖ corner ‖ left of an (h, w) block."""
     above = rng.integers(lo, hi, size=2 * w + 1).astype(np.int64)
     left = rng.integers(lo, hi, size=2 * h).astype(np.int64)
-    return RefSamples(above, left, np.ones(2 * w + 1, bool), np.ones(2 * h, bool))
+    return np.concatenate([above, above[:1], left])
 
 
-def _oracle_angular(refs: RefSamples, mode: int, w: int, h: int) -> np.ndarray:
-    """Scalar projection reference: one sample at a time, no vectorization."""
-    angle = angle_of(mode)
-    vertical = mode >= 34
-    if vertical:
-        n_scan, n_base = h, w
-
-        def main(i):
-            return int(refs.above[min(i, 2 * w)])
-
-        def side(j):
-            return int(refs.above[0]) if j == 0 else int(refs.left[min(j, 2 * h) - 1])
-
-    else:
-        n_scan, n_base = w, h
-
-        def main(i):
-            return int(refs.above[0]) if i == 0 else int(refs.left[min(i, 2 * h) - 1])
-
-        def side(j):
-            return int(refs.above[min(j, 2 * w)])
-
-    inv = round(512 * 32 / abs(angle)) if angle < 0 else 0
-
-    def ref(i):
-        if i >= 0:
-            return main(i)
-        return side((-i * inv + 256) >> 9)
-
-    out = np.zeros((n_scan, n_base), dtype=np.int64)
-    for s in range(1, n_scan + 1):
-        proj = s * angle
-        whole, frac = proj >> 5, proj & 31
-        for b in range(n_base):
-            i = b + whole + 1
-            out[s - 1, b] = ((32 - frac) * ref(i) + frac * ref(i + 1) + 16) >> 5
-    return out if vertical else out.T
+def _above_left(line, w):
+    """The 2w + 1 above samples (corner first) and the 2h left samples of a reference line."""
+    return line[: 2 * w + 1], line[2 * w + 2 :]
 
 
 @pytest.mark.parametrize("w,h", [(8, 8), (8, 4), (4, 8), (16, 4)])
 def test_angular_matches_scalar_oracle(rng, w, h):
-    refs = _refs(rng, w, h)
+    line = _line(rng, w, h)
     for mode in ANGULAR_MODES:
         np.testing.assert_array_equal(
-            predict_angular(refs, mode, w, h), _oracle_angular(refs, mode, w, h), err_msg=f"mode {mode}"
+            predict_mode(line, mode, w, h), oracles.predict_block(line, mode, w, h), err_msg=f"mode {mode}"
         )
 
 
 def test_angular_oracle_10bit(rng):
-    refs = _refs(rng, 8, 8, hi=1024)
+    line = _line(rng, 8, 8, hi=1024)
     for mode in ANGULAR_MODES:
+        np.testing.assert_array_equal(predict_mode(line, mode, 8, 8), oracles.predict_block(line, mode, 8, 8))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    size=st.sampled_from([4, 8, 16, 32, 64]),
+    clip=st.tuples(st.integers(0, 63), st.integers(0, 63)),
+    bit_depth=st.sampled_from([8, 10]),
+)
+def test_block_prediction_matches_the_oracles(seed, size, clip, bit_depth):
+    # Every mode of a block of a size-grid partition, clipped by the
+    # frame edge to w x h, against the sample-at-a-time formulas.
+    w, h = max(1, size - clip[0] % size), max(1, size - clip[1] % size)
+    line = _line(np.random.default_rng(seed), w, h, hi=1 << bit_depth)
+    for mode in ALL_MODES:
         np.testing.assert_array_equal(
-            predict_angular(refs, mode, 8, 8), _oracle_angular(refs, mode, 8, 8)
+            predict_mode(line, mode, w, h), oracles.predict_block(line, mode, w, h), err_msg=f"mode {mode}"
         )
 
 
@@ -116,73 +95,70 @@ def test_mode_direction_landmarks():
 
 
 def test_pure_vertical_copies_above_row(rng):
-    refs = _refs(rng, 8, 8)
-    pred = predict_angular(refs, MODE_VER, 8, 8)
+    line = _line(rng, 8, 8)
+    pred = predict_mode(line, MODE_VER, 8, 8)
+    above, _ = _above_left(line, 8)
     for y in range(8):
-        np.testing.assert_array_equal(pred[y], refs.above[1:9])
+        np.testing.assert_array_equal(pred[y], above[1:9])
 
 
 def test_pure_horizontal_copies_left_column(rng):
-    refs = _refs(rng, 8, 8)
-    pred = predict_angular(refs, MODE_HOR, 8, 8)
+    line = _line(rng, 8, 8)
+    pred = predict_mode(line, MODE_HOR, 8, 8)
+    _, left = _above_left(line, 8)
     for x in range(8):
-        np.testing.assert_array_equal(pred[:, x], refs.left[:8])
+        np.testing.assert_array_equal(pred[:, x], left[:8])
 
 
 def test_mode_66_bottom_right_diagonal(rng):
-    refs = _refs(rng, 8, 8)
-    pred = predict_angular(refs, 66, 8, 8)
+    line = _line(rng, 8, 8)
+    pred = predict_mode(line, 66, 8, 8)
+    above, _ = _above_left(line, 8)
     for y in range(8):
         for x in range(8):
-            assert pred[y, x] == refs.above[min(x + y + 2, 16)]
+            assert pred[y, x] == above[min(x + y + 2, 16)]
 
 
 def test_mode_2_matches_transposed_66(rng):
-    refs = _refs(rng, 8, 8)
-    pred = predict_angular(refs, 2, 8, 8)
+    line = _line(rng, 8, 8)
+    pred = predict_mode(line, 2, 8, 8)
+    _, left = _above_left(line, 8)
     for y in range(8):
         for x in range(8):
-            assert pred[y, x] == refs.left[min(x + y + 1, 15)]
+            assert pred[y, x] == left[min(x + y + 1, 15)]
 
 
 def test_mode_34_top_left_diagonal(rng):
-    refs = _refs(rng, 8, 8)
-    pred = predict_angular(refs, MODE_DIAG, 8, 8)
+    line = _line(rng, 8, 8)
+    pred = predict_mode(line, MODE_DIAG, 8, 8)
+    above, left = _above_left(line, 8)
     for y in range(8):
         for x in range(8):
             if x >= y:
-                assert pred[y, x] == refs.above[x - y]
+                assert pred[y, x] == above[x - y]
             else:
-                assert pred[y, x] == refs.left[y - x - 1]
+                assert pred[y, x] == left[y - x - 1]
 
 
 def test_dc_rounded_mean():
     above = np.concatenate([[99], np.full(8, 10), np.full(8, 77)])
     left = np.concatenate([np.full(4, 13), np.full(4, 77)])
-    refs = RefSamples(above, left, np.ones(17, bool), np.ones(8, bool))
+    line = np.concatenate([above, above[:1], left])
     # mean over 8 above + 4 left = (80 + 52 + 6) // 12
-    assert predict_dc(refs, 8, 4)[0, 0] == (80 + 52 + 6) // 12
-    assert predict_dc(refs, 8, 4).shape == (4, 8)
+    pred = predict_mode(line, MODE_DC, 8, 4)
+    np.testing.assert_array_equal(pred, np.full((4, 8), (80 + 52 + 6) // 12))
+    np.testing.assert_array_equal(pred, oracles.predict_block(line, MODE_DC, 8, 4))
 
 
 def test_planar_matches_scalar_formula(rng):
     w, h = 8, 4
-    refs = _refs(rng, w, h)
-    pred = predict_planar(refs, w, h)
-    top = refs.above[1 : w + 2]
-    left = refs.left[: h + 1]
-    for y in range(h):
-        for x in range(w):
-            pv = (h - 1 - y) * top[x] + (y + 1) * left[h]
-            ph = (w - 1 - x) * left[y] + (x + 1) * top[w]
-            assert pred[y, x] == (pv * w + ph * h + w * h) // (2 * w * h)
+    line = _line(rng, w, h)
+    np.testing.assert_array_equal(predict_mode(line, MODE_PLANAR, w, h), oracles.predict_block(line, MODE_PLANAR, w, h))
 
 
 def test_planar_on_flat_refs_is_flat():
-    refs = RefSamples(
-        np.full(17, 42, np.int64), np.full(16, 42, np.int64), np.ones(17, bool), np.ones(16, bool)
-    )
-    np.testing.assert_array_equal(predict_planar(refs, 8, 8), np.full((8, 8), 42))
+    line = np.full(2 * 8 + 2 * 8 + 2, 42, np.int64)
+    np.testing.assert_array_equal(predict_mode(line, MODE_PLANAR, 8, 8), np.full((8, 8), 42))
 
 
 @settings(max_examples=40, deadline=None)
@@ -194,68 +170,59 @@ def test_planar_on_flat_refs_is_flat():
 )
 def test_prediction_bounded_by_references(seed, w, h, mode):
     rng = np.random.default_rng(seed)
-    refs = _refs(rng, w, h)
-    pred = predict_mode(refs, mode, w, h)
+    line = _line(rng, w, h)
+    pred = predict_mode(line, mode, w, h)
     assert pred.shape == (h, w)
-    lo = min(refs.above.min(), refs.left.min())
-    hi = max(refs.above.max(), refs.left.max())
-    assert pred.min() >= lo and pred.max() <= hi
+    assert pred.min() >= line.min() and pred.max() <= line.max()
 
 
 @settings(max_examples=20, deadline=None)
 @given(mode=st.integers(0, 66), value=st.integers(0, 1023))
 def test_constant_references_propagate(mode, value):
-    refs = RefSamples(
-        np.full(17, value, np.int64),
-        np.full(16, value, np.int64),
-        np.ones(17, bool),
-        np.ones(16, bool),
-    )
-    np.testing.assert_array_equal(predict_mode(refs, mode, 8, 8), np.full((8, 8), value))
+    line = np.full(2 * 8 + 2 * 8 + 2, value, np.int64)
+    np.testing.assert_array_equal(predict_mode(line, mode, 8, 8), np.full((8, 8), value))
 
 
 def test_reference_gather_inside_fully_committed(rng):
     samples = rng.integers(0, 256, size=(32, 32))
     buf = committed_buffer(samples)
-    refs = build_reference_samples(buf, 8, 8, 8, 8)
-    np.testing.assert_array_equal(refs.above, samples[7, 7:24])
-    np.testing.assert_array_equal(refs.left, samples[8:24, 7])
-    assert refs.above_available.all() and refs.left_available.all()
+    line = build_reference_samples(buf, 8, 8, 8, 8)
+    above, left = _above_left(line, 8)
+    np.testing.assert_array_equal(above, samples[7, 7:24])
+    assert line[17] == samples[7, 7]  # the corner again, between above and left
+    np.testing.assert_array_equal(left, samples[8:24, 7])
 
 
 def test_reference_padding_at_right_edge(rng):
     samples = rng.integers(0, 256, size=(16, 16))
     buf = committed_buffer(samples)
-    refs = build_reference_samples(buf, 8, 8, 8, 8)
+    above, left = _above_left(build_reference_samples(buf, 8, 8, 8, 8), 8)
     # above positions beyond column 15 replicate the last in-frame sample
-    np.testing.assert_array_equal(refs.above[:9], samples[7, 7:16])
-    assert (refs.above[9:] == samples[7, 15]).all()
-    assert not refs.above_available[9:].any()
+    np.testing.assert_array_equal(above[:9], samples[7, 7:16])
+    assert (above[9:] == samples[7, 15]).all()
     # left positions beyond row 15 replicate downward
-    np.testing.assert_array_equal(refs.left[:8], samples[8:16, 7])
-    assert (refs.left[8:] == samples[15, 7]).all()
+    np.testing.assert_array_equal(left[:8], samples[8:16, 7])
+    assert (left[8:] == samples[15, 7]).all()
 
 
 def test_reference_all_unavailable_pads_mid_gray():
     buf = ReconBuffer(16, 16, 8)
-    refs = build_reference_samples(buf, 0, 0, 8, 8)
-    assert (refs.above == 128).all() and (refs.left == 128).all()
-    assert not refs.above_available.any() and not refs.left_available.any()
+    line = build_reference_samples(buf, 0, 0, 8, 8)
+    assert line.dtype == np.int64 and len(line) == 2 * 8 + 2 * 8 + 2
+    assert (line == 128).all()
     buf10 = ReconBuffer(16, 16, 10)
-    refs10 = build_reference_samples(buf10, 0, 0, 8, 8)
-    assert (refs10.above == 512).all()
+    assert (build_reference_samples(buf10, 0, 0, 8, 8) == 512).all()
 
 
 def test_reference_left_pads_from_above_row(rng):
     samples = rng.integers(0, 256, size=(16, 16))
     buf, blocks = prefix_buffer(samples, 8, 2)  # top two 8x8 blocks committed
-    refs = build_reference_samples(buf, 0, 8, 8, 8)
-    assert not refs.left_available.any()
-    assert not refs.above_available[0]  # corner is outside the frame
-    np.testing.assert_array_equal(refs.above[1:], samples[7, 0:16])
-    # the whole left border and the corner fill from the first above sample
-    assert (refs.left == samples[7, 0]).all()
-    assert refs.above[0] == samples[7, 0]
+    line = build_reference_samples(buf, 0, 8, 8, 8)
+    above, left = _above_left(line, 8)
+    np.testing.assert_array_equal(above[1:], samples[7, 0:16])
+    # the whole left border and the corner (outside the frame) fill from the first above sample
+    assert (left == samples[7, 0]).all()
+    assert above[0] == line[17] == samples[7, 0]
 
 
 def test_reference_read_hook_reports_runs(rng):
@@ -293,30 +260,27 @@ def test_reference_samples_match_the_oracle(data):
     want = oracles.build_reference_samples(buf, x0, y0, w, h)
     want_notes, notes[:] = list(notes), []
     got = build_reference_samples(buf, x0, y0, w, h)
-    for field in ("above", "left", "above_available", "left_available"):
-        np.testing.assert_array_equal(getattr(got, field), getattr(want, field), err_msg=field)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
     assert notes == want_notes
 
 
 def test_tap_caches_stay_within_their_byte_budget():
-    # The module docstring states the budget: 32 MiB for both caches
-    # together, filled with blocks up to 64x64 and templates up to 8 deep.
+    # The module docstring states the budget: 32 MiB for the one tap
+    # cache, filled with whole blocks up to 64x64 or templates up to 8 deep.
     sizes = [(w, h) for w in range(56, 65) for h in range(56, 65)]
-    blocks = sorted(sizes, key=lambda s: -s[0] * s[1])
-    # A template table grows with its sample count, 8 * (w + 8) + 8 * h.
+    # A whole-block table grows with w * h, a template table with 8 * (w + 8) + 8 * h.
+    blocks = [(w, h, ((0, 0, w, h),)) for w, h in sorted(sizes, key=lambda s: -s[0] * s[1])]
     templates = [(w + 8, h + 8, ((0, 0, w + 8, 8), (0, 8, 8, h))) for w, h in sorted(sizes, key=lambda s: -sum(s))]
-    caches = (intra._block_taps, intra._template_taps)
-    for cache in caches:
+    cache = intra._template_taps
+    for fill in (blocks, templates):
         cache.cache_clear()
-    try:
-        held = [intra._block_taps(w, h) for w, h in blocks[: intra.BLOCK_TAPS_ENTRIES]]
-        held += [intra._template_taps(*g) for g in templates[: intra.TEMPLATE_TAPS_ENTRIES]]
-        for cache in caches:
+        try:
+            held = [cache(*g) for g in fill[: intra.TEMPLATE_TAPS_ENTRIES]]
             info = cache.cache_info()
             assert info.currsize == info.maxsize
-        assert sum(a.nbytes for entry in held for a in entry) <= 32 << 20
-    finally:
-        for cache in caches:
+            assert sum(a.nbytes for entry in held for a in entry) <= 32 << 20
+        finally:
             cache.cache_clear()
 
 
@@ -336,7 +300,7 @@ def test_import_builds_no_intra_tables():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
     loaded, n_caches, filled = map(int, out.stdout.split())
-    assert loaded == 0 and n_caches >= 2 and filled == 0
+    assert loaded == 0 and n_caches == 1 and filled == 0
 
 
 def test_angle_of_rejects_non_angular():
@@ -346,13 +310,11 @@ def test_angle_of_rejects_non_angular():
         angle_of(67)
 
 
-def test_predict_mode_dispatch(rng):
-    refs = _refs(rng, 4, 4)
-    np.testing.assert_array_equal(predict_mode(refs, MODE_DC, 4, 4), predict_dc(refs, 4, 4))
-    np.testing.assert_array_equal(
-        predict_mode(refs, MODE_PLANAR, 4, 4), predict_planar(refs, 4, 4)
-    )
-    np.testing.assert_array_equal(predict_mode(refs, 40, 4, 4), predict_angular(refs, 40, 4, 4))
+def test_predict_mode_rejects_modes_outside_all_modes(rng):
+    line = _line(rng, 4, 4)
+    for mode in (-1, len(ALL_MODES)):
+        with pytest.raises(ValueError):
+            predict_mode(line, mode, 4, 4)
 
 
 @settings(max_examples=40, deadline=None)
@@ -374,22 +336,21 @@ def test_template_prediction_matches_full_block(seed, t, size, clip, corner, bit
         return
     we, he = lw + w, ah + h
     rng = np.random.default_rng(seed)
-    refs = _refs(rng, we, he, hi=1 << bit_depth)
+    line = _line(rng, we, he, hi=1 << bit_depth)
     mask = np.zeros((he, we), dtype=bool)
     mask[:ah] = True
     mask[ah:, :lw] = True
     strips = tuple(r for r in ((0, 0, we, ah), (0, ah, lw, h)) if r[2] and r[3])
 
-    got = predict_template(refs, we, he, strips)
+    got = predict_template(line, we, he, strips)
     assert got.shape == (len(ALL_MODES), ah * we + h * lw)
     # Undo the cost layout so each row runs in raster order.
     raster = np.empty_like(got)
     raster[:, strip_layout(tuple((sh, sw) for _, _, sw, sh in strips)).order] = got
+    ys, xs = np.nonzero(mask)
     for row, mode in zip(raster, ALL_MODES):
-        want = predict_mode(refs, mode, we, he)[mask]
+        want = oracles.predict_samples(line, mode, we, he, zip(xs, ys))
         np.testing.assert_array_equal(row, want, err_msg=f"mode {mode}")
-        if mode in ANGULAR_MODES:
-            np.testing.assert_array_equal(row, _oracle_angular(refs, mode, we, he)[mask])
 
 
 @settings(max_examples=100, deadline=None)
@@ -409,7 +370,7 @@ def test_tiled_template_prediction_follows_the_cost_layout(seed, t, size, clip, 
         return
     we, he = lw + w, ah + h
     rng = np.random.default_rng(seed)
-    refs = _refs(rng, we, he, hi=1 << bit_depth)
+    line = _line(rng, we, he, hi=1 << bit_depth)
     mask = np.zeros((he, we), dtype=bool)
     mask[:ah] = True
     mask[ah:, :lw] = True
@@ -417,8 +378,11 @@ def test_tiled_template_prediction_follows_the_cost_layout(seed, t, size, clip, 
     # The raster template positions of the extended block, in layout order.
     positions = np.flatnonzero(mask)[strip_layout(tuple((sh, sw) for _, _, sw, sh in strips)).order]
 
-    got = predict_template(refs, we, he, strips)
+    ys, xs = np.divmod(positions, we)
+
+    got = predict_template(line, we, he, strips)
     assert got.shape == (len(ALL_MODES), len(positions))
     for row, mode in zip(got, ALL_MODES):
-        np.testing.assert_array_equal(row, predict_mode(refs, mode, we, he).ravel()[positions], err_msg=f"mode {mode}")
+        want = oracles.predict_samples(line, mode, we, he, zip(xs, ys))
+        np.testing.assert_array_equal(row, want, err_msg=f"mode {mode}")
 
