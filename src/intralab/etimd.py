@@ -39,9 +39,10 @@ What nothing downstream reads is measured after the fact: measure_blocks
 fills in a batch of those with prediction SAD, SATD and squared error
 and, with use_hog_transform, the transform modes, class and energy
 compaction (reconstruct_block quantizes in the pixel domain and the BV
-store holds only the BVs each fusion used, so neither waits for them).  The HoG
-reads the BV predictors among the first two fusion entries back with
-bv_predict, exact since no committed sample is ever rewritten.
+store holds only the BVs each fusion used, so neither waits for them).
+The transform modes are the first two fusion entries, each BV entry
+replaced by the HoG mode of its predictor, which measure_blocks reads
+back with bv_predict, exact since no committed sample is ever rewritten.
 
 harness.encode_frame measures every MEASURE_BATCH coded blocks.  Each
 measure_blocks call has a fixed cost, and every coded block it holds
@@ -421,24 +422,18 @@ def measure_blocks(ctx: EncodeContext, results: list[BlockResult]) -> list[Block
     """Fill in the measured fields of a batch of coded blocks; returns their results in order.
 
     The blocks are stacked per shape, and each stack gets one sad, one
-    satd and one squared-error sum.  With use_hog_transform, one
-    transform_mode_for_block call over the batch reads the BV predictors
-    among the first two fusion entries back from the reconstruction, and
-    each (shape, transform class) of transform size gets one
-    apply_transform and one energy_compaction call over its k = h*w/4
-    lowest frequencies.
+    satd and one squared-error sum.  With use_hog_transform, a block's
+    transform modes are its first two fusion entries: each stack's BV
+    entries among them read their predictors back from the
+    reconstruction, and one transform_mode_for_block call maps those to
+    HoG modes.  Each (shape, transform class) of transform size then gets
+    one apply_transform and one energy_compaction call over its
+    k = h*w/4 lowest frequencies.
     """
-    by_shape: dict[tuple[int, int], list[int]] = defaultdict(list)
-    for i, res in enumerate(results):
-        by_shape[(res.block.h, res.block.w)].append(i)
-    use_hog = ctx.config.use_hog_transform
-    if use_hog:
-        leads = [res.fusion.modes[:2] for res in results]
-        bv_preds = [[bv_predict(ctx.buf, res.block, c.bv) if c.kind == "bv" else None for c in lead]
-                    for res, lead in zip(results, leads)]
-        modes = transform_mode_for_block(leads, bv_preds)
-    for (h, w), idx in by_shape.items():
-        group = [results[i] for i in idx]
+    by_shape: dict[tuple[int, int], list[BlockResult]] = defaultdict(list)
+    for res in results:
+        by_shape[(res.block.h, res.block.w)].append(res)
+    for (h, w), group in by_shape.items():
         origs = np.stack([ctx.original[r.block.y0 : r.block.y0 + h, r.block.x0 : r.block.x0 + w] for r in group])
         preds = np.stack([r.prediction for r in group])
         residuals = origs - preds
@@ -446,11 +441,18 @@ def measure_blocks(ctx: EncodeContext, results: list[BlockResult]) -> list[Block
         sses = (residuals * residuals).sum(axis=(1, 2)).tolist()
         for res, measured in zip(group, zip(sads, satds, sses)):
             res.pred_sad, res.pred_satd, res.pred_sse = measured
-        if not use_hog:
+        if not ctx.config.use_hog_transform:
             continue
-        classes = [transform_class(modes[i][0]) for i in idx]
-        for i, res, klass in zip(idx, group, classes):
-            res.transform_modes, res.transform_class_name = tuple(modes[i]), klass.name
+        leads = [res.fusion.modes[:2] for res in group]
+        modes = [[c.mode for c in lead] for lead in leads]
+        bvs = [(n, j) for n, lead in enumerate(leads) for j, c in enumerate(lead) if c.kind == "bv"]
+        if bvs:
+            bv_preds = np.stack([bv_predict(ctx.buf, group[n].block, leads[n][j].bv) for n, j in bvs])
+            for (n, j), mode in zip(bvs, transform_mode_for_block(bv_preds)):
+                modes[n][j] = mode
+        classes = [transform_class(m[0]) for m in modes]
+        for res, m, klass in zip(group, modes, classes):
+            res.transform_modes, res.transform_class_name = tuple(m), klass.name
         if h not in TRANSFORM_SIZES or w not in TRANSFORM_SIZES:
             continue
         for klass in set(classes):

@@ -10,7 +10,9 @@ Two input formats are supported:
 
 A PGM whose maxval needs more than the declared bit depth is rejected.
 Loaded samples are always masked to the declared bit depth so malformed
-high bytes cannot leak out-of-range values into the pipeline.
+high bytes cannot leak out-of-range values into the pipeline.  Both
+loaders decode and mask through _decode, and _yuv_dtype is the one
+yuv-planar sample type, read by the loader and by write_yuv420.
 """
 
 from __future__ import annotations
@@ -88,11 +90,9 @@ def _load_yuv420(
         raise ValidationError(
             f"yuv-planar 4:2:0 requires even dimensions, got {width}x{height}"
         )
-    bytes_per_sample = 1 if bit_depth == 8 else 2
-    luma_bytes = width * height * bytes_per_sample
-    chroma_bytes = 2 * (width // 2) * (height // 2) * bytes_per_sample
-    frame_bytes = luma_bytes + chroma_bytes
-    offset = frame_index * frame_bytes
+    dtype = _yuv_dtype(bit_depth)
+    luma_bytes = width * height * dtype.itemsize
+    offset = frame_index * (luma_bytes + luma_bytes // 2)  # two quarter-size chroma planes per frame
     try:
         with open(path, "rb") as fh:
             _require_bytes(fh, path, offset, luma_bytes)
@@ -100,10 +100,17 @@ def _load_yuv420(
             raw = fh.read(luma_bytes)
     except OSError as exc:
         raise TruncatedInputError(f"cannot read {path}: {exc}") from exc
-    if bit_depth == 8:
-        plane = np.frombuffer(raw, dtype=np.uint8).astype(np.uint16)
-    else:
-        plane = np.frombuffer(raw, dtype="<u2").astype(np.uint16)
+    return _decode(raw, dtype, width, height, bit_depth)
+
+
+def _yuv_dtype(bit_depth: int) -> np.dtype:
+    """Raw yuv-planar sample type: one byte at 8 bits, two little-endian bytes above."""
+    return np.dtype("u1" if bit_depth == 8 else "<u2")
+
+
+def _decode(raw: bytes, dtype: np.dtype, width: int, height: int, bit_depth: int) -> Frame:
+    """Frame of raw samples of dtype, masked to bit_depth."""
+    plane = np.frombuffer(raw, dtype=dtype).astype(np.uint16)
     plane &= (1 << bit_depth) - 1
     return Frame(width, height, bit_depth, plane.reshape(height, width))
 
@@ -155,31 +162,18 @@ def _load_pgm(path: str, width: int, height: int, bit_depth: int) -> Frame:
             )
         if maxval >= 1 << bit_depth:
             raise ValidationError(f"{path}: pgm maxval {maxval} exceeds {bit_depth}-bit samples")
-        bytes_per_sample = 1 if maxval < 256 else 2
-        need = w * h * bytes_per_sample
+        # PGM stores two-byte samples most significant byte first.
+        dtype = np.dtype("u1" if maxval < 256 else ">u2")
+        need = w * h * dtype.itemsize
         _require_bytes(fh, path, fh.tell(), need)
-        raw = fh.read(need)
-        if bytes_per_sample == 1:
-            plane = np.frombuffer(raw, dtype=np.uint8).astype(np.uint16)
-        else:
-            # PGM stores the most significant byte first.
-            plane = np.frombuffer(raw, dtype=">u2").astype(np.uint16)
-        plane &= (1 << bit_depth) - 1
-        return Frame(width, height, bit_depth, plane.reshape(height, width))
+        return _decode(fh.read(need), dtype, width, height, bit_depth)
 
 
 def write_yuv420(frames: list[np.ndarray], path: str, bit_depth: int = 8) -> None:
     """Write luma planes as raw 4:2:0 with mid-gray chroma (fixture helper)."""
+    dtype = _yuv_dtype(bit_depth)
     with open(path, "wb") as fh:
         for plane in frames:
             h, w = plane.shape
-            mid = 1 << (bit_depth - 1)
-            chroma = np.full((h // 2, w // 2), mid, dtype=np.uint16)
-            if bit_depth == 8:
-                fh.write(plane.astype(np.uint8).tobytes())
-                fh.write(chroma.astype(np.uint8).tobytes())
-                fh.write(chroma.astype(np.uint8).tobytes())
-            else:
-                fh.write(plane.astype("<u2").tobytes())
-                fh.write(chroma.astype("<u2").tobytes())
-                fh.write(chroma.astype("<u2").tobytes())
+            fh.write(plane.astype(dtype).tobytes())
+            fh.write(np.full((2, h // 2, w // 2), 1 << (bit_depth - 1), dtype=dtype).tobytes())

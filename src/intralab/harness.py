@@ -29,14 +29,13 @@ from .etimd import (
     TOOLS,
     BlockResult,
     EncodeContext,
-    FusionSet,
     commit_fusion,
     derive_fusion,
     encode_block,
     measure_blocks,
 )
 from .frames import BIT_DEPTHS, FORMATS, Frame, load_frame
-from .grid import BLOCK_SIZES, BlockRef, ReconBuffer, partition
+from .grid import BLOCK_SIZES, ReconBuffer, partition
 from .reporting import JSON_TYPE_CHECKS, BlockRecord, Report, compute_aggregates
 from .tmp import DEFAULT_SEARCH_RANGE, DEFAULT_TEMPLATE, TEMPLATES
 
@@ -153,23 +152,17 @@ def replay_frame(frame: Frame, config: RunConfig, results: list[BlockResult]) ->
             fusion = res.fusion
         else:
             fusion, _ = derive_fusion(ctx, block, res.tool)
-            _check_same_fusion(block, res, fusion)
+            if fusion != res.fusion:
+                raise ReplayMismatchError(
+                    f"block {block.scan_index} at ({block.x0},{block.y0}): "
+                    f"encoder derived {res.fusion}, replay derived {fusion}"
+                )
         prediction = commit_fusion(ctx, block, fusion)
         if not np.array_equal(prediction, res.prediction):
             raise ReplayMismatchError(
                 f"block {block.scan_index} at ({block.x0},{block.y0}): prediction diverged"
             )
     return ctx.buf
-
-
-def _check_same_fusion(block: BlockRef, res: BlockResult, fusion: FusionSet) -> None:
-    got = [(c.label(), c.cost) for c in fusion.modes]
-    want = [(c.label(), c.cost) for c in res.fusion.modes]
-    if got != want or fusion.weights != res.fusion.weights:
-        raise ReplayMismatchError(
-            f"block {block.scan_index} at ({block.x0},{block.y0}): "
-            f"encoder derived {want}, replay derived {got}"
-        )
 
 
 def run_experiment(config: RunConfig) -> Report:

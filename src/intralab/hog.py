@@ -8,19 +8,17 @@ table (ties to the lower mode index).  Each vote counts +1.
 
 The dominant mode replaces block-vector entries among the first two
 fusion modes when a transform class has to be chosen for a block whose
-prediction has no angular identity of its own.
+prediction has no angular identity of its own; etimd.measure_blocks
+picks those entries and hands their predictors over.
 
 build_hog and dominant_mode take one block (histogram) or a stack with
 any leading shape, and return results in that leading shape: one Sobel
 pass over the stack, each distinct gradient pair quantized once, and one
-bincount for all histograms.  transform_mode_for_block takes lists of
-blocks and runs one such pass per predictor shape.
+bincount for all histograms.  transform_mode_for_block maps an (n, h, w)
+stack of predictors to one mode each with one such pass.
 """
 
 from __future__ import annotations
-
-from collections import defaultdict
-from typing import Sequence
 
 import numpy as np
 
@@ -103,25 +101,7 @@ def dominant_mode(hog: np.ndarray) -> np.ndarray:
     return np.where(hog.any(axis=-1), np.argmax(hog[..., 2:], axis=-1) + 2, -1)[()]
 
 
-def transform_mode_for_block(modes: Sequence[Sequence], predictions: Sequence[Sequence[np.ndarray]]) -> list[list[int]]:
-    """Transform-driving modes of many blocks: each block's first two fusion
-    entries, with every BV entry replaced by the dominant HoG mode of its own
-    predictor (Planar when the predictor has no gradients at all).
-
-    modes[i] are block i's fusion entries, exposing .kind and .mode, and
-    predictions[i] the matching prediction blocks; only the predictions
-    of BV entries are read, with one HoG pass per predictor shape.
-    """
-    out: list[list[int]] = []
-    bv_preds: dict[tuple[int, ...], list[tuple[int, int, np.ndarray]]] = defaultdict(list)
-    for i, (cands, preds) in enumerate(zip(modes, predictions)):
-        lead = list(zip(cands, preds))[:2]
-        out.append([cand.mode for cand, _ in lead])
-        for j, (cand, pred) in enumerate(lead):
-            if cand.kind == "bv":
-                bv_preds[np.shape(pred)].append((i, j, pred))
-    for entries in bv_preds.values():
-        dominant = dominant_mode(build_hog(np.stack([pred for _, _, pred in entries])))
-        for (i, j, _), mode in zip(entries, dominant.tolist()):
-            out[i][j] = MODE_PLANAR if mode < 0 else mode
-    return out
+def transform_mode_for_block(predictors: np.ndarray) -> list[int]:
+    """Dominant HoG mode of each predictor of an (n, h, w) stack, or Planar where a predictor has no gradient."""
+    modes = dominant_mode(build_hog(predictors))
+    return np.where(modes < 0, MODE_PLANAR, modes).tolist()

@@ -38,8 +38,10 @@ whole batch of displaced templates in that order, and cost.layout_cost
 costs them at once.  A candidate that can use only one of the two
 strips is gathered and costed in that strip's layout.  template_cost_at
 and mode evaluation read through gather_templates, which checks every
-displaced strip against the committed area in one vectorised test and
-notes each as a read.
+displaced strip against the committed area in one vectorised test.
+Both gathers, gather_templates and the search's _costs_by_use, read
+through _read_templates, which notes each displaced strip it reads, so
+a search notes the candidates it costs and no others.
 
 tmp_search(..., below=c) returns the best candidate among those that
 cost strictly less than c, or None when no valid candidate does.
@@ -139,27 +141,35 @@ def gather_templates(
     committed = _template_rows(buf.available, strips, dxs, dys)[1].all(axis=1)
     if not committed.all():
         raise CausalityError(f"template displaced by {moves[int(np.argmin(committed))]} touches uncommitted samples")
+    return _read_templates(buf, strips, dxs, dys)
+
+
+def _read_templates(
+    buf: ReconBuffer, strips: Sequence[Rect], dxs: np.ndarray, dys: np.ndarray
+) -> tuple[Layout, np.ndarray]:
+    """_template_rows of the committed samples, each displaced strip noted as a read; nothing is checked."""
     if buf.read_hook is not None:
-        for dx, dy in moves:
+        for dx, dy in zip(dxs.tolist(), dys.tolist()):
             for x, y, w, h in strips:
                 buf.note_read(x + dx, y + dy, w, h)
     return _template_rows(buf.samples, strips, dxs, dys)
 
 
 def _costs_by_use(
+    buf: ReconBuffer,
     rects: Sequence[Rect],
     dxs: np.ndarray,
     dys: np.ndarray,
     uses: Sequence[np.ndarray],
     metric: str,
-    plane: np.ndarray,
 ) -> np.ndarray:
     """Matching cost of each candidate over the strips it uses (uses[k]: it uses rects[k]).
 
-    The candidates that use the same strips are gathered from plane in
-    those strips' layout, after the block's own template as row 0, and
-    costed with one layout_cost call.  Nothing is checked: every strip a
-    candidate uses must already be known to be committed.
+    The candidates that use the same strips are read through
+    _read_templates in those strips' layout, after the block's own
+    template as row 0, and costed with one layout_cost call.  Nothing is
+    checked: every strip a candidate uses must already be known to be
+    committed.
     """
     costs = np.zeros(len(dxs), dtype=np.int64)
     if not rects:
@@ -171,7 +181,7 @@ def _costs_by_use(
             continue  # a candidate that uses no strip costs nothing
         sel = np.flatnonzero(pattern == p)
         strips = [rect for k, rect in enumerate(rects) if p >> k & 1]
-        layout, rows = _template_rows(plane, strips, np.append(0, dxs[sel]), np.append(0, dys[sel]))
+        layout, rows = _read_templates(buf, strips, np.append(0, dxs[sel]), np.append(0, dys[sel]))
         diffs = rows[1:]
         diffs -= rows[0]
         costs[sel] = layout_cost(diffs, layout, metric)
@@ -283,10 +293,11 @@ def tmp_search(
 ) -> SearchResult | None:
     """Best causal block vector within the window, or None when none exists.
 
-    search_range None searches the whole causal area of the frame.  With
-    below set, only candidates whose cost is < below compete: the result
-    is the best of those under the usual tie order, or None if there are
-    none.  Without it every valid candidate competes.
+    search_range None is the radius max(frame_w, frame_h), which the
+    frame clips to its whole causal area.  With below set, only
+    candidates whose cost is < below compete: the result is the best of
+    those under the usual tie order, or None if there are none.  Without
+    it every valid candidate competes.
 
     The result is exact.  Every valid candidate gets an O(1) lower bound
     on its cost from integral images of the window's committed samples
@@ -303,13 +314,11 @@ def tmp_search(
         return None
 
     if search_range is None:
-        dx_lo, dx_hi = -x0, frame_w - w - x0
-        dy_lo, dy_hi = -y0, frame_h - h - y0
-    else:
-        if search_range < 0:
-            raise ValueError(f"search_range must be >= 0, got {search_range}")
-        dx_lo, dx_hi = max(-search_range, -x0), min(search_range, frame_w - w - x0)
-        dy_lo, dy_hi = max(-search_range, -y0), min(search_range, frame_h - h - y0)
+        search_range = max(frame_w, frame_h)
+    if search_range < 0:
+        raise ValueError(f"search_range must be >= 0, got {search_range}")
+    dx_lo, dx_hi = max(-search_range, -x0), min(search_range, frame_w - w - x0)
+    dy_lo, dy_hi = max(-search_range, -y0), min(search_range, frame_h - h - y0)
     if dx_lo > dx_hi or dy_lo > dy_hi:
         return None
     limit = _NO_LIMIT if below is None else below - 1  # accepted costs are <= limit
@@ -321,10 +330,6 @@ def tmp_search(
     valid, bounds, strip_use = _window_bounds(
         buf, block, t, rects, curs, dx_lo, dx_hi, dy_lo, dy_hi, metric, strict_template
     )
-    if buf.read_hook is not None:
-        for (sx, sy, sw, sh), usable in zip(rects, strip_use):
-            for i in np.flatnonzero(valid & usable).tolist():
-                buf.note_read(sx + dx_lo + i % nx, sy + dy_lo + i // nx, sw, sh)
 
     sel = np.flatnonzero(valid & (bounds <= limit))
     sel = sel[np.argsort(bounds[sel], kind="stable")]
@@ -339,8 +344,8 @@ def tmp_search(
         dxs = dx_lo + chunk % nx
         dys = dy_lo + chunk // nx
         uses = [usable[chunk] for usable in strip_use]
-        # Every chunk candidate was checked and noted as a read above.
-        costs = _costs_by_use(rects, dxs, dys, uses, metric, buf.samples)
+        # Every chunk candidate was checked above.
+        costs = _costs_by_use(buf, rects, dxs, dys, uses, metric)
         l1 = np.abs(dxs) + np.abs(dys)
         i = np.lexsort((dxs, dys, l1, costs))[0]
         key = (int(costs[i]), int(l1[i]), int(dys[i]), int(dxs[i]))

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from intralab.etimd import ModeCandidate
 from intralab.hog import N_MODES, build_hog, dominant_mode, gradient_field, transform_mode_for_block
+from intralab.intra import MODE_PLANAR
 
 from oracles import build_hog as oracle_build_hog
 from oracles import dominant_mode as oracle_dominant_mode
 from oracles import orientation_to_mode, sobel_window
-from oracles import transform_mode_for_block as oracle_transform_modes
 
 
 def stripes(direction: str, size: int = 32, band: int = 4, lo: int = 40, hi: int = 210) -> np.ndarray:
@@ -74,32 +73,22 @@ def test_dominant_mode_edge_cases():
     assert dominant_mode(hog) == 30  # tie to the lower index
 
 
-def _cand(kind: str, mode: int | None = None) -> ModeCandidate:
-    return ModeCandidate(kind=kind, cost=0, mode=mode)
+def _oracle_transform_mode(pred: np.ndarray) -> int:
+    mode = oracle_dominant_mode(oracle_build_hog(pred))
+    return MODE_PLANAR if mode is None else mode
 
 
-def test_transform_modes_pass_through_angular():
-    preds = [np.zeros((8, 8)), np.zeros((8, 8))]
-    got = transform_mode_for_block([[_cand("angular", 30), _cand("planar", 0)]], [preds])
-    assert got == [[30, 0]]
+def test_transform_modes_are_dominant_hog_modes_of_a_stack():
+    stack = np.stack([stripes(d) for d in ("h", "v", "rising", "falling")])
+    got = transform_mode_for_block(stack)
+    assert got[0] == 18 and got[1] == 50
+    assert got == [_oracle_transform_mode(pred) for pred in stack]
 
 
-def test_transform_modes_replace_bv_with_hog():
-    got = transform_mode_for_block(
-        [[_cand("bv"), _cand("angular", 40)]], [[stripes("h"), np.zeros((8, 8))]]
-    )
-    assert got == [[18, 40]]
-
-
-def test_transform_modes_flat_bv_predictor_falls_back_to_planar():
-    got = transform_mode_for_block([[_cand("bv")]], [[np.full((8, 8), 77)]])
-    assert got == [[0]]
-
-
-def test_transform_modes_consider_first_two_only():
-    cands = [_cand("angular", 30), _cand("dc", 1), _cand("bv")]
-    preds = [np.zeros((8, 8))] * 3
-    assert transform_mode_for_block([cands], [preds]) == [[30, 1]]
+def test_transform_modes_flat_predictor_falls_back_to_planar():
+    flat = np.full((8, 8), 77)
+    assert oracle_dominant_mode(oracle_build_hog(flat)) is None
+    assert transform_mode_for_block(flat[None]) == [MODE_PLANAR]
 
 
 def test_stacked_histograms_match_the_single_block_oracle(rng):
@@ -124,14 +113,10 @@ def test_stacked_histograms_match_the_single_block_oracle(rng):
     assert not build_hog(np.zeros((3, 2, 8))).any()
 
 
-def test_transform_modes_of_many_blocks_match_one_at_a_time():
-    blocks = [
-        ([_cand("bv"), _cand("angular", 40)], [stripes("h"), np.zeros((8, 8))]),
-        ([_cand("bv")], [np.full((8, 8), 77)]),
-        ([_cand("angular", 30), _cand("bv")], [np.zeros((4, 4)), stripes("v", size=4, band=1)]),
-        ([_cand("bv"), _cand("bv")], [stripes("falling"), stripes("rising")]),
-    ]
-    got = transform_mode_for_block([m for m, _ in blocks], [p for _, p in blocks])
-    assert got == [oracle_transform_modes(m, p) for m, p in blocks]
-    assert got == [transform_mode_for_block([m], [p])[0] for m, p in blocks]
-    assert transform_mode_for_block([], []) == []
+def test_transform_modes_of_many_blocks_match_one_at_a_time(rng):
+    stack = np.stack([stripes("h", size=8), np.full((8, 8), 77), stripes("v", size=8, band=1),
+                      stripes("falling", size=8), rng.integers(0, 1024, size=(8, 8))])
+    got = transform_mode_for_block(stack)
+    assert got == [transform_mode_for_block(pred[None])[0] for pred in stack]
+    assert got == [_oracle_transform_mode(pred) for pred in stack]
+    assert transform_mode_for_block(stack[:0]) == []

@@ -5,7 +5,8 @@ in batches of MEASURE_BATCH afterwards.  Every measured BlockResult
 field must equal oracles.measure_block, the per-block measurement it
 replaced, on the benchmark workloads' first frames and on hypothesis
 frames.  The per-mode predictions the oracle needs are re-derived by
-replaying the committed reconstructions block by block.  Under
+replaying the committed reconstructions block by block.  A hand-built
+batch pins which fusion entries drive the HoG transform.  Under
 perfbench's span tracer, the encode loop calls each measurement kernel
 once per batch, not per block, and every name the benchmark traces runs
 on the encode and replay path.  Its count pass gives the same counters
@@ -23,12 +24,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intralab import harness
-from intralab.etimd import MEASURE_BATCH, TOOLS, fuse, fusion_predictions
+from intralab.bvlist import BvStore
+from intralab.etimd import (
+    MEASURE_BATCH,
+    TOOLS,
+    BlockResult,
+    EncodeContext,
+    FusionSet,
+    ModeCandidate,
+    compute_weights,
+    fuse,
+    fusion_predictions,
+    measure_blocks,
+)
 from intralab.frames import Frame
 from intralab.grid import ReconBuffer, partition
 from intralab.harness import RunConfig, encode_frame, validate_config
+from intralab.intra import MODE_DC, MODE_PLANAR
 from intralab.synth import noise_frame, tiled_glyph_frame
+from intralab.tmp import BlockVector
 
+from conftest import prefix_buffer
 from oracles import measure_block
 from test_reference import PERFBENCH, workloads
 
@@ -110,6 +126,61 @@ def test_zero_residual_compacts_perfectly():
     assert all(r.pred_sad == r.pred_satd == r.pred_sse == 0 for r in results)
     assert all(r.compaction == 1.0 for r in results)
     assert_measured_like_oracle(frame, cfg, results, encoded)
+
+
+def _entry(kind: str, cost: int, mode: int | None = None, bv: tuple[int, int] | None = None) -> ModeCandidate:
+    if bv is None:
+        return ModeCandidate(kind=kind, cost=cost, mode=mode)
+    return ModeCandidate(kind=kind, cost=cost, bv=BlockVector(*bv), list_index=0)
+
+
+# Fusion entries of the third block row of a 32x32 frame of 8x8 blocks.  The
+# BVs point into the committed top rows, whose horizontal stripes have HoG mode 18.
+HAND_BUILT_FUSIONS = [
+    [_entry("angular", 10, 30), _entry("planar", 12, MODE_PLANAR)],
+    [_entry("dc", 10, MODE_DC), _entry("angular", 11, 40)],
+    [_entry("angular", 10, 30), _entry("dc", 12, MODE_DC), _entry("bv", 13, bv=(0, -16))],
+    [_entry("angular", 10, 50), _entry("bv", 11, bv=(0, -8))],
+]
+
+
+@pytest.fixture(scope="module")
+def hand_built_batch():
+    """The hand-built fusions coded as one batch, measured with use_hog_transform, and
+    the oracle's measurement of each block."""
+    samples = noise_frame(32, 32, seed=7)
+    samples[:16] = np.where(np.arange(16)[:, None] // 2 % 2, 200, 40)
+    cfg = RunConfig(input_path="unused", width=32, height=32, block_size=8, tool="etimd", use_hog_transform=True)
+    buf, blocks = prefix_buffer(samples, 8, 8)
+    ctx = EncodeContext(samples.astype(np.int64), buf, BvStore(32, 32), cfg)
+    results, oracle = [], []
+    for block, modes in zip(blocks[8:], HAND_BUILT_FUSIONS):
+        fusion = FusionSet(modes, compute_weights([c.cost for c in modes]))
+        predictions = fusion_predictions(buf, block, fusion)
+        prediction = fuse(predictions, fusion.weights, 8)
+        orig = ctx.original[block.y0 : block.y0 + 8, block.x0 : block.x0 + 8]
+        results.append(BlockResult(block=block, tool="etimd", fusion=fusion, prediction=prediction))
+        oracle.append(measure_block(block, fusion, predictions, prediction, orig, True))
+    measure_blocks(ctx, results)
+    return [{name: getattr(res, name) for name in want} for res, want in zip(results, oracle)], oracle
+
+
+def test_measure_blocks_passes_intra_entries_through(hand_built_batch):
+    got, want = hand_built_batch
+    assert [m["transform_modes"] for m in got[:2]] == [(30, MODE_PLANAR), (MODE_DC, 40)]
+    assert got[:2] == want[:2]
+
+
+def test_measure_blocks_reads_only_the_first_two_entries(hand_built_batch):
+    got, want = hand_built_batch
+    assert got[2]["transform_modes"] == (30, MODE_DC)  # the BV third entry is not read
+    assert got[2] == want[2]
+
+
+def test_measure_blocks_replaces_a_bv_second_entry(hand_built_batch):
+    got, want = hand_built_batch
+    assert got[3]["transform_modes"] == (50, 18)
+    assert got[3] == want[3]
 
 
 def test_encode_frame_memory_is_bounded():
