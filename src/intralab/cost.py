@@ -24,8 +24,8 @@ of the stacked strips in costing order, the 8x8 tiles of every strip
 first, then the 4x4 tiles, each tile's samples in raster order, then the
 SAD remainder.  Each strip is tiled as satd_tiling tiles it alone, so
 the layout cost of stacked strips is the sum of their separate costs.
-strip_offsets(strips, width) places that order in a plane of the given
-width, for the intra template prediction and tmp's gathers alike.
+strip_offsets(strips, width) places that order from a plane's origin,
+for the intra template prediction and tmp's gathers alike.
 layout_cost, the one template-cost kernel and the only place that picks
 SATD or SAD, costs a whole batch of templates gathered in that order
 with one satd_batch call per tile size and one absolute sum; mode
@@ -179,10 +179,9 @@ def strip_layout(shapes: tuple[tuple[int, int], ...]) -> Layout:
 
 @lru_cache(maxsize=256)
 def strip_offsets(strips: tuple[Rect, ...], width: int) -> tuple[Layout, np.ndarray]:
-    """Layout of the strips and each of its positions' flat offset from the first strip's origin."""
-    x0, y0 = strips[0][:2]
+    """Layout of the strips and each of its positions' flat offset from the origin of a plane of that width."""
     flat = np.concatenate(
-        [((y - y0 + np.arange(h))[:, None] * width + (x - x0 + np.arange(w))).ravel() for x, y, w, h in strips]
+        [((y + np.arange(h))[:, None] * width + (x + np.arange(w))).ravel() for x, y, w, h in strips]
     )
     layout = strip_layout(tuple((h, w) for _, _, w, h in strips))
     offsets = flat[layout.order]

@@ -18,15 +18,16 @@ BV (list order), which makes derivation deterministic.
 
 The pool stays on arrays: evaluate_candidates returns a read-only
 CandidatePool of int64 costs (ALL_MODES order, then BV-list order) that
-builds a ModeCandidate only for an entry that is read.  Both selectors
-rank with one np.lexsort over (cost, kind rank, sub), accept a pool or
-any candidate list, and build candidates only for the selected modes;
-"not yet selected" means by position in the pool.
+builds a ModeCandidate, whose kind follows from its mode or BV, only for
+an entry that is read.  Both selectors rank with one np.lexsort over the
+cost and the tie keys of _tie_keys, accept a pool or any candidate list,
+and build candidates only for the selected modes; "not yet selected"
+means by position in the pool.
 
-Fusion weights follow the loss-proportional rule: each mode's weight is
-the sum of the other selected losses over (N-1) times the total, so a
-cheaper template predicts a larger share.  Selection and weights are
-scale-invariant in the losses.
+A FusionSet is its modes; its weights follow the loss-proportional rule:
+each mode's weight is the sum of the other selected losses over (N-1)
+times the total, so a cheaper template predicts a larger share.
+Selection and weights are scale-invariant in the losses.
 
 derive_fusion derives a block's fusion set from the decoder-visible
 part of an EncodeContext, the per-frame coding state of encoder and
@@ -101,13 +102,16 @@ _MODE_KIND = {MODE_PLANAR: "planar", MODE_DC: "dc"}
 
 @dataclass(frozen=True)
 class ModeCandidate:
-    """One entry of the shared candidate pool with its template loss."""
+    """One pool entry with its template loss: an intra mode, or a BV when bv is set (list_index -1 if unlisted)."""
 
-    kind: str
     cost: int
     mode: int | None = None
     bv: BlockVector | None = None
     list_index: int = -1
+
+    @property
+    def kind(self) -> str:
+        return _MODE_KIND.get(self.mode, "angular") if self.bv is None else "bv"
 
     def label(self) -> str:
         if self.kind == "angular":
@@ -137,28 +141,36 @@ class CandidatePool(Sequence[ModeCandidate]):
         cost = int(self.costs[i])  # raises IndexError past either end, which ends iteration
         i = operator.index(i) % len(self.costs)
         if i < len(ALL_MODES):
-            mode = ALL_MODES[i]
-            return ModeCandidate(_MODE_KIND.get(mode, "angular"), cost, mode)
+            return ModeCandidate(cost, ALL_MODES[i])
         j = i - len(ALL_MODES)
-        return ModeCandidate("bv", cost, None, self.bv_list[j].bv, j)
+        return ModeCandidate(cost, None, self.bv_list[j].bv, j)
+
+
+def _tie_keys(candidates: Sequence[ModeCandidate]) -> tuple[np.ndarray, np.ndarray]:
+    """Kind rank and sub of each candidate: sub is the intra mode or the BV list index."""
+    ranks = np.array([_KIND_RANK[c.kind] for c in candidates], dtype=np.int64)
+    subs = np.array([c.mode if c.bv is None else c.list_index for c in candidates], dtype=np.int64)
+    return ranks, subs
 
 
 @lru_cache(maxsize=64)
 def _pool_rank_keys(n_bv: int) -> tuple[np.ndarray, np.ndarray]:
-    """Kind ranks and subs of every entry of a pool with n_bv listed BVs."""
-    kinds = [_MODE_KIND.get(mode, "angular") for mode in ALL_MODES] + ["bv"] * n_bv
-    ranks = np.array([_KIND_RANK[kind] for kind in kinds])
-    subs = np.array([mode if kind == "angular" else 0 for mode, kind in zip(ALL_MODES, kinds)] + list(range(n_bv)))
+    """_tie_keys of every entry of a pool with n_bv listed BVs; the keys read no vector."""
+    bvs = [ModeCandidate(0, None, BlockVector(0, 0), j) for j in range(n_bv)]
+    ranks, subs = _tie_keys([ModeCandidate(0, mode) for mode in ALL_MODES] + bvs)
     ranks.flags.writeable = subs.flags.writeable = False  # shared by every caller
     return ranks, subs
 
 
 @dataclass
 class FusionSet:
-    """Selected modes in ascending template-cost order, with weights."""
+    """Selected modes in ascending template-cost order; their weights derive from their costs."""
 
     modes: list[ModeCandidate]
-    weights: list[float]
+
+    @property
+    def weights(self) -> list[float]:
+        return compute_weights([c.cost for c in self.modes])
 
 
 def compute_weights(losses: Sequence[float]) -> list[float]:
@@ -229,17 +241,14 @@ def evaluate_candidates(
 def _ranking(candidates: Sequence[ModeCandidate]) -> tuple[list[int], list[int], np.ndarray]:
     """Positions of a pool or candidate list in ranking order, their kind ranks, and the costs.
 
-    The one ranking rule sorts on (cost, kind rank, sub), where sub is
-    the angular mode, the BV list index, or 0 for Planar/DC.
+    The one ranking rule sorts on the cost, then on the tie keys of _tie_keys.
     """
     if isinstance(candidates, CandidatePool):
         cost = candidates.costs
         kind_rank, sub = _pool_rank_keys(len(candidates.bv_list))
     else:
         cost = np.array([c.cost for c in candidates], dtype=np.int64)
-        kind_rank = np.array([_KIND_RANK[c.kind] for c in candidates], dtype=np.int64)
-        sub = np.array([c.mode if c.kind == "angular" else c.list_index if c.kind == "bv" else 0
-                        for c in candidates])
+        kind_rank, sub = _tie_keys(candidates)
     order = np.lexsort((sub, kind_rank, cost))
     return order.tolist(), kind_rank[order].tolist(), cost
 
@@ -254,8 +263,7 @@ def _first_rank(ranks: list[int], kind: str, start: int = 0) -> int:
 
 def _fusion_of(candidates: Sequence[ModeCandidate], order: list[int], picked: list[int]) -> FusionSet:
     """FusionSet of the picked ranks, in ranking order; builds only those candidates."""
-    modes = [candidates[order[r]] for r in sorted(picked)]
-    return FusionSet(modes, compute_weights([c.cost for c in modes]))
+    return FusionSet([candidates[order[r]] for r in sorted(picked)])
 
 
 def select_modes_timd(candidates: Sequence[ModeCandidate]) -> FusionSet:
@@ -338,7 +346,7 @@ def derive_fusion(ctx: EncodeContext, block: BlockRef, tool: str) -> tuple[Fusio
     source, so the encoder and the replay reach the same answer.
     """
     if tool == "dc":
-        return FusionSet([ModeCandidate(kind="dc", cost=0, mode=MODE_DC)], [1.0]), []
+        return FusionSet([ModeCandidate(cost=0, mode=MODE_DC)]), []
     if tool not in ("timd", "etimd"):
         raise ValueError(f"unknown block label {tool!r}; expected dc, timd or etimd")
     cfg, buf = ctx.config, ctx.buf
@@ -364,8 +372,7 @@ def commit_fusion(ctx: EncodeContext, block: BlockRef, fusion: FusionSet) -> np.
 
 
 def _search_fusion(found: SearchResult) -> FusionSet:
-    cand = ModeCandidate(kind="bv", cost=found.cost, bv=found.bv, list_index=0)
-    return FusionSet([cand], [1.0])
+    return FusionSet([ModeCandidate(cost=found.cost, bv=found.bv)])
 
 
 def derive_block_modes(ctx: EncodeContext, block: BlockRef) -> tuple[str, FusionSet, list[BvCandidate]]:
@@ -375,10 +382,7 @@ def derive_block_modes(ctx: EncodeContext, block: BlockRef) -> tuple[str, Fusion
     a block the template-matching search codes is labelled intratmp.
     """
     cfg = ctx.config
-    if cfg.tool not in TOOLS:
-        raise ValueError(f"unknown tool {cfg.tool!r}")
-    above_rect, left_rect = template_rects(block, cfg.template, ctx.buf.width, ctx.buf.height)
-    has_template = above_rect is not None or left_rect is not None
+    has_template = any(template_rects(block, cfg.template, ctx.buf.width, ctx.buf.height))
     tool = cfg.tool if cfg.tool != "dc-only" and has_template else "dc"
 
     if tool == "intratmp":

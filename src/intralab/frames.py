@@ -33,22 +33,22 @@ _PGM_TOKEN_MAX = 32
 
 @dataclass
 class Frame:
-    """A single luma plane with its geometry.
+    """A single luma plane.
 
     samples is a row-major (height, width) uint16 array, already masked
-    to bit_depth.
+    to bit_depth; width and height read its shape.
     """
 
-    width: int
-    height: int
     bit_depth: int
     samples: np.ndarray = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if self.samples.shape != (self.height, self.width):
-            raise ValueError(
-                f"samples shape {self.samples.shape} != ({self.height}, {self.width})"
-            )
+    @property
+    def width(self) -> int:
+        return self.samples.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.samples.shape[0]
 
 
 def _validate_geometry(width: int, height: int, bit_depth: int) -> None:
@@ -112,7 +112,7 @@ def _decode(raw: bytes, dtype: np.dtype, width: int, height: int, bit_depth: int
     """Frame of raw samples of dtype, masked to bit_depth."""
     plane = np.frombuffer(raw, dtype=dtype).astype(np.uint16)
     plane &= (1 << bit_depth) - 1
-    return Frame(width, height, bit_depth, plane.reshape(height, width))
+    return Frame(bit_depth, plane.reshape(height, width))
 
 
 def _require_bytes(fh: io.BufferedReader, path: str, offset: int, need: int) -> None:

@@ -1,10 +1,11 @@
 """Fixed-size block partitioning and the causal reconstruction buffer.
 
 The encode loop walks blocks in raster order and commits one block of
-reconstruction at a time.  Every sample any tool consumes for mode
-derivation must come out of ReconBuffer.read_region, which refuses to
-serve pixels that were never committed.  That refusal is the causality
-contract: a violation is a bug in the caller, never padded over.
+reconstruction at a time.  Mode derivation reads committed samples only,
+each noted for the read hook: through read_region, which refuses any
+other, a checked gather (tmp.gather_templates), strips the search window
+integral shows committed, or build_reference_samples, which pads its
+uncommitted border.  A violation of this causality is a bug in the caller.
 """
 
 from __future__ import annotations

@@ -233,8 +233,7 @@ def _template_taps(we: int, he: int, strips: tuple[Rect, ...]) -> TemplateTaps:
     is 0 reads i0 alone, so its i1 is set to i0 before the taps are made
     distinct.
     """
-    x0, y0 = strips[0][:2]
-    ys, xs = np.divmod(strip_offsets(strips, we)[1] + y0 * we + x0, we)
+    ys, xs = np.divmod(strip_offsets(strips, we)[1], we)
     # Line offsets of top[x], left[he], left[y] and top[we] (top = above[1:], left after the corner).
     left0 = 2 * we + 2
     planar_idx = np.stack([1 + xs, np.full_like(xs, left0 + he), left0 + ys, np.full_like(xs, 1 + we)])

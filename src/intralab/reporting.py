@@ -87,13 +87,12 @@ _CSV_COLUMNS = tuple(f.name for f in fields(BlockRecord))
 
 @dataclass
 class Report:
-    """One experiment run: config, per-block records, aggregates, timing."""
+    """One experiment run: config, per-block records, aggregates, timing; written as schema SCHEMA_VERSION."""
 
     config: dict[str, Any]
     records: list[BlockRecord]
     aggregates: dict[str, Any]
     timing: dict[str, float] = field(default_factory=dict)
-    schema: int = SCHEMA_VERSION
 
 
 def _primary_kind(label: str) -> str:
@@ -159,7 +158,7 @@ def write_report(report: Report, path: str, fmt: str = "json") -> None:
     """
     if fmt == "json":
         doc = {
-            "schema": report.schema,
+            "schema": SCHEMA_VERSION,
             "config": report.config,
             "timing": report.timing,
             "aggregates": report.aggregates,
@@ -286,5 +285,4 @@ def read_report(path: str) -> Report:
         records=records,
         aggregates=doc["aggregates"],
         timing=doc["timing"],
-        schema=doc["schema"],
     )

@@ -172,8 +172,6 @@ def _costs_by_use(
     committed.
     """
     costs = np.zeros(len(dxs), dtype=np.int64)
-    if not rects:
-        return costs
     # Bit k of a candidate's pattern is set when it uses rects[k].
     pattern = sum(use.astype(np.int64) << k for k, use in enumerate(uses))
     for p in np.flatnonzero(np.bincount(pattern)).tolist():

@@ -54,19 +54,19 @@ def _verdict(capsys, n: int, ok: bool, detail: str) -> None:
 
 
 def _ang(mode: int, cost: int) -> ModeCandidate:
-    return ModeCandidate(kind="angular", cost=cost, mode=mode)
+    return ModeCandidate(cost=cost, mode=mode)
 
 
 def _planar(cost: int) -> ModeCandidate:
-    return ModeCandidate(kind="planar", cost=cost, mode=MODE_PLANAR)
+    return ModeCandidate(cost=cost, mode=MODE_PLANAR)
 
 
 def _dc(cost: int) -> ModeCandidate:
-    return ModeCandidate(kind="dc", cost=cost, mode=MODE_DC)
+    return ModeCandidate(cost=cost, mode=MODE_DC)
 
 
 def _bv(i: int, cost: int) -> ModeCandidate:
-    return ModeCandidate(kind="bv", cost=cost, bv=BlockVector(-8 - i, -(i % 3)), list_index=i)
+    return ModeCandidate(cost=cost, bv=BlockVector(-8 - i, -(i % 3)), list_index=i)
 
 
 # --- criterion 1: fusion weights against their closed forms ---------------

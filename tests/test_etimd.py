@@ -33,19 +33,19 @@ from test_acceptance import _ang, _bv, _closed_weights, _dc, _oracle_etimd, _ora
 
 
 def ang(mode, cost):
-    return ModeCandidate(kind="angular", cost=cost, mode=mode)
+    return ModeCandidate(cost=cost, mode=mode)
 
 
 def planar(cost):
-    return ModeCandidate(kind="planar", cost=cost, mode=0)
+    return ModeCandidate(cost=cost, mode=0)
 
 
 def dc(cost):
-    return ModeCandidate(kind="dc", cost=cost, mode=1)
+    return ModeCandidate(cost=cost, mode=1)
 
 
 def bv(i, cost, dx=-8, dy=0):
-    return ModeCandidate(kind="bv", cost=cost, bv=BlockVector(dx, dy), list_index=i)
+    return ModeCandidate(cost=cost, bv=BlockVector(dx, dy), list_index=i)
 
 
 # --- weights ---
@@ -541,7 +541,7 @@ def test_pool_is_read_only_and_indexes_like_a_list():
     pool = CandidatePool(np.arange(len(ALL_MODES) + 1), bv_list)
     with pytest.raises(ValueError):
         pool.costs[0] = 5
-    assert pool[-1] == ModeCandidate(kind="bv", cost=len(ALL_MODES), bv=BlockVector(-8, 0), list_index=0)
+    assert pool[-1] == ModeCandidate(cost=len(ALL_MODES), bv=BlockVector(-8, 0), list_index=0)
     assert pool[0] == planar(0) and pool[1] == dc(1) and pool[30] == ang(30, 30)
     with pytest.raises(IndexError):
         pool[len(pool)]

@@ -213,7 +213,7 @@ def test_measure_replay_off_skips_timing(noise_yuv):
 
 def test_pgm_input(tmp_path):
     path = tmp_path / "page.pgm"
-    write_pgm(Frame(64, 64, 8, tiled_glyph_frame(64, 64, period=8, seed=43)), str(path))
+    write_pgm(Frame(8, tiled_glyph_frame(64, 64, period=8, seed=43)), str(path))
     report = run_experiment(cfg(path, input_format="pgm", tool="etimd"))
     assert report.aggregates["n_blocks"] == 64
 
@@ -334,7 +334,7 @@ def test_whole_loop_is_causal_replays_and_round_trips(
 
     with tempfile.TemporaryDirectory() as tmp:
         frame_path = os.path.join(tmp, "frame.pgm")
-        write_pgm(Frame(width, height, bit_depth, samples), frame_path)
+        write_pgm(Frame(bit_depth, samples), frame_path)
         config = RunConfig(
             input_path=frame_path,
             input_format="pgm",

@@ -32,7 +32,6 @@ from intralab.etimd import (
     EncodeContext,
     FusionSet,
     ModeCandidate,
-    compute_weights,
     fuse,
     fusion_predictions,
     measure_blocks,
@@ -73,7 +72,7 @@ def _frame0(name: str) -> tuple[Frame, RunConfig]:
     size = workloads.SIZE
     cfg = RunConfig(input_path="unused", width=size, height=size, bit_depth=wl.bit_depth, **wl.config)
     validate_config(cfg)
-    return Frame(size, size, wl.bit_depth, wl.planes(0)[0]), cfg
+    return Frame(wl.bit_depth, wl.planes(0)[0]), cfg
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -108,7 +107,7 @@ def test_measured_fields_match_oracle(width, height, block_size, bit_depth, tool
         samples = tiled_glyph_frame(width, height, period=8, seed=seed, bit_depth=bit_depth)
     else:
         samples = np.full((height, width), 1 << (bit_depth - 1), dtype=np.uint16)
-    frame = Frame(width, height, bit_depth, samples.astype(np.uint16))
+    frame = Frame(bit_depth, samples.astype(np.uint16))
     cfg = RunConfig(
         input_path="unused", width=width, height=height, bit_depth=bit_depth, block_size=block_size,
         tool=tool, search_range=8, use_hog_transform=use_hog_transform, closed_loop=closed_loop,
@@ -119,7 +118,7 @@ def test_measured_fields_match_oracle(width, height, block_size, bit_depth, tool
 
 def test_zero_residual_compacts_perfectly():
     # Mid-grey is every empty-template default, so every prediction is exact.
-    frame = Frame(36, 20, 8, np.full((20, 36), 128, dtype=np.uint16))
+    frame = Frame(8, np.full((20, 36), 128, dtype=np.uint16))
     cfg = RunConfig(input_path="unused", width=36, height=20, block_size=4, use_hog_transform=True)
     results, encoded, _ = encode_frame(frame, cfg)
     assert len(results) > MEASURE_BATCH
@@ -128,19 +127,19 @@ def test_zero_residual_compacts_perfectly():
     assert_measured_like_oracle(frame, cfg, results, encoded)
 
 
-def _entry(kind: str, cost: int, mode: int | None = None, bv: tuple[int, int] | None = None) -> ModeCandidate:
+def _entry(cost: int, mode: int | None = None, bv: tuple[int, int] | None = None) -> ModeCandidate:
     if bv is None:
-        return ModeCandidate(kind=kind, cost=cost, mode=mode)
-    return ModeCandidate(kind=kind, cost=cost, bv=BlockVector(*bv), list_index=0)
+        return ModeCandidate(cost=cost, mode=mode)
+    return ModeCandidate(cost=cost, bv=BlockVector(*bv), list_index=0)
 
 
 # Fusion entries of the third block row of a 32x32 frame of 8x8 blocks.  The
 # BVs point into the committed top rows, whose horizontal stripes have HoG mode 18.
 HAND_BUILT_FUSIONS = [
-    [_entry("angular", 10, 30), _entry("planar", 12, MODE_PLANAR)],
-    [_entry("dc", 10, MODE_DC), _entry("angular", 11, 40)],
-    [_entry("angular", 10, 30), _entry("dc", 12, MODE_DC), _entry("bv", 13, bv=(0, -16))],
-    [_entry("angular", 10, 50), _entry("bv", 11, bv=(0, -8))],
+    [_entry(10, 30), _entry(12, MODE_PLANAR)],
+    [_entry(10, MODE_DC), _entry(11, 40)],
+    [_entry(10, 30), _entry(12, MODE_DC), _entry(13, bv=(0, -16))],
+    [_entry(10, 50), _entry(11, bv=(0, -8))],
 ]
 
 
@@ -155,7 +154,7 @@ def hand_built_batch():
     ctx = EncodeContext(samples.astype(np.int64), buf, BvStore(32, 32), cfg)
     results, oracle = [], []
     for block, modes in zip(blocks[8:], HAND_BUILT_FUSIONS):
-        fusion = FusionSet(modes, compute_weights([c.cost for c in modes]))
+        fusion = FusionSet(modes)
         predictions = fusion_predictions(buf, block, fusion)
         prediction = fuse(predictions, fusion.weights, 8)
         orig = ctx.original[block.y0 : block.y0 + 8, block.x0 : block.x0 + 8]

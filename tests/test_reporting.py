@@ -62,10 +62,9 @@ def test_record_from_result(rng):
     pred = rng.integers(0, 256, size=(4, 8)).astype(np.int32)
     fusion = FusionSet(
         [
-            ModeCandidate(kind="angular", cost=10, mode=30),
-            ModeCandidate(kind="bv", cost=30, bv=BlockVector(-8, 0), list_index=0),
+            ModeCandidate(cost=10, mode=30),
+            ModeCandidate(cost=30, bv=BlockVector(-8, 0), list_index=0),
         ],
-        [0.75, 0.25],
     )
     res = BlockResult(
         block=BlockRef(8, 16, 8, 4, 5),

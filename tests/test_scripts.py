@@ -1,4 +1,4 @@
-"""Smoke tests: both experiment scripts run end to end on small fixtures."""
+"""Smoke tests: the scripts run end to end on small fixtures."""
 
 import importlib.util
 from pathlib import Path
@@ -41,3 +41,15 @@ def test_ab_screen_content_metric_choices_are_the_cost_metrics(monkeypatch):
     monkeypatch.setattr("intralab.cost.METRICS", ("sad",))
     with pytest.raises(SystemExit):
         load_script("ab_screen_content").main(["--metric", "satd"])
+
+
+def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path, capsys):
+    source = (
+        '"""Module\ndocstring."""\n\n# comment\nx = (1,\n     2)  # trailing\n\n\n'
+        'def f():\n    """Doc."""\n    return """not a\ndocstring"""\n'
+    )
+    (tmp_path / "m.py").write_text(source, encoding="utf-8")
+    assert load_script("code_lines").main(["--src", str(tmp_path)]) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    # 12 lines; code on lines 5, 6, 9, 11 and 12
+    assert rows == [["module", "lines", "code"], ["m.py", "12", "5"], ["total", "12", "5"]]

@@ -122,6 +122,37 @@ def test_one_rectangle_check_is_the_strict_check(size, block_size, t, data):
         assert buf.region_available(ex + dx, ey + dy, ew, eh) == strict
 
 
+WINDOW_CASES = [
+    (32, 32, 8, 1, (5, 10, 14)),
+    (32, 32, 8, 4, (5, 10, 14)),
+    (40, 24, 4, 2, (13, 27, 46)),
+]
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize(
+    "width, height, block_size, t, done",
+    [(w, h, b, t, done) for w, h, b, t, dones in WINDOW_CASES for done in dones],
+)
+def test_window_validity_is_candidate_validity(width, height, block_size, t, done, strict):
+    # Every displacement of the full-frame window, costed or not: the search
+    # may only ever cost a candidate that oracles.candidate_valid accepts.
+    samples = noise_frame(width, height, seed=width * 41 + height)
+    buf, blocks = prefix_buffer(samples, block_size, done)
+    block = blocks[done]
+    rects = [r for r in template_rects(block, t, width, height) if r is not None]
+    curs = [buf.read_region(*rect).astype(np.int64) for rect in rects]
+    dx_lo, dx_hi = -block.x0, width - block.w - block.x0
+    dy_lo, dy_hi = -block.y0, height - block.h - block.y0
+    valid, _, _ = tmp._window_bounds(buf, block, t, rects, curs, dx_lo, dx_hi, dy_lo, dy_hi, "satd", strict)
+    want = [
+        candidate_valid(buf, block, BlockVector(dx, dy), t, strict_template=strict)
+        for dy in range(dy_lo, dy_hi + 1)
+        for dx in range(dx_lo, dx_hi + 1)
+    ]
+    assert valid.tolist() == want
+
+
 def test_template_cost_matches_block_cost(rng):
     samples = noise_frame(32, 32, seed=11)
     buf, blocks = prefix_buffer(samples, 8, 10)
