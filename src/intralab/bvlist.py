@@ -52,11 +52,13 @@ class BvCandidate:
 
 
 class BvStore:
-    """Pixel-position lookup of the integer-pel BVs each committed block used."""
+    """Pixel-position lookup of the integer-pel BVs each committed block used.
+
+    _owner maps each pixel of the (height, width) frame to its block's
+    entry in _bvs; its shape is the store's only record of the frame size.
+    """
 
     def __init__(self, width: int, height: int):
-        self.width = width
-        self.height = height
         # Entry 0 is the empty tuple of every pixel no committed block covers.
         self._owner = np.zeros((height, width), dtype=np.int32)
         self._bvs: list[tuple[BlockVector, ...]] = [()]
@@ -77,7 +79,8 @@ class BvStore:
 
     def bvs_at(self, x: int, y: int) -> tuple[BlockVector, ...]:
         """Integer-pel BVs of the block covering pixel (x, y); () where no block does."""
-        if 0 <= x < self.width and 0 <= y < self.height:
+        height, width = self._owner.shape
+        if 0 <= x < width and 0 <= y < height:
             return self._bvs[self._owner.item(y, x)]
         return ()
 

@@ -24,6 +24,10 @@ cost and the tie keys of _tie_keys, accept a pool or any candidate list,
 and build candidates only for the selected modes; "not yet selected"
 means by position in the pool.
 
+A candidate's label() is its written form in block records: ang:N,
+planar, dc or bv:dx:dy.  label_kind maps a label back to its kind, so
+the grammar has this one owner.
+
 A FusionSet is its modes; its weights follow the loss-proportional rule:
 each mode's weight is the sum of the other selected losses over (N-1)
 times the total, so a cheaper template predicts a larger share.
@@ -119,6 +123,12 @@ class ModeCandidate:
         if self.kind == "bv":
             return f"bv:{self.bv.dx}:{self.bv.dy}"
         return self.kind
+
+
+def label_kind(label: str) -> str:
+    """The kind of the candidate whose label() is label."""
+    head = label.split(":", 1)[0]
+    return "angular" if head == "ang" else head
 
 
 class CandidatePool(Sequence[ModeCandidate]):

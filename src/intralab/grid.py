@@ -62,20 +62,28 @@ class ReconBuffer:
     """Per-pixel reconstruction plane plus availability flags.
 
     samples holds committed reconstruction values (int32); available is
-    True exactly where a block has been committed.
+    True exactly where a block has been committed.  Both are (height,
+    width) arrays, and width and height read samples' shape.
     """
 
     def __init__(self, width: int, height: int, bit_depth: int):
-        self.width = width
-        self.height = height
         self.bit_depth = bit_depth
         self.samples = np.zeros((height, width), dtype=np.int32)
         self.available = np.zeros((height, width), dtype=bool)
         self.n_committed = 0
         self.read_hook: ReadHook | None = None
 
+    @property
+    def width(self) -> int:
+        return self.samples.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.samples.shape[0]
+
     def in_frame(self, x: int, y: int, w: int, h: int) -> bool:
-        return x >= 0 and y >= 0 and x + w <= self.width and y + h <= self.height
+        height, width = self.samples.shape
+        return x >= 0 and y >= 0 and x + w <= width and y + h <= height
 
     def region_available(self, x: int, y: int, w: int, h: int) -> bool:
         """True iff the whole rectangle is inside the frame and committed."""

@@ -14,13 +14,14 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from .errors import FormatError, IntralabError
-from .etimd import BlockResult
+from .etimd import BlockResult, label_kind
 
 SCHEMA_VERSION = 1
 
@@ -95,19 +96,13 @@ class Report:
     timing: dict[str, float] = field(default_factory=dict)
 
 
-def _primary_kind(label: str) -> str:
-    if label.startswith("ang:"):
-        return "angular"
-    if label.startswith("bv:"):
-        return "bv"
-    return label
-
-
 def compute_aggregates(records: Sequence[BlockRecord], bit_depth: int = 8) -> dict[str, Any]:
     """Run-level statistics over the block records.
 
     PSNR is reported on an 8-bit-equivalent scale so runs at different
     bit depths stay comparable; a lossless run reports infinity.
+    primary_kind_usage and bv_replacement_rate read each mode label's
+    kind through etimd.label_kind.
     """
     n = len(records)
     agg: dict[str, Any] = {"n_blocks": n}
@@ -122,18 +117,10 @@ def compute_aggregates(records: Sequence[BlockRecord], bit_depth: int = 8) -> di
     else:
         psnr = 10.0 * math.log10(255.0**2 * scale**2 * area / sse)
 
-    tool_usage: dict[str, int] = {}
-    kind_usage: dict[str, int] = {}
-    class_usage: dict[str, int] = {}
-    n_bv_fused = 0
-    for r in records:
-        tool_usage[r.tool] = tool_usage.get(r.tool, 0) + 1
-        kind = _primary_kind(r.modes[0])
-        kind_usage[kind] = kind_usage.get(kind, 0) + 1
-        if any(m.startswith("bv:") for m in r.modes):
-            n_bv_fused += 1
-        if r.transform_class is not None:
-            class_usage[r.transform_class] = class_usage.get(r.transform_class, 0) + 1
+    tool_usage = Counter(r.tool for r in records)
+    kind_usage = Counter(label_kind(r.modes[0]) for r in records)
+    class_usage = Counter(r.transform_class for r in records if r.transform_class is not None)
+    n_bv_fused = sum(any(label_kind(m) == "bv" for m in r.modes) for r in records)
 
     costed = [r for r in records if r.tool != "dc"]
     compactions = [r.compaction for r in records if r.compaction is not None]

@@ -27,7 +27,8 @@ a Hadamard tile is the sum of the tile's differences, so (|sum d| + 1)
 bound on that tile's SATD; |sum d| bounds the SAD of the remainder
 strips and, over 4x4 pieces, the sad metric.  Summed over the usable
 strips this bounds a candidate's cost, and the sums come in O(1) from an
-integral image of the window's committed samples.  Candidates are
+integral image of the window's samples, read only for strips that the
+window's availability integral shows committed.  Candidates are
 costed in ascending bound order until the next bound is strictly above
 the best cost found; a candidate that could tie with the best always
 has a bound no higher than it, so the tie order is unaffected.
@@ -228,24 +229,28 @@ def _box_sums(ii: np.ndarray, x: int, y: int, w: int, h: int, nx: int, ny: int) 
 
 
 def _window_integrals(buf: ReconBuffer, x0: int, y0: int, x1: int, y1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integral images of availability and of committed samples over [x0, x1) x [y0, y1).
+    """Integral images of availability and of the sample plane over [x0, x1) x [y0, y1).
 
-    Positions outside the frame count as unavailable, and uncommitted
-    samples as zero, so neither can reach a bound.
+    Positions outside the frame count as unavailable and as zero.
+    Uncommitted samples are summed as they stand: _window_bounds reads a
+    sample sum only over boxes the availability integral shows committed.
     """
     fx0, fy0 = max(x0, 0), max(y0, 0)
     fx1, fy1 = min(x1, buf.width), min(y1, buf.height)
-    flags = buf.available[fy0:fy1, fx0:fx1]
     avail = np.zeros((y1 - y0, x1 - x0), dtype=np.int64)
-    committed = np.zeros((y1 - y0, x1 - x0), dtype=np.int64)
+    samples = np.zeros((y1 - y0, x1 - x0), dtype=np.int64)
     inner = (slice(fy0 - y0, fy1 - y0), slice(fx0 - x0, fx1 - x0))
-    avail[inner] = flags
-    committed[inner] = np.where(flags, buf.samples[fy0:fy1, fx0:fx1], 0)
-    return _integral(avail), _integral(committed)
+    avail[inner] = buf.available[fy0:fy1, fx0:fx1]
+    samples[inner] = buf.samples[fy0:fy1, fx0:fx1]
+    return _integral(avail), _integral(samples)
 
 
 def _window_bounds(buf, block, t, rects, curs, dx_lo, dx_hi, dy_lo, dy_hi, metric, strict_template):
-    """Validity, cost lower bound and per-strip usability over the (ny, nx) candidate grid."""
+    """Validity, cost lower bound and per-strip usability over the (ny, nx) candidate grid.
+
+    A strip is usable where, displaced, it is fully committed; its bound
+    counts only there, so no uncommitted sample reaches a bound.
+    """
     nx, ny = dx_hi - dx_lo + 1, dy_hi - dy_lo + 1
     # The window is the extended rectangle swept over the displacements;
     # it may overhang the frame by up to t samples to the left and top.

@@ -402,3 +402,26 @@ def test_whole_loop_at_larger_frames_with_full_search(
         search_range=None, n_max=n_max, toggles={**toggles, "closed_loop": closed_loop},
     )
 
+
+def test_whole_loop_memory_is_bounded():
+    # One encode plus replay of 96x96 noise, E-TIMD with every toggle on,
+    # HoG transforms, 16x16 blocks and a full-range search.  Measured on
+    # Python 3.11: a 1.84 MiB tracemalloc peak in a fresh process (1.34 MiB
+    # once the per-geometry caches are filled), ~0.47 s of CPU time.  The
+    # 4 MiB bound leaves room for cache state left by other tests; costing
+    # each search window in one batch, not in SEARCH_CHUNK candidates,
+    # peaked at 11.3 MiB.
+    frame = Frame(8, noise_frame(96, 96, seed=3))
+    config = RunConfig(
+        input_path="unused", width=96, height=96, block_size=16, tool="etimd",
+        use_hog_transform=True, closed_loop=True, search_range=None,
+    )
+    tracemalloc.start()
+    try:
+        results, _, _ = encode_frame(frame, config)
+        replay_frame(frame, config, results)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert {r.tool for r in results} == {"dc", "etimd", "intratmp"}
+    assert peak <= 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"

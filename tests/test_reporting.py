@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from intralab.errors import FormatError
-from intralab.etimd import BlockResult, FusionSet, ModeCandidate
+from intralab.etimd import BlockResult, FusionSet, ModeCandidate, label_kind
+from intralab.frames import Frame
 from intralab.grid import BlockRef
+from intralab.harness import RunConfig, encode_frame
 from intralab.reporting import (
     _CSV_COLUMNS,
     BlockRecord,
@@ -18,6 +20,7 @@ from intralab.reporting import (
     read_report,
     write_report,
 )
+from intralab.synth import SCREEN_FIXTURES
 from intralab.tmp import BlockVector
 
 
@@ -118,6 +121,25 @@ def test_aggregates_hand_case():
     assert agg["mean_primary_cost"] == 10.0  # dc blocks carry no template cost
     assert agg["transform_class_usage"] == {"H": 1}
     assert agg["mean_compaction"] == 0.9
+
+
+@pytest.mark.parametrize("fixture", sorted(SCREEN_FIXTURES))
+def test_label_grammar_round_trips_through_aggregates(fixture):
+    # Each 64x64 fixture (seed 7) codes all four kinds and 2-7 intratmp
+    # blocks with 8x8 E-TIMD, so every branch of the grammar is written.
+    cfg = RunConfig(input_path="unused", width=64, height=64, block_size=8, tool="etimd")
+    results, _, _ = encode_frame(Frame(8, SCREEN_FIXTURES[fixture](7, 64).astype(np.uint16)), cfg)
+    entries = [c for r in results for c in r.fusion.modes]
+    assert {c.kind for c in entries} == {"angular", "planar", "dc", "bv"}
+    assert any(r.tool == "intratmp" for r in results)
+    for c in entries:
+        assert label_kind(c.label()) == c.kind, c.label()
+
+    agg = compute_aggregates([BlockRecord.from_result(0, r) for r in results])
+    kinds = [r.fusion.modes[0].kind for r in results]
+    assert agg["primary_kind_usage"] == {k: kinds.count(k) for k in sorted(set(kinds))}
+    n_fused = sum(any(c.kind == "bv" for c in r.fusion.modes) for r in results)
+    assert agg["bv_replacement_rate"] == n_fused / len(results)
 
 
 def test_aggregates_lossless_psnr_and_depth_scale():

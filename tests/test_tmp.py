@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from intralab import tmp
 from intralab.errors import CausalityError
 from intralab.grid import BlockRef, ReconBuffer, partition
-from intralab.synth import noise_frame, tiled_glyph_frame
+from intralab.synth import SCREEN_FIXTURES, noise_frame, tiled_glyph_frame
 from intralab.tmp import (
     BlockVector,
     bv_predict,
@@ -151,6 +151,33 @@ def test_window_validity_is_candidate_validity(width, height, block_size, t, don
         for dx in range(dx_lo, dx_hi + 1)
     ]
     assert valid.tolist() == want
+
+
+@pytest.mark.parametrize("fixture", sorted(SCREEN_FIXTURES))
+def test_uncommitted_samples_never_reach_the_search(fixture):
+    # The window's sample integral sums uncommitted samples as they stand,
+    # so whatever they hold must change no validity, bound, strip use or
+    # search result.
+    samples = SCREEN_FIXTURES[fixture](7, 64)
+    rng = np.random.default_rng(len(fixture))
+    for done in (9, 20, 35, 50):
+        clean, blocks = prefix_buffer(samples, 8, done)
+        dirty, _ = prefix_buffer(samples, 8, done)
+        hidden = ~dirty.available
+        dirty.samples[hidden] = rng.integers(-(2**31), 2**31, size=int(hidden.sum()), dtype=np.int32)
+        block = blocks[done]
+        rects = [r for r in template_rects(block, 4, 64, 64) if r is not None]
+        curs = [clean.read_region(*rect).astype(np.int64) for rect in rects]
+        window = (-block.x0, 64 - block.w - block.x0, -block.y0, 64 - block.h - block.y0)
+        for metric in ("satd", "sad"):
+            for strict in (True, False):
+                want = tmp._window_bounds(clean, block, 4, rects, curs, *window, metric, strict)
+                got = tmp._window_bounds(dirty, block, 4, rects, curs, *window, metric, strict)
+                for w, g in zip([*want[:2], *want[2]], [*got[:2], *got[2]]):
+                    np.testing.assert_array_equal(g, w)
+                assert tmp_search(dirty, block, None, 4, metric, strict) == tmp_search(
+                    clean, block, None, 4, metric, strict
+                )
 
 
 def test_template_cost_matches_block_cost(rng):
