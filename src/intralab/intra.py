@@ -26,10 +26,14 @@ Filled with whole blocks up to 64x64 (2.6 MiB each at most) or
 templates up to 8 deep (tmp.TEMPLATES), the cache holds at most 32 MiB;
 TEMPLATE_TAPS_ENTRIES is chosen for that.
 
-Predictions run in int64 on samples below 2^bit_depth <= 2^10, which
-cannot overflow: an interpolation sum peaks at 32 * 1023 + 16, and the
-Planar numerator of a (h, w) block (its coefficients sum to 2 * w * h)
-at 2 * w * h * 1023, below 2^31 up to 1024x1024 blocks.
+Samples lie below 2^bit_depth <= 2^10.  predict_template runs in
+int32 and predict_mode in the line's own dtype (int64 from
+build_reference_samples); neither can overflow int32: an interpolation
+sum peaks at 32 * 1023 + 16, and the rounded Planar numerator of an
+(h, w) block (its coefficients sum to 2 * w * h) at
+2 * w * h * 1023 + w * h, below 2^31 up to 1024x1024 blocks, and at
+most 10,611,648 for the largest block the tap cache is sized for, a
+64x64 block extended by an 8-deep template to 72x72.
 
 Reference samples come from the causal reconstruction buffer.
 Unavailable positions are padded along the reference border, scanned
@@ -245,8 +249,8 @@ def _template_taps(we: int, he: int, strips: tuple[Rect, ...]) -> TemplateTaps:
     d0, rest = np.divmod(distinct, n_line * 32)
     d1, dw = np.divmod(rest, 32)
     return TemplateTaps(*_frozen(
-        planar_idx.astype(np.intp), planar_coef, d0.astype(np.intp), d1.astype(np.intp), dw,
-        spread.reshape(i0.shape).astype(np.intp),
+        planar_idx.astype(np.intp), planar_coef.astype(np.int32), d0.astype(np.intp), d1.astype(np.intp),
+        dw.astype(np.int32), spread.reshape(i0.shape).astype(np.intp),
     ))
 
 
@@ -302,10 +306,12 @@ def predict_template(line: np.ndarray, we: int, he: int, strips: tuple[Rect, ...
     holds that block's prediction at the strips' positions only, in
     their cost layout, strip_offsets(strips, we), ready for layout_cost.
     Row m equals predict_mode(line, ALL_MODES[m], we, he) at those
-    positions; since ALL_MODES[m] == m, row m is mode m.
+    positions; since ALL_MODES[m] == m, row m is mode m.  The rows are
+    int32 (see the module docstring).
     """
     taps = _template_taps(we, he, strips)
-    out = np.empty((len(ALL_MODES), taps.spread.shape[1]), dtype=np.int64)
+    line = line.astype(np.int32)
+    out = np.empty((len(ALL_MODES), taps.spread.shape[1]), dtype=np.int32)
     _planar(line, taps, we, he, out=out[MODE_PLANAR])
     out[MODE_DC] = _dc_value(line, we, he)
     # mode="clip" lets take write straight into out; every index is in range.

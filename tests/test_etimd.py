@@ -1,10 +1,13 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from intralab.bvlist import BvCandidate, BvStore, Provenance, build_bv_list
-from intralab import harness
+from intralab import etimd, harness
 from intralab.cli import build_parser
 from intralab.etimd import (
     TOOLS,
@@ -20,6 +23,7 @@ from intralab.etimd import (
     select_modes_etimd,
     select_modes_timd,
 )
+from intralab.frames import Frame
 from intralab.grid import ReconBuffer, partition
 from intralab.harness import RunConfig
 from intralab.intra import ALL_MODES, ANGULAR_MODES, predict_mode
@@ -564,3 +568,102 @@ def test_select_on_pool_equals_select_on_list(fixture):
             compared += 1
         encode_block(ctx, block)
     assert compared == len(blocks) - 1
+
+
+# --- the pool memo: exact, one frame and one side, bounded ---
+
+
+_MEMO_FRAMES = {name: (8, fixture(5, 64)) for name, fixture in SCREEN_FIXTURES.items()}
+_MEMO_FRAMES["noise-10bit"] = (10, noise_frame(64, 64, seed=5, bit_depth=10))
+
+
+def _same_result(a, b):
+    names = [f.name for f in dataclasses.fields(a) if f.name != "prediction"]
+    return np.array_equal(a.prediction, b.prediction) and all(getattr(a, n) == getattr(b, n) for n in names)
+
+
+@pytest.mark.parametrize("name", sorted(_MEMO_FRAMES))
+def test_pool_memo_is_exact(name, monkeypatch):
+    # Every result and every replayed sample equals a run whose memo holds
+    # nothing, and every screen fixture hits the memo at least once.
+    bit_depth, samples = _MEMO_FRAMES[name]
+    frame = Frame(bit_depth, samples)
+    hits = []
+
+    def get(memo, key, get=etimd.PoolMemo.get):
+        costs = get(memo, key)
+        hits.append(costs is not None)
+        return costs
+
+    monkeypatch.setattr(etimd.PoolMemo, "get", get)
+    for tool, block_size, metric in itertools.product(("etimd", "timd"), (8, 16), ("satd", "sad")):
+        cfg = _cfg(tool=tool, block_size=block_size, metric=metric, bit_depth=bit_depth)
+        runs = []
+        for cap in (etimd.POOL_MEMO_ENTRIES, 0):
+            with monkeypatch.context() as m:
+                m.setattr(etimd, "POOL_MEMO_ENTRIES", cap)
+                results, buf, _ = harness.encode_frame(frame, cfg)
+                runs.append((results, buf.samples, harness.replay_frame(frame, cfg, results).samples))
+        (got, got_buf, got_replay), (want, want_buf, want_replay) = runs
+        assert len(got) == len(want) and all(map(_same_result, got, want)), (tool, block_size, metric)
+        np.testing.assert_array_equal(got_buf, want_buf)
+        np.testing.assert_array_equal(got_replay, want_replay)
+    if name in SCREEN_FIXTURES:
+        assert any(hits)
+
+
+def test_pool_memo_lives_for_one_frame_and_one_side(monkeypatch):
+    # Encoding a frame twice predicts as many templates each time, and the
+    # replay as many as the encode, so no pool outlives its frame or crosses
+    # from the encoder to the replay.  Without the TMP competition, replay
+    # derives every block the encoder derived, in the same order.
+    calls = []
+
+    def predict(*args, predict=etimd.predict_template):
+        calls.append(args)
+        return predict(*args)
+
+    monkeypatch.setattr(etimd, "predict_template", predict)
+    frame = Frame(8, SCREEN_FIXTURES["ui-tiles"](5, 64))
+    cfg = _cfg(tool="etimd", tmp_compete=False)
+    counts = []
+    for _ in range(2):
+        calls.clear()
+        results, _, _ = harness.encode_frame(frame, cfg)
+        counts.append(len(calls))
+    calls.clear()
+    harness.replay_frame(frame, cfg, results)
+    counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2]
+    assert 0 < counts[0] < sum(r.tool == "etimd" for r in results)
+
+
+def test_pool_memo_holds_at_most_its_cap():
+    # 96x96 noise in 4x4 blocks derives 575 pools, none alike.
+    cfg = _cfg(tool="timd", block_size=4, width=96, height=96)
+    ctx = harness._context(Frame(8, noise_frame(96, 96, seed=3)), cfg)
+    for block in partition(96, 96, 4):
+        encode_block(ctx, block)
+    assert len(ctx.memo) == etimd.POOL_MEMO_ENTRIES
+
+
+def test_pool_memo_key_holds_the_metric_and_every_bv_row():
+    # One memo shared by both metrics and by one-BV lists of the same block
+    # (same line, same own template) must give each pool its own costs.
+    cfg = _cfg(tool="etimd", block_size=8)
+    ctx, blocks = _ctx(SCREEN_FIXTURES["mixed-page"](7, 64), cfg, 0)
+    distinct = 0
+    for block in blocks:
+        if any(template_rects(block, cfg.template, 64, 64)):
+            bv_list = build_bv_list(ctx.store, ctx.buf, block, cfg.template, cfg.n_max, use_ar=True)
+            memo = etimd.PoolMemo()
+            for metric in ("satd", "sad"):
+                bv_costs = set()
+                for bv in bv_list:
+                    pool = evaluate_candidates(ctx.buf, block, cfg.template, metric, [bv], memo)
+                    want = evaluate_candidates(ctx.buf, block, cfg.template, metric, [bv])
+                    np.testing.assert_array_equal(pool.costs, want.costs)
+                    bv_costs.add(int(want.costs[-1]))
+                distinct += len(bv_costs) > 1
+        encode_block(ctx, block)
+    assert distinct > 0

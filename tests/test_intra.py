@@ -386,3 +386,26 @@ def test_tiled_template_prediction_follows_the_cost_layout(seed, t, size, clip, 
         want = oracles.predict_samples(line, mode, we, he, zip(xs, ys))
         np.testing.assert_array_equal(row, want, err_msg=f"mode {mode}")
 
+
+
+@pytest.mark.parametrize("pattern", ["all-1023", "alternating"])
+def test_int32_template_prediction_at_extreme_10_bit_lines(pattern):
+    # predict_template runs in int32; the largest 10-bit samples, alone and
+    # next to 0, must predict as the int64 scalar oracle does for every
+    # template depth and every block size up to the 64x64 of the overflow bound.
+    for t in range(1, 9):
+        for size in (4, 8, 16, 32, 64):
+            we = he = size + t
+            n = 2 * we + 2 * he + 2
+            line = np.full(n, 1023, dtype=np.int64) if pattern == "all-1023" else np.arange(n) % 2 * 1023
+            line[2 * we + 1] = line[0]  # the corner appears twice
+            strips = ((0, 0, we, t), (0, t, t, size))
+            mask = np.zeros((he, we), dtype=bool)
+            mask[:t] = mask[t:, :t] = True
+            positions = np.flatnonzero(mask)[strip_layout(((t, we), (size, t))).order]
+            ys, xs = np.divmod(positions, we)
+            got = predict_template(line, we, he, strips)
+            assert got.dtype == np.int32
+            for row, mode in zip(got, ALL_MODES):
+                want = oracles.predict_samples(line, mode, we, he, zip(xs, ys))
+                np.testing.assert_array_equal(row, want, err_msg=f"t {t}, size {size}, mode {mode}")

@@ -182,6 +182,30 @@ def test_write_is_deterministic(tmp_path):
     assert open(p1, "rb").read() == open(p2, "rb").read()
 
 
+def test_json_bytes_equal_the_streamed_asdict_serialization(tmp_path):
+    # The writer builds each record shallowly and encodes one string; the
+    # bytes must equal json.dump streaming asdict records, None, inf and
+    # list fields included.
+    records = [
+        make_record(pred_sse=0, compaction=math.inf),
+        make_record(scan_index=1, tool="dc", modes=["dc"], weights=[1.0], costs=[0], pred_sse=0,
+                    transform_modes=None, transform_class=None, compaction=None),
+    ]
+    report = make_report(records)
+    report.timing["replay_s"] = math.inf
+    assert report.aggregates["psnr_db"] == math.inf
+    path = tmp_path / "run.json"
+    write_report(report, str(path))
+    want = tmp_path / "streamed.json"
+    with open(want, "w", encoding="utf-8") as fh:
+        doc = {"schema": 1, "config": report.config, "timing": report.timing,
+               "aggregates": report.aggregates, "records": [asdict(r) for r in records]}
+        json.dump(doc, fh, separators=(",", ":"))
+        fh.write("\n")
+    assert path.read_bytes() == want.read_bytes()
+    assert b"Infinity" in want.read_bytes() and b"null" in want.read_bytes()
+
+
 def test_json_document_layout(tmp_path):
     path = str(tmp_path / "run.json")
     write_report(make_report([make_record()]), path)
