@@ -15,9 +15,12 @@ level).  Sub-pel BVs (1/16 units) are normalized to integer pixels by
 an arithmetic shift of 4 bits toward negative infinity when the store
 takes them.
 
-The final list keeps first occurrences, drops candidates that fail the
-causal availability check for the current block (displaced block plus
-its full template), and truncates to n_max entries.
+build_bv_list makes one ordered pass: a dict keyed by vector, filled
+with the primaries in visit order and then with the AR-BVs of the
+distinct primaries, keeps each vector's first occurrence and its
+provenance.  The candidates that pass the causal availability check for
+the current block (displaced block plus its full template) are taken in
+that order, up to n_max.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import islice
 
 import numpy as np
 
@@ -133,29 +137,24 @@ def build_bv_list(
     n_max: int = DEFAULT_N_MAX,
     use_ar: bool = True,
 ) -> list[BvCandidate]:
-    """Candidate list for the current block: primaries, then AR-BVs.
+    """Candidate list for the current block: primaries, then AR-BVs, in one ordered pass.
 
-    First occurrence wins on duplicates, so a primary that is also
-    derivable by relocation keeps Primary provenance.  Every survivor
-    passes the strict causal check (displaced block and full template
-    committed), and the list is truncated to n_max.
+    Insertion order is the list order, so the first occurrence of a
+    vector wins and a primary that is also derivable by relocation keeps
+    Primary provenance.  AR-BVs derive from the distinct primaries: a
+    repeated primary relocates to the vectors its first occurrence
+    already gave.  Every survivor passes the strict causal check
+    (displaced block and full template committed), and the list is
+    truncated to n_max.
     """
-    primaries = sample_spatial_bvs(store, block)
-    tagged = [(bv, Provenance.PRIMARY) for bv in primaries]
+    tagged = dict.fromkeys(sample_spatial_bvs(store, block), Provenance.PRIMARY)
     if use_ar:
-        tagged += [(bv, Provenance.AUTO_RELOCATED) for bv in derive_ar_bvs(store, primaries, block)]
+        for bv in derive_ar_bvs(store, list(tagged), block):
+            tagged.setdefault(bv, Provenance.AUTO_RELOCATED)
     # The displaced block and its strips together cover the displaced
     # template-extended block, so one rectangle check is the strict check.
     ex, ey, ew, eh = extended_rect(block, t)
-    out: list[BvCandidate] = []
-    seen: set[BlockVector] = set()
-    for bv, prov in tagged:
-        if len(out) == n_max:
-            break
-        if bv in seen:
-            continue
-        seen.add(bv)
-        if not buf.region_available(ex + bv.dx, ey + bv.dy, ew, eh):
-            continue
-        out.append(BvCandidate(bv, prov))
-    return out
+    kept = (
+        BvCandidate(bv, prov) for bv, prov in tagged.items() if buf.region_available(ex + bv.dx, ey + bv.dy, ew, eh)
+    )
+    return list(islice(kept, n_max))

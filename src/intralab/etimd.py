@@ -37,25 +37,26 @@ derive_fusion derives a block's fusion set from the decoder-visible
 part of an EncodeContext, the per-frame coding state of encoder and
 replay alike, and commit_fusion predicts, reconstructs and commits it.
 
-Screen content repeats, and so do its pools.  derive_fusion hands
-evaluate_candidates the context's PoolMemo, a bounded LRU of pool
-costs whose key holds every input of the pool: the template-extended
-block's size (we, he), the template strips relative to it, the metric,
-the padded reference line, and every gathered template row (the
-block's own, then each listed BV's), both packed as uint16, which
-holds any 8- or 10-bit sample.  The costs follow from the key alone,
-so a hit is exact.  The samples are read, checked and noted before the
-lookup, so a hit skips only predict_template and layout_cost, and
-selection runs as on a miss.  harness._context builds a fresh memo for
-each frame and each side: replay derives from its own state, never
-from the encoder's pools, and nothing carries over between frames.  On
-the perfbench inputs (variants 1, 3 and 6), 69.6% of the screen-etimd
-pools and 65.4% of the smallblock-closedloop pools are hits, and none
-of the natural-timd pools.  POOL_MEMO_ENTRIES = 256 keeps both rates at
-their unbounded value; 64 entries drop smallblock-closedloop, with
-1,024 pools a frame, to 55.0%.  Those memos held at most 0.5 MB of keys
-and costs; an entry of a 64x64 block with t = 8 and 20 listed BVs holds
-47 KB, so a full memo of those holds about 12 MB.
+Screen content repeats, and so do its pools.  pool_costs costs a pool
+from every input of it: the template-extended block's size (we, he),
+the template strips relative to it, the metric, the padded reference
+line, and every gathered template row (the block's own, then each
+listed BV's), both packed as uint16, which holds any 8- or 10-bit
+sample.  A function of its arguments alone is exact under any cache,
+so EncodeContext.memo is functools.lru_cache(POOL_MEMO_ENTRIES) of it,
+and derive_fusion hands that to evaluate_candidates.  The samples are
+read, checked and noted before the call, so a hit skips only
+predict_template and layout_cost, and selection runs as on a miss.
+harness._context builds a fresh memo for each frame and each side:
+replay derives from its own state, never from the encoder's pools, and
+nothing carries over between frames.  On the perfbench inputs (variants
+1, 3 and 6), 69.6% of the screen-etimd pools and 65.4% of the
+smallblock-closedloop pools are hits, and none of the natural-timd
+pools.  POOL_MEMO_ENTRIES = 256 keeps both rates at their unbounded
+value; 64 entries drop smallblock-closedloop, with 1,024 pools a frame,
+to 55.0%.  Those memos held at most 0.5 MB of keys and costs; an entry
+of a 64x64 block with t = 8 and 20 listed BVs holds 47 KB, so a full
+memo of those holds about 12 MB.
 
 The causal encode loop keeps only what the next block depends on.
 encode_block derives, predicts, fuses, reconstructs, commits and records
@@ -79,8 +80,8 @@ so 32 sits between the two.
 from __future__ import annotations
 
 import operator
-from collections import OrderedDict, defaultdict
-from collections.abc import Sequence
+from collections import defaultdict
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import TYPE_CHECKING
@@ -88,7 +89,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .bvlist import BvCandidate, BvStore, Provenance, build_bv_list
-from .cost import layout_cost, sad, satd
+from .cost import Rect, layout_cost, sad, satd, strip_layout
 from .grid import BlockRef, ReconBuffer, reconstruct_block
 from .hog import transform_mode_for_block
 from .intra import (
@@ -120,7 +121,7 @@ TOOLS = ("etimd", "timd", "intratmp", "dc-only")
 # Coded blocks per measure_blocks call in harness.encode_frame (see the module docstring).
 MEASURE_BATCH = 32
 
-# Pools an EncodeContext's PoolMemo holds (see the module docstring).
+# Pools an EncodeContext's memo holds (see the module docstring).
 POOL_MEMO_ENTRIES = 256
 
 _KIND_RANK = {"angular": 0, "planar": 1, "dc": 2, "bv": 3}
@@ -234,27 +235,21 @@ def fuse(predictions: Sequence[np.ndarray], weights: Sequence[float], bit_depth:
     return np.clip(out, 0, (1 << bit_depth) - 1).astype(np.int32)
 
 
-class PoolMemo:
-    """Bounded LRU of pool costs, keyed by every input of the pool (see the module docstring)."""
+def pool_costs(we: int, he: int, strips: tuple[Rect, ...], metric: str, line: bytes, rows: bytes) -> np.ndarray:
+    """Costs of the pool these inputs make: ALL_MODES order, then one per BV row.
 
-    def __init__(self) -> None:
-        self.cap = POOL_MEMO_ENTRIES
-        self._costs: OrderedDict[tuple, np.ndarray] = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._costs)
-
-    def get(self, key: tuple) -> np.ndarray | None:
-        costs = self._costs.get(key)
-        if costs is not None:
-            self._costs.move_to_end(key)
-        return costs
-
-    def put(self, key: tuple, costs: np.ndarray) -> None:
-        if self.cap:
-            self._costs[key] = costs
-            if len(self._costs) > self.cap:
-                self._costs.popitem(last=False)
+    line is the padded reference line of the (he, we) template-extended
+    block and rows its gathered template rows (the block's own first),
+    both packed as uint16; strips are the template's rectangles relative
+    to that block.  The costs depend on these arguments alone, which is
+    what lets EncodeContext.memo cache them.
+    """
+    layout = strip_layout(tuple((h, w) for _, _, w, h in strips))
+    preds = predict_template(np.frombuffer(line, dtype=np.uint16), we, he, strips)
+    rows = np.frombuffer(rows, dtype=np.uint16).reshape(-1, preds.shape[1])
+    diffs = np.concatenate((preds, rows[1:])) if len(rows) > 1 else preds
+    diffs -= rows[0]
+    return layout_cost(diffs, layout, metric)
 
 
 def evaluate_candidates(
@@ -263,7 +258,7 @@ def evaluate_candidates(
     t: int,
     metric: str,
     bv_list: Sequence[BvCandidate] = (),
-    memo: PoolMemo | None = None,
+    costing: Callable[..., np.ndarray] = pool_costs,
 ) -> CandidatePool:
     """Template losses for Planar, DC, all angular modes, and listed BVs.
 
@@ -277,8 +272,8 @@ def evaluate_candidates(
     strip is committed, and all 67 + len(bv_list) rows are costed with
     one layout_cost call, so a BV costs the same as on either side of
     the TMP competition.  The pool holds the costs in ALL_MODES order,
-    then in BV-list order.  With a memo, the samples are read and checked
-    all the same, and a pool of the very same inputs is costed once.
+    then in BV-list order.  costing is pool_costs or a cache of it; the
+    samples are read and checked before it is called.
     """
     rects = [r for r in template_rects(block, t, buf.width, buf.height) if r is not None]
     if not rects:
@@ -289,19 +284,9 @@ def evaluate_candidates(
     line = build_reference_samples(buf, ex, ey, we, he)
     dxs = np.array([0] + [c.bv.dx for c in bv_list], dtype=np.int64)
     dys = np.array([0] + [c.bv.dy for c in bv_list], dtype=np.int64)
-    layout, rows = gather_templates(buf, rects, dxs, dys)
-    key = costs = None
-    if memo is not None:
-        key = (we, he, strips, metric, line.astype(np.uint16).tobytes(), rows.astype(np.uint16).tobytes())
-        costs = memo.get(key)
-    if costs is None:
-        preds = predict_template(line, we, he, strips)
-        diffs = np.concatenate((preds, rows[1:])) if bv_list else preds
-        diffs -= rows[0]
-        costs = layout_cost(diffs, layout, metric)
-        if memo is not None:
-            memo.put(key, costs)
-    return CandidatePool(costs, bv_list)
+    _, rows = gather_templates(buf, rects, dxs, dys)
+    packed = (line.astype(np.uint16).tobytes(), rows.astype(np.uint16).tobytes())
+    return CandidatePool(costing(we, he, strips, metric, *packed), bv_list)
 
 
 def _ranking(candidates: Sequence[ModeCandidate]) -> tuple[list[int], list[int], np.ndarray]:
@@ -384,16 +369,18 @@ class BlockResult:
 
 @dataclass
 class EncodeContext:
-    """Mutable per-frame coding state of the encoder and the replay; original holds int64 samples.
+    """Mutable per-frame coding state of the encoder and the replay.
 
-    memo is the PoolMemo derive_fusion costs its pools through.
+    original holds the source samples as loaded; every reader widens
+    them.  memo is the lru_cache of pool_costs that derive_fusion costs
+    its pools through.
     """
 
     original: np.ndarray
     buf: ReconBuffer
     store: BvStore
     config: RunConfig
-    memo: PoolMemo = field(default_factory=PoolMemo)
+    memo: Callable[..., np.ndarray] = field(default_factory=lambda: lru_cache(POOL_MEMO_ENTRIES)(pool_costs))
 
 
 def fusion_predictions(buf: ReconBuffer, block: BlockRef, fusion: FusionSet) -> list[np.ndarray]:

@@ -114,7 +114,7 @@ def config_from_dict(values: dict[str, Any]) -> RunConfig:
 def _context(frame: Frame, config: RunConfig) -> EncodeContext:
     """Fresh coding state of one frame and side: nothing committed, no BV recorded, no pool memoized."""
     buf = ReconBuffer(frame.width, frame.height, frame.bit_depth)
-    return EncodeContext(frame.samples.astype(np.int64), buf, BvStore(frame.width, frame.height), config)
+    return EncodeContext(frame.samples, buf, BvStore(frame.width, frame.height), config)
 
 
 def encode_frame(

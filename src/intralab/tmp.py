@@ -40,9 +40,10 @@ costs them at once.  A candidate that can use only one of the two
 strips is gathered and costed in that strip's layout.  template_cost_at
 and mode evaluation read through gather_templates, which checks every
 displaced strip against the committed area in one vectorised test.
-Both gathers, gather_templates and the search's _costs_by_use, read
-through _read_templates, which notes each displaced strip it reads, so
-a search notes the candidates it costs and no others.
+Both gathers, gather_templates and the search's _costs_by_use (through
+_read_templates), index the sample plane through _template_index and
+note each displaced strip they read through _note_templates, so a
+search notes the candidates it costs and no others.
 
 tmp_search(..., below=c) returns the best candidate among those that
 cost strictly less than c, or None when no valid candidate does.
@@ -113,14 +114,13 @@ def bv_predict(buf: ReconBuffer, block: BlockRef, bv: BlockVector) -> np.ndarray
     return buf.read_region(block.x0 + bv.dx, block.y0 + bv.dy, block.w, block.h)
 
 
-def _template_rows(
-    plane: np.ndarray, strips: Sequence[Rect], dxs: np.ndarray, dys: np.ndarray
+def _template_index(
+    width: int, strips: Sequence[Rect], dxs: np.ndarray, dys: np.ndarray
 ) -> tuple[Layout, np.ndarray]:
-    """Layout of the strips and plane's values under them displaced by each (dx, dy), one row each."""
+    """Layout of the strips and the flat index, into a plane of that width, of each displaced by each (dx, dy)."""
     x0, y0 = strips[0][:2]
-    width = plane.shape[1]
     layout, offsets = strip_offsets(tuple((x - x0, y - y0, w, h) for x, y, w, h in strips), width)
-    return layout, plane.ravel()[offsets + ((y0 + dys) * width + x0 + dxs)[:, None]]
+    return layout, offsets + ((y0 + dys) * width + x0 + dxs)[:, None]
 
 
 def gather_templates(
@@ -131,7 +131,8 @@ def gather_templates(
     Row i holds the strips moved by (dxs[i], dys[i]) in layout order, so
     (0, 0) gives the block's own template.  Every displaced strip must
     lie inside the frame and be committed, or CausalityError is raised;
-    each one is noted as a read.
+    each one is noted as a read.  One flat index reads both the
+    availability and the sample plane.
     """
     xs, ys = dxs.tolist(), dys.tolist()
     moves = list(zip(xs, ys))
@@ -139,21 +140,34 @@ def gather_templates(
         if x + min(xs) < 0 or y + min(ys) < 0 or x + w + max(xs) > buf.width or y + h + max(ys) > buf.height:
             dx, dy = next(m for m in moves if not buf.in_frame(x + m[0], y + m[1], w, h))
             raise CausalityError(f"template strip at ({x + dx},{y + dy}) {w}x{h} leaves the frame")
-    committed = _template_rows(buf.available, strips, dxs, dys)[1].all(axis=1)
+    layout, index = _template_index(buf.width, strips, dxs, dys)
+    committed = buf.available.ravel()[index].all(axis=1)
     if not committed.all():
         raise CausalityError(f"template displaced by {moves[int(np.argmin(committed))]} touches uncommitted samples")
-    return _read_templates(buf, strips, dxs, dys)
+    _note_templates(buf, strips, dxs, dys)
+    return layout, buf.samples.ravel()[index]
+
+
+def _note_templates(buf: ReconBuffer, strips: Sequence[Rect], dxs: np.ndarray, dys: np.ndarray) -> None:
+    """Note each strip displaced by each (dx, dy) as a read."""
+    if buf.read_hook is not None:
+        for dx, dy in zip(dxs.tolist(), dys.tolist()):
+            for x, y, w, h in strips:
+                buf.note_read(x + dx, y + dy, w, h)
 
 
 def _read_templates(
     buf: ReconBuffer, strips: Sequence[Rect], dxs: np.ndarray, dys: np.ndarray
 ) -> tuple[Layout, np.ndarray]:
-    """_template_rows of the committed samples, each displaced strip noted as a read; nothing is checked."""
-    if buf.read_hook is not None:
-        for dx, dy in zip(dxs.tolist(), dys.tolist()):
-            for x, y, w, h in strips:
-                buf.note_read(x + dx, y + dy, w, h)
-    return _template_rows(buf.samples, strips, dxs, dys)
+    """Layout of the strips and the samples under them displaced by each (dx, dy), noted; nothing is checked.
+
+    The index is freed on return, before the caller costs the rows: it is
+    twice their size, and holding it through the costing of a search
+    chunk slowed screen-etimd encodes by a third.
+    """
+    _note_templates(buf, strips, dxs, dys)
+    layout, index = _template_index(buf.width, strips, dxs, dys)
+    return layout, buf.samples.ravel()[index]
 
 
 def _costs_by_use(

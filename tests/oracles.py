@@ -10,7 +10,9 @@ predict_block the sample-at-a-time Planar, DC and angular formulas
 that intralab.intra's shared tap tables must reproduce.  candidate_valid is the
 one-candidate causality check, one rectangle at a time, that the
 window-wide checks of the template search and the BV list must agree
-with.  measure_block is the
+with.  build_bv_list is the BV candidate list written from the
+intralab.bvlist docstring, with a linear search of the coded blocks'
+rectangles in place of the BvStore.  measure_block is the
 per-block measurement the encoder ran on each block before
 measure_blocks batched it, with the single-block HoG, transform and
 compaction bodies of that time.
@@ -116,6 +118,57 @@ def candidate_valid(buf: ReconBuffer, block: BlockRef, bv: BlockVector, t: int, 
             continue
         return False
     return True
+
+
+def build_bv_list(
+    coded: list[tuple[BlockRef, tuple[BlockVector, ...]]],
+    buf: ReconBuffer,
+    block: BlockRef,
+    t: int,
+    n_max: int,
+    use_ar: bool,
+) -> list[tuple[BlockVector, str]]:
+    """(BV, provenance value) of each list entry, given each coded block with its integer-pel BVs.
+
+    The sampling points are left, above, above-right, below-left and
+    above-left of the block, then the same five pushed out by k*w and
+    k*h, k = 1, 2.  Each point contributes the BVs of the coded block
+    that holds it.  Each primary v then adds v + s for each BV s of the
+    coded block holding the pixel v displaces the block's top-left to,
+    one level only.  A vector keeps its first position and tag, a
+    candidate whose displaced template-extended block is not committed
+    is dropped, and n_max applies last.
+    """
+
+    def bvs_at(x: int, y: int) -> tuple[BlockVector, ...]:
+        for ref, bvs in coded:
+            if ref.x0 <= x < ref.x0 + ref.w and ref.y0 <= y < ref.y0 + ref.h:
+                return bvs
+        return ()
+
+    w, h = block.w, block.h
+    points = []
+    for k in (0, 1, 2):
+        for px, py in [(-1, h - 1), (w - 1, -1), (w, -1), (-1, h), (-1, -1)]:
+            px += -k * w if px < 0 else (k * w if px >= w else 0)
+            py += -k * h if py < 0 else (k * h if py >= h else 0)
+            points.append((block.x0 + px, block.y0 + py))
+    primaries = [bv for x, y in points for bv in bvs_at(x, y)]
+    tagged = [(bv, "primary") for bv in primaries]
+    if use_ar:
+        for v in primaries:
+            for s in bvs_at(block.x0 + v.dx, block.y0 + v.dy):
+                tagged.append((BlockVector(v.dx + s.dx, v.dy + s.dy), "auto-relocated"))
+    ex, ey = max(block.x0 - t, 0), max(block.y0 - t, 0)
+    ew, eh = block.x0 + w - ex, block.y0 + h - ey
+    out, seen = [], set()
+    for bv, tag in tagged:
+        if bv in seen:
+            continue
+        seen.add(bv)
+        if buf.region_available(ex + bv.dx, ey + bv.dy, ew, eh):
+            out.append((bv, tag))
+    return out[:n_max]
 
 
 def sobel_window(window: np.ndarray) -> tuple[int, int]:

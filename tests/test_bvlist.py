@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,10 +16,14 @@ from intralab.bvlist import (
     normalize_bv,
     sample_spatial_bvs,
 )
-from intralab.grid import BlockRef
-from intralab.synth import noise_frame
+from intralab import harness
+from intralab.etimd import encode_block
+from intralab.frames import Frame
+from intralab.grid import BlockRef, partition
+from intralab.synth import SCREEN_FIXTURES, noise_frame
 from intralab.tmp import BlockVector
 
+import oracles
 from conftest import prefix_buffer
 from oracles import candidate_valid
 
@@ -179,3 +185,20 @@ def test_build_list_without_ar():
     lst = build_bv_list(store, buf, block, t=4, use_ar=False)
     assert all(c.provenance == Provenance.PRIMARY for c in lst)
     assert [c.bv for c in lst] == [BlockVector(-8, -8)]
+
+
+@pytest.mark.parametrize("block_size", [8, 16])
+@pytest.mark.parametrize("name", sorted(SCREEN_FIXTURES))
+def test_build_list_matches_the_scalar_oracle(name, block_size):
+    # Before each block of an E-TIMD encode, the list equals the oracle's
+    # for every n_max and with and without AR.
+    cfg = harness.RunConfig(input_path="unused", width=64, height=64, block_size=block_size, tool="etimd")
+    ctx = harness._context(Frame(8, SCREEN_FIXTURES[name](5, 64)), cfg)
+    coded = []
+    for block in partition(64, 64, block_size):
+        for n_max, use_ar in itertools.product((0, 1, 3, 20), (False, True)):
+            got = build_bv_list(ctx.store, ctx.buf, block, cfg.template, n_max, use_ar)
+            want = oracles.build_bv_list(coded, ctx.buf, block, cfg.template, n_max, use_ar)
+            assert [(c.bv, c.provenance.value) for c in got] == want, (block, n_max, use_ar)
+        res = encode_block(ctx, block)
+        coded.append((block, tuple(c.bv for c in res.fusion.modes if c.kind == "bv")))

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 
 import numpy as np
@@ -588,14 +589,13 @@ def test_pool_memo_is_exact(name, monkeypatch):
     # nothing, and every screen fixture hits the memo at least once.
     bit_depth, samples = _MEMO_FRAMES[name]
     frame = Frame(bit_depth, samples)
-    hits = []
+    contexts = []
 
-    def get(memo, key, get=etimd.PoolMemo.get):
-        costs = get(memo, key)
-        hits.append(costs is not None)
-        return costs
+    def context(*args, context=harness._context):
+        contexts.append(context(*args))
+        return contexts[-1]
 
-    monkeypatch.setattr(etimd.PoolMemo, "get", get)
+    monkeypatch.setattr(harness, "_context", context)
     for tool, block_size, metric in itertools.product(("etimd", "timd"), (8, 16), ("satd", "sad")):
         cfg = _cfg(tool=tool, block_size=block_size, metric=metric, bit_depth=bit_depth)
         runs = []
@@ -609,7 +609,7 @@ def test_pool_memo_is_exact(name, monkeypatch):
         np.testing.assert_array_equal(got_buf, want_buf)
         np.testing.assert_array_equal(got_replay, want_replay)
     if name in SCREEN_FIXTURES:
-        assert any(hits)
+        assert any(ctx.memo.cache_info().hits for ctx in contexts)
 
 
 def test_pool_memo_lives_for_one_frame_and_one_side(monkeypatch):
@@ -644,7 +644,7 @@ def test_pool_memo_holds_at_most_its_cap():
     ctx = harness._context(Frame(8, noise_frame(96, 96, seed=3)), cfg)
     for block in partition(96, 96, 4):
         encode_block(ctx, block)
-    assert len(ctx.memo) == etimd.POOL_MEMO_ENTRIES
+    assert ctx.memo.cache_info().currsize == etimd.POOL_MEMO_ENTRIES
 
 
 def test_pool_memo_key_holds_the_metric_and_every_bv_row():
@@ -656,7 +656,7 @@ def test_pool_memo_key_holds_the_metric_and_every_bv_row():
     for block in blocks:
         if any(template_rects(block, cfg.template, 64, 64)):
             bv_list = build_bv_list(ctx.store, ctx.buf, block, cfg.template, cfg.n_max, use_ar=True)
-            memo = etimd.PoolMemo()
+            memo = functools.lru_cache(etimd.POOL_MEMO_ENTRIES)(etimd.pool_costs)
             for metric in ("satd", "sad"):
                 bv_costs = set()
                 for bv in bv_list:

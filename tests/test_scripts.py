@@ -1,6 +1,7 @@
 """Smoke tests: the scripts run end to end on small fixtures."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -53,3 +54,14 @@ def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     # 12 lines; code on lines 5, 6, 9, 11 and 12
     assert rows == [["module", "lines", "code"], ["m.py", "12", "5"], ["total", "12", "5"]]
+
+
+def test_ab_cpu_runs_two_frames_of_a_workload_against_itself(capsys):
+    root = SCRIPTS.parent
+    argv = ["--a", str(root), "--b", str(root), "--workload", "natural-timd", "--variants", "1", "--frames", "2",
+            "--rounds", "1"]
+    assert load_script("ab_cpu").main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "natural-timd: 2 frames, a imported first; CPU s per round"
+    assert out[-2].startswith("median b/a: encode x") and out[-1] == "same results: yes"
+    assert not any(name.startswith("intralab_") for name in sys.modules)
