@@ -9,7 +9,8 @@ replays every frame of the workload's input variants with both
 packages, once a before b and once b before a, and sums each package's
 CPU time.  One row is printed per round, then the medians; a ratio is
 b over a, so below 1 means b is faster.  The script also checks that
-both trees derive the same fusion labels and reconstructions.
+both trees derive, for every block, the same tool, fusion labels and
+costs, and the same reconstructions.
 
 The frames and configs come from perfbench/workloads.py, which is read
 and not changed; its planes are synthesized with this checkout's
@@ -54,7 +55,7 @@ def _load(name: str):
 
 
 def _run(package, wl, plane: np.ndarray, size: int) -> tuple[float, float, list, np.ndarray]:
-    """CPU seconds of one encode and one replay, the fusion labels and the replayed samples."""
+    """CPU seconds of one encode and one replay, each block's tool, fusion labels and costs, and the replayed samples."""
     harness, frames = package
     cfg = harness.RunConfig(input_path="unused", width=size, height=size, bit_depth=wl.bit_depth, **wl.config)
     frame = frames.Frame(wl.bit_depth, plane)
@@ -63,8 +64,8 @@ def _run(package, wl, plane: np.ndarray, size: int) -> tuple[float, float, list,
     t1 = time.process_time()
     replayed = harness.replay_frame(frame, cfg, results)
     t2 = time.process_time()
-    labels = [[c.label() for c in r.fusion.modes] for r in results]
-    return t1 - t0, t2 - t1, labels, replayed.samples
+    decisions = [(r.tool, [(c.label(), c.cost) for c in r.fusion.modes]) for r in results]
+    return t1 - t0, t2 - t1, decisions, replayed.samples
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -14,7 +14,9 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
+from intralab.cli import parse_search_range
 from intralab.cost import METRICS
+from intralab.errors import ValidationError
 from intralab.frames import write_yuv420
 from intralab.harness import RunConfig, compare_runs, run_experiment
 from intralab.reporting import write_report
@@ -28,10 +30,14 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="base seed for fixture content")
     parser.add_argument("--block-size", type=int, default=16)
     parser.add_argument("--metric", default="satd", choices=METRICS)
-    parser.add_argument("--search-range", type=int, default=64)
+    parser.add_argument("--search-range", default="64", help='window radius in samples, or "full"')
     parser.add_argument("--no-ar-bv", action="store_true", help="disable auto-relocated candidates")
     parser.add_argument("--no-compete", action="store_true", help="disable the IntraTMP switch")
     args = parser.parse_args(argv)
+    try:
+        search_range = parse_search_range(args.search_range)
+    except ValidationError as exc:
+        parser.error(str(exc))
 
     out = Path(args.out) if args.out else None
     if out:
@@ -50,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
                 height=args.size,
                 block_size=args.block_size,
                 metric=args.metric,
-                search_range=args.search_range,
+                search_range=search_range,
                 use_ar_bv=not args.no_ar_bv,
                 tmp_compete=not args.no_compete,
                 measure_replay=False,

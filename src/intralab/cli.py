@@ -48,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _search_range(given: str) -> int | None:
+def parse_search_range(given: str) -> int | None:
     if given == "full":
         return None
     try:
@@ -67,7 +67,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     for f in fields(RunConfig):
         given = getattr(args, f.name)
         if given is not None:
-            values[f.name] = _search_range(given) if f.name == "search_range" else given
+            values[f.name] = parse_search_range(given) if f.name == "search_range" else given
     config = config_from_dict(values)
     validate_config(config)
     return config

@@ -13,7 +13,9 @@ at the displaced position, be either fully committed (it is costed) or
 fully outside the frame (it contributes nothing); anything in between
 rejects the candidate.  Strict-template mode, used when candidates must
 be cost-comparable against template predictions, additionally rejects
-candidates whose displaced strips fall outside the frame.
+candidates whose displaced strips fall outside the frame.  So a lenient
+candidate whose displaced strips all lie outside the frame, such as
+(-x0, -y0), is valid at cost 0 with no sample of evidence.
 
 Ties in the search are broken toward smaller |dx| + |dy|, then smaller
 dy, then smaller dx, making results order-independent and repeatable:
@@ -33,17 +35,18 @@ costed in ascending bound order until the next bound is strictly above
 the best cost found; a candidate that could tie with the best always
 has a bound no higher than it, so the tie order is unaffected.
 
-Candidates are costed in the template's cost layout (cost.strip_layout):
-one flat index into the sample plane (cost.strip_offsets) gathers a
-whole batch of displaced templates in that order, and cost.layout_cost
-costs them at once.  A candidate that can use only one of the two
-strips is gathered and costed in that strip's layout.  template_cost_at
-and mode evaluation read through gather_templates, which checks every
-displaced strip against the committed area in one vectorised test.
-Both gathers, gather_templates and the search's _costs_by_use (through
-_read_templates), index the sample plane through _template_index and
-note each displaced strip they read through _note_templates, so a
-search notes the candidates it costs and no others.
+A template's cost is the sum of its strips' costs (cost.strip_layout),
+so the search costs each strip on its own.  For each chunk of
+candidates and each strip, one flat index into the sample plane
+(cost.strip_offsets) gathers that strip for the candidates that use
+it, the block's own strip, read once per search, is subtracted, and
+cost.layout_cost costs the batch.  template_cost_at and mode evaluation
+read through gather_templates, which checks every displaced strip
+against the committed area in one vectorised test.  Both gathers index
+the sample plane through _template_index and note each displaced strip
+they read through _note_templates, so a search notes its block's own
+strips once (through read_region) and the candidates it costs, and no
+others.
 
 tmp_search(..., below=c) returns the best candidate among those that
 cost strictly less than c, or None when no valid candidate does.
@@ -58,7 +61,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cost import Layout, Rect, bound_pieces, check_metric, layout_cost, strip_offsets
+from .cost import Layout, Rect, bound_pieces, check_metric, layout_cost, strip_layout, strip_offsets
 from .errors import CausalityError
 from .grid import BlockRef, ReconBuffer
 
@@ -156,49 +159,24 @@ def _note_templates(buf: ReconBuffer, strips: Sequence[Rect], dxs: np.ndarray, d
                 buf.note_read(x + dx, y + dy, w, h)
 
 
-def _read_templates(
-    buf: ReconBuffer, strips: Sequence[Rect], dxs: np.ndarray, dys: np.ndarray
-) -> tuple[Layout, np.ndarray]:
-    """Layout of the strips and the samples under them displaced by each (dx, dy), noted; nothing is checked.
-
-    The index is freed on return, before the caller costs the rows: it is
-    twice their size, and holding it through the costing of a search
-    chunk slowed screen-etimd encodes by a third.
-    """
-    _note_templates(buf, strips, dxs, dys)
-    layout, index = _template_index(buf.width, strips, dxs, dys)
-    return layout, buf.samples.ravel()[index]
-
-
-def _costs_by_use(
-    buf: ReconBuffer,
-    rects: Sequence[Rect],
-    dxs: np.ndarray,
-    dys: np.ndarray,
-    uses: Sequence[np.ndarray],
-    metric: str,
+def _strip_costs(
+    buf: ReconBuffer, rect: Rect, own: np.ndarray, dxs: np.ndarray, dys: np.ndarray, metric: str
 ) -> np.ndarray:
-    """Matching cost of each candidate over the strips it uses (uses[k]: it uses rects[k]).
+    """Matching cost of the strip rect displaced by each (dx, dy) against own, its samples in its layout.
 
-    The candidates that use the same strips are read through
-    _read_templates in those strips' layout, after the block's own
-    template as row 0, and costed with one layout_cost call.  Nothing is
-    checked: every strip a candidate uses must already be known to be
-    committed.
+    Each displaced strip is noted as a read; nothing is checked, so every
+    one must already be known to be committed.  The gather index is freed
+    before the rows are costed: it is twice their size, and holding it
+    through the costing raised a search's peak heap enough that the
+    allocator handed the heap back between searches, which slowed
+    screen-etimd encodes by 9-16%.
     """
-    costs = np.zeros(len(dxs), dtype=np.int64)
-    # Bit k of a candidate's pattern is set when it uses rects[k].
-    pattern = sum(use.astype(np.int64) << k for k, use in enumerate(uses))
-    for p in np.flatnonzero(np.bincount(pattern)).tolist():
-        if p == 0:
-            continue  # a candidate that uses no strip costs nothing
-        sel = np.flatnonzero(pattern == p)
-        strips = [rect for k, rect in enumerate(rects) if p >> k & 1]
-        layout, rows = _read_templates(buf, strips, np.append(0, dxs[sel]), np.append(0, dys[sel]))
-        diffs = rows[1:]
-        diffs -= rows[0]
-        costs[sel] = layout_cost(diffs, layout, metric)
-    return costs
+    _note_templates(buf, [rect], dxs, dys)
+    layout, index = _template_index(buf.width, [rect], dxs, dys)
+    diffs = buf.samples.ravel()[index]
+    del index
+    diffs -= own
+    return layout_cost(diffs, layout, metric)
 
 
 def template_cost_at(
@@ -343,7 +321,8 @@ def tmp_search(
         return None
 
     nx = dx_hi - dx_lo + 1
-    curs = [buf.read_region(*rect).astype(np.int64) for rect in rects]
+    curs = [buf.read_region(*rect) for rect in rects]
+    owns = [cur.ravel()[strip_layout((cur.shape,)).order] for cur in curs]
     valid, bounds, strip_use = _window_bounds(
         buf, block, t, rects, curs, dx_lo, dx_hi, dy_lo, dy_hi, metric, strict_template
     )
@@ -360,9 +339,12 @@ def tmp_search(
         chunk = sel[start:stop]
         dxs = dx_lo + chunk % nx
         dys = dy_lo + chunk // nx
-        uses = [usable[chunk] for usable in strip_use]
-        # Every chunk candidate was checked above.
-        costs = _costs_by_use(buf, rects, dxs, dys, uses, metric)
+        # A template's cost is the sum of its strips' costs; every strip a
+        # chunk candidate uses was checked above.
+        costs = np.zeros(len(chunk), dtype=np.int64)
+        for rect, own, usable in zip(rects, owns, strip_use):
+            use = np.flatnonzero(usable[chunk])
+            costs[use] += _strip_costs(buf, rect, own, dxs[use], dys[use], metric)
         l1 = np.abs(dxs) + np.abs(dys)
         i = np.lexsort((dxs, dys, l1, costs))[0]
         key = (int(costs[i]), int(l1[i]), int(dys[i]), int(dxs[i]))

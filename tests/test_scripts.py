@@ -1,6 +1,7 @@
 """Smoke tests: the scripts run end to end on small fixtures."""
 
 import importlib.util
+import shutil
 import sys
 from pathlib import Path
 
@@ -65,3 +66,29 @@ def test_ab_cpu_runs_two_frames_of_a_workload_against_itself(capsys):
     assert out[0] == "natural-timd: 2 frames, a imported first; CPU s per round"
     assert out[-2].startswith("median b/a: encode x") and out[-1] == "same results: yes"
     assert not any(name.startswith("intralab_") for name in sys.modules)
+
+
+def test_ab_cpu_compares_costs(tmp_path, capsys):
+    # Doubling every template cost keeps each ranking, fusion weight and
+    # reconstruction, so only the costs tell the two trees apart.
+    root = SCRIPTS.parent
+    package = tmp_path / "src" / "intralab"
+    shutil.copytree(root / "src" / "intralab", package, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(package / "cost.py", "a", encoding="utf-8") as fh:
+        fh.write("\n_layout_cost = layout_cost\n\n\ndef layout_cost(diffs, layout, metric):\n"
+                 "    return 2 * _layout_cost(diffs, layout, metric)\n")
+    argv = ["--a", str(root), "--b", str(tmp_path), "--workload", "natural-timd", "--variants", "1", "--frames", "1",
+            "--rounds", "1"]
+    assert load_script("ab_cpu").main(argv) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "same results: NO"
+
+
+def test_ab_screen_content_takes_a_full_search_range(tmp_path, capsys):
+    out = tmp_path / "reports"
+    script = load_script("ab_screen_content")
+    assert script.main(["--out", str(out), "--size", "32", "--search-range", "full"]) == 0
+    assert "strictly better mean SAD on" in capsys.readouterr().out
+    assert read_report(str(next(out.iterdir()))).config["search_range"] is None
+    with pytest.raises(SystemExit) as exit_info:
+        script.main(["--search-range", "wide"])
+    assert exit_info.value.code == 2

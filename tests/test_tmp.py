@@ -12,6 +12,7 @@ from intralab.grid import BlockRef, ReconBuffer, partition
 from intralab.synth import SCREEN_FIXTURES, noise_frame, tiled_glyph_frame
 from intralab.tmp import (
     BlockVector,
+    SearchResult,
     bv_predict,
     extended_rect,
     template_cost_at,
@@ -340,6 +341,40 @@ def test_search_with_limit_matches_oracle(
     with mock.patch.object(tmp, "SEARCH_CHUNK", chunk):
         got = tmp_search(buf, block, search_range, t, metric, strict_template=strict, below=below)
     assert (None if got is None else (got.bv, got.cost)) == want
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("chunk", [1, 7, tmp.SEARCH_CHUNK])
+def test_search_reads_its_own_template_once(chunk, strict):
+    samples = noise_frame(48, 48, seed=15)
+    # Range 8 keeps (-x0, -y0), which costs 0 and ends a lenient search
+    # at once, out of every window.
+    for k in (2, 12, 27):  # left strip only, above strip only, both
+        buf, blocks = prefix_buffer(samples, 8, k)
+        block = blocks[k]
+        own = [r for r in template_rects(block, 4, 48, 48) if r is not None]
+        notes = []
+        buf.read_hook = lambda *rect: notes.append(rect)
+        with mock.patch.object(tmp, "SEARCH_CHUNK", chunk):
+            found = tmp_search(buf, block, 8, 4, "satd", strict_template=strict)
+        assert found is not None and len(notes) > len(own)  # candidates were costed
+        assert [notes.count(rect) for rect in own] == [1] * len(own)
+
+
+def test_lenient_candidate_without_evidence_is_valid_at_cost_0():
+    # Found behaviour, pinned until the spec decides it: at (-x0, -y0)
+    # every displaced strip lies outside the frame, so the lenient search
+    # takes the candidate at cost 0 on noise that matches nowhere.
+    samples = noise_frame(32, 32, seed=16)
+    buf, blocks = prefix_buffer(samples, 8, 10)
+    block = blocks[10]  # (16, 8): both strips
+    bv = BlockVector(-block.x0, -block.y0)
+    assert candidate_valid(buf, block, bv, 4, strict_template=False)
+    assert not candidate_valid(buf, block, bv, 4, strict_template=True)
+    assert template_cost_at(buf, block, bv, 4, "satd") == 0
+    assert tmp_search(buf, block, None, 4, "satd", strict_template=False) == SearchResult(bv, 0)
+    strict = tmp_search(buf, block, None, 4, "satd", strict_template=True)
+    assert strict is not None and strict.bv != bv and strict.cost > 0
 
 
 def test_full_range_search_memory_is_bounded():
