@@ -18,7 +18,7 @@ from intralab.cli import parse_search_range
 from intralab.cost import METRICS
 from intralab.errors import ValidationError
 from intralab.frames import write_yuv420
-from intralab.harness import RunConfig, compare_runs, run_experiment
+from intralab.harness import RunConfig, compare_runs, run_experiment, validate_config
 from intralab.reporting import write_report
 from intralab.synth import SCREEN_FIXTURES
 
@@ -34,10 +34,23 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--no-ar-bv", action="store_true", help="disable auto-relocated candidates")
     parser.add_argument("--no-compete", action="store_true", help="disable the IntraTMP switch")
     args = parser.parse_args(argv)
+    if args.size < 2 or args.size % 2 or args.seed < 0:
+        parser.exit(2, "error: --size must be even and >= 2 (4:2:0 fixtures), and --seed >= 0\n")
     try:
-        search_range = parse_search_range(args.search_range)
+        base = RunConfig(
+            input_path="",
+            width=args.size,
+            height=args.size,
+            block_size=args.block_size,
+            metric=args.metric,
+            search_range=parse_search_range(args.search_range),
+            use_ar_bv=not args.no_ar_bv,
+            tmp_compete=not args.no_compete,
+            measure_replay=False,
+        )
+        validate_config(base)
     except ValidationError as exc:
-        parser.error(str(exc))
+        parser.exit(2, f"error: {exc}\n")
 
     out = Path(args.out) if args.out else None
     if out:
@@ -50,19 +63,8 @@ def main(argv: list[str] | None = None) -> int:
         for i, (name, builder) in enumerate(sorted(SCREEN_FIXTURES.items())):
             path = Path(tmp) / f"{name}.yuv"
             write_yuv420([builder(seed=args.seed + i, size=args.size)], str(path))
-            base = RunConfig(
-                input_path=str(path),
-                width=args.size,
-                height=args.size,
-                block_size=args.block_size,
-                metric=args.metric,
-                search_range=search_range,
-                use_ar_bv=not args.no_ar_bv,
-                tmp_compete=not args.no_compete,
-                measure_replay=False,
-            )
-            baseline = run_experiment(replace(base, tool="timd"))
-            enhanced = run_experiment(replace(base, tool="etimd"))
+            baseline = run_experiment(replace(base, input_path=str(path), tool="timd"))
+            enhanced = run_experiment(replace(base, input_path=str(path), tool="etimd"))
             delta = compare_runs(baseline, enhanced)
             strict += delta.mean_sad_b < delta.mean_sad_a
             pct = f"{delta.mean_sad_change_pct:+.1f}" if delta.mean_sad_change_pct is not None else "n/a"

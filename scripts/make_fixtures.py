@@ -25,6 +25,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="base seed for all generators")
     parser.add_argument("--noise-frames", type=int, default=4, help="frames in the noise sequence")
     args = parser.parse_args(argv)
+    if args.size < 2 or args.size % 2 or args.seed < 0 or args.noise_frames < 1:
+        parser.exit(2, "error: --size must be even and >= 2 (4:2:0 files), --seed >= 0 and --noise-frames >= 1\n")
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

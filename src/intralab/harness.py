@@ -13,6 +13,7 @@ sides reach the same answer, so the replay is asserted, not sampled.
 
 from __future__ import annotations
 
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -88,7 +89,7 @@ def validate_config(config: RunConfig) -> None:
     require(config.width >= 1 and config.height >= 1, "width and height must be positive")
     require(config.frame_start >= 0, "frame_start must be >= 0")
     require(config.frame_count >= 1, "frame_count must be >= 1")
-    require(config.n_max >= 0, "n_max must be >= 0")
+    require(0 <= config.n_max <= sys.maxsize, f"n_max must be >= 0 and <= {sys.maxsize}")
     require(config.quant_step >= 1, "quant_step must be >= 1")
     require(
         config.search_range is None or config.search_range >= 1,

@@ -13,9 +13,10 @@ picks those entries and hands their predictors over.
 
 build_hog and dominant_mode take one block (histogram) or a stack with
 any leading shape, and return results in that leading shape: one Sobel
-pass over the stack, each distinct gradient pair quantized once, and one
-bincount for all histograms.  transform_mode_for_block maps an (n, h, w)
-stack of predictors to one mode each with one such pass.
+pass over the stack, each non-zero gradient quantized by a lookup in the
+sorted mode-line angles, and one bincount for all histograms.
+transform_mode_for_block maps an (n, h, w) stack of predictors to one
+mode each with one such pass.
 """
 
 from __future__ import annotations
@@ -25,23 +26,20 @@ import numpy as np
 from .intra import MODE_PLANAR, mode_direction
 
 N_MODES = 67
-# Gradients per distance matrix in _quantize: 128 x 65 float64 (66.5 KiB)
-# stays below glibc's 128 KiB mmap threshold.  A batch of blocks holds
-# about a thousand distinct gradients, and unchunked matrices of that
-# size raised peak RSS by ~1.3 MB over three smallblock-closedloop frames.
-QUANTIZE_ROWS = 128
 
 
-def _mode_line_angles() -> np.ndarray:
-    """Prediction-line angle of each angular mode, folded into [0, pi)."""
+def _mode_line_angles() -> tuple[np.ndarray, np.ndarray]:
+    """Distinct prediction-line angles of the angular modes, folded into [0, pi)
+    and sorted, and the lowest mode on each (modes 2 and 66 share one)."""
     angles = np.empty(65, dtype=np.float64)
     for mode in range(2, 67):
         dx, dy = mode_direction(mode)
         angles[mode - 2] = np.mod(np.arctan2(dy, dx), np.pi)
-    return angles
+    distinct, first = np.unique(angles, return_index=True)
+    return distinct, first + 2
 
 
-_MODE_ANGLES = _mode_line_angles()
+_ANGLES, _ANGLE_MODES = _mode_line_angles()
 
 
 def gradient_field(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -58,23 +56,25 @@ def gradient_field(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _quantize(g_hor: np.ndarray, g_ver: np.ndarray) -> np.ndarray:
-    """Nearest angular mode for each non-zero gradient, QUANTIZE_ROWS gradients at a time."""
+    """Nearest angular mode for each non-zero gradient, ties to the lower mode.
+
+    The nearest angle on the half-turn circle is a sorted-table neighbour
+    of the edge direction, or a table end that the wrap at pi brings close.
+    """
     # Edge direction is the gradient rotated a quarter turn.
     phi = np.mod(np.arctan2(g_hor, -g_ver), np.pi)
-    modes = np.empty(len(phi), dtype=np.intp)
-    for start in range(0, len(phi), QUANTIZE_ROWS):
-        diff = np.abs(phi[start : start + QUANTIZE_ROWS, None] - _MODE_ANGLES[None, :])
-        dist = np.minimum(diff, np.pi - diff)
-        modes[start : start + QUANTIZE_ROWS] = np.argmin(dist, axis=1) + 2
-    return modes
+    above = np.searchsorted(_ANGLES, phi)
+    near = np.stack(np.broadcast_arrays(above - 1, above % len(_ANGLES), 0, -1), axis=-1)
+    diff = np.abs(phi[:, None] - _ANGLES[near])
+    dist = np.minimum(diff, np.pi - diff)
+    return np.where(dist == dist.min(axis=1, keepdims=True), _ANGLE_MODES[near], N_MODES).min(axis=1)
 
 
 def build_hog(samples: np.ndarray) -> np.ndarray:
     """Vote histogram (last axis: N_MODES) of an (h, w) block, or of each block of a (..., h, w) stack.
 
-    Entries 0 and 1 stay zero.  Each distinct non-zero (g_hor, g_ver)
-    pair of the stack is quantized once, and all votes land with one
-    bincount.
+    Entries 0 and 1 stay zero.  Every non-zero (g_hor, g_ver) pair of the
+    stack is quantized, and all votes land with one bincount.
     """
     samples = np.asarray(samples)
     lead = samples.shape[:-2]
@@ -83,14 +83,7 @@ def build_hog(samples: np.ndarray) -> np.ndarray:
     size = g_hor.shape[-2] * g_hor.shape[-1]
     g_hor, g_ver = g_hor.reshape(n, size), g_ver.reshape(n, size)
     rows, cols = np.nonzero((g_hor != 0) | (g_ver != 0))
-    g_hor, g_ver = g_hor[rows, cols], g_ver[rows, cols]
-    if not len(rows):
-        return np.zeros(lead + (N_MODES,), dtype=np.int64)
-    # One int64 key per pair: the offsets from the minima in mixed radix.
-    lo_hor, lo_ver = g_hor.min(), g_ver.min()
-    keys = (g_hor - lo_hor) * (g_ver.max() - lo_ver + 1) + (g_ver - lo_ver)
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    modes = _quantize(g_hor[first].astype(np.float64), g_ver[first].astype(np.float64))[inverse]
+    modes = _quantize(g_hor[rows, cols], g_ver[rows, cols])
     votes = np.bincount(rows * N_MODES + modes, minlength=n * N_MODES)
     return votes.astype(np.int64, copy=False).reshape(lead + (N_MODES,))
 

@@ -202,14 +202,6 @@ def template_cost_at(
     return int(layout_cost(rows[1:] - rows[0], layout, metric)[0])
 
 
-def _integral(values: np.ndarray) -> np.ndarray:
-    h, w = values.shape
-    ii = np.zeros((h + 1, w + 1), dtype=np.int64)
-    np.cumsum(values, axis=0, out=ii[1:, 1:])
-    np.cumsum(ii[1:, 1:], axis=1, out=ii[1:, 1:])
-    return ii
-
-
 def _box_sums(ii: np.ndarray, x: int, y: int, w: int, h: int, nx: int, ny: int) -> np.ndarray:
     """(ny, nx) sums of the w x h boxes at (x + i, y + j) of an integral image."""
     return (
@@ -223,18 +215,21 @@ def _box_sums(ii: np.ndarray, x: int, y: int, w: int, h: int, nx: int, ny: int) 
 def _window_integrals(buf: ReconBuffer, x0: int, y0: int, x1: int, y1: int) -> tuple[np.ndarray, np.ndarray]:
     """Integral images of availability and of the sample plane over [x0, x1) x [y0, y1).
 
-    Positions outside the frame count as unavailable and as zero.
-    Uncommitted samples are summed as they stand: _window_bounds reads a
-    sample sum only over boxes the availability integral shows committed.
+    The window may overhang the frame only above and to the left; the
+    overhang counts as unavailable and as zero, so its leading rows and
+    columns of each integral stay zero.  Uncommitted samples are summed
+    as they stand: _window_bounds reads a sample sum only over boxes the
+    availability integral shows committed.
     """
     fx0, fy0 = max(x0, 0), max(y0, 0)
-    fx1, fy1 = min(x1, buf.width), min(y1, buf.height)
-    avail = np.zeros((y1 - y0, x1 - x0), dtype=np.int64)
-    samples = np.zeros((y1 - y0, x1 - x0), dtype=np.int64)
-    inner = (slice(fy0 - y0, fy1 - y0), slice(fx0 - x0, fx1 - x0))
-    avail[inner] = buf.available[fy0:fy1, fx0:fx1]
-    samples[inner] = buf.samples[fy0:fy1, fx0:fx1]
-    return _integral(avail), _integral(samples)
+    integrals = []
+    for plane in (buf.available, buf.samples):
+        ii = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=np.int64)
+        inner = ii[1 + fy0 - y0 :, 1 + fx0 - x0 :]
+        np.cumsum(plane[fy0:y1, fx0:x1], axis=0, dtype=np.int64, out=inner)
+        np.cumsum(inner, axis=1, out=inner)
+        integrals.append(ii)
+    return integrals[0], integrals[1]
 
 
 def _window_bounds(buf, block, t, rects, curs, dx_lo, dx_hi, dy_lo, dy_hi, metric, strict_template):

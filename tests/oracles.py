@@ -15,7 +15,9 @@ intralab.bvlist docstring, with a linear search of the coded blocks'
 rectangles in place of the BvStore.  measure_block is the
 per-block measurement the encoder ran on each block before
 measure_blocks batched it, with the single-block HoG, transform and
-compaction bodies of that time.
+compaction bodies of that time.  quantize_gradients is the brute-force
+HoG quantizer, an argmin over all 65 mode-line angles, that the sorted
+table lookup of intralab.hog must reproduce.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 
 from intralab.cost import METRICS, sad, satd, satd_tiling
 from intralab.grid import BlockRef, ReconBuffer
-from intralab.hog import N_MODES, _quantize, gradient_field
-from intralab.intra import MODE_DC, MODE_PLANAR, angle_of
+from intralab.hog import N_MODES, gradient_field
+from intralab.intra import MODE_DC, MODE_PLANAR, angle_of, mode_direction
 from intralab.tmp import BlockVector, template_rects
 from intralab.transforms import _KERNELS, TRANSFORM_SIZES, _diagonal_scan_indices, transform_class
 
@@ -179,11 +181,24 @@ def sobel_window(window: np.ndarray) -> tuple[int, int]:
     return int((window * SOBEL_HOR).sum()), int((window * SOBEL_VER).sum())
 
 
+def quantize_gradients(g_hor: np.ndarray, g_ver: np.ndarray) -> np.ndarray:
+    """Angular mode whose prediction line lies nearest each gradient's edge direction.
+
+    The argmin over all 65 mode-line angles, folded into [0, pi), of
+    min(|phi - theta|, pi - |phi - theta|); ties to the lower mode.
+    """
+    theta = np.array([np.mod(np.arctan2(dy, dx), np.pi) for dx, dy in map(mode_direction, range(2, 67))])
+    # The edge runs a quarter turn from the gradient.
+    phi = np.mod(np.arctan2(np.asarray(g_hor, np.float64), -np.asarray(g_ver, np.float64)), np.pi)
+    diff = np.abs(phi[..., None] - theta)
+    return np.argmin(np.minimum(diff, np.pi - diff), axis=-1) + 2
+
+
 def orientation_to_mode(g_hor: int, g_ver: int) -> int | None:
     """Angular mode perpendicular to one gradient; None for zero gradient."""
     if g_hor == 0 and g_ver == 0:
         return None
-    return int(_quantize(np.array([g_hor], np.float64), np.array([g_ver], np.float64))[0])
+    return int(quantize_gradients(g_hor, g_ver))
 
 
 def _forward_fill(values: np.ndarray, available: np.ndarray, default: int) -> np.ndarray:
@@ -308,7 +323,7 @@ def build_hog(samples: np.ndarray) -> np.ndarray:
     nz = (g_hor != 0) | (g_ver != 0)
     if not nz.any():
         return hog
-    modes = _quantize(g_hor[nz].astype(np.float64), g_ver[nz].astype(np.float64))
+    modes = quantize_gradients(g_hor[nz], g_ver[nz])
     np.add.at(hog, modes, 1)
     return hog
 

@@ -154,6 +154,18 @@ def test_wrongly_typed_config_value_exits_2(glyph_yuv, tmp_path, capsys, key, va
     assert "error:" in capsys.readouterr().err
 
 
+def test_n_max_beyond_sys_maxsize_exits_2_as_flag_and_in_config_file(glyph_yuv, tmp_path, capsys):
+    huge = sys.maxsize + 1
+    config_path = tmp_path / "huge.json"
+    config_path.write_text(json.dumps({"input_path": glyph_yuv, "width": 64, "height": 64, "n_max": huge}))
+    for args in (run_args(glyph_yuv, "--n-max", str(huge)), ["run", "--config", str(config_path)]):
+        assert main(args) == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: n_max must be >= 0 and <= {sys.maxsize}"]
+    out = str(tmp_path / "report.json")
+    assert main(run_args(glyph_yuv, "--n-max", str(sys.maxsize), "--out", out)) == 0
+    assert read_report(out).config["n_max"] == sys.maxsize
+
+
 def test_io_errors_exit_3(glyph_yuv, tmp_path, capsys):
     assert main(run_args("/nonexistent/missing.yuv")) == 3
     # truncated input: one 64x64 frame present, second requested

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from intralab.hog import N_MODES, build_hog, dominant_mode, gradient_field, transform_mode_for_block
-from intralab.intra import MODE_PLANAR
+from intralab.hog import N_MODES, _quantize, build_hog, dominant_mode, gradient_field, transform_mode_for_block
+from intralab.intra import MODE_PLANAR, mode_direction
 
 from oracles import build_hog as oracle_build_hog
 from oracles import dominant_mode as oracle_dominant_mode
-from oracles import orientation_to_mode, sobel_window
+from oracles import orientation_to_mode, quantize_gradients, sobel_window
 
 
 def stripes(direction: str, size: int = 32, band: int = 4, lo: int = 40, hi: int = 210) -> np.ndarray:
@@ -45,6 +45,30 @@ def test_orientation_pure_gradients():
     # gradient up-right -> edge along the falling diagonal, and vice versa
     assert orientation_to_mode(100, -100) == 34
     assert orientation_to_mode(100, 100) == 2  # exact tie of modes 2/66 -> lower index
+
+
+def quantize(g_hor, g_ver) -> np.ndarray:
+    return _quantize(np.asarray(g_hor), np.asarray(g_ver))
+
+
+def test_quantize_matches_the_brute_force_oracle_on_a_gradient_box():
+    g = np.arange(-64, 65)
+    g_hor, g_ver = (a.ravel() for a in np.meshgrid(g, g))
+    nonzero = (g_hor != 0) | (g_ver != 0)
+    g_hor, g_ver = g_hor[nonzero], g_ver[nonzero]
+    np.testing.assert_array_equal(quantize(g_hor, g_ver), quantize_gradients(g_hor, g_ver))
+    # The box holds the gradient (dy, -dx) across each mode's direction (dx, dy),
+    # which votes for that mode except 66, whose line is mode 2's (an exact tie),
+    # and the sum of each two neighbouring directions, between their two lines.
+    directions = np.array([mode_direction(mode) for mode in range(2, 67)])
+    assert np.abs(directions).max() <= 32
+    on_line = quantize(directions[:, 1], -directions[:, 0])
+    assert on_line.tolist() == list(range(2, 66)) + [2]
+    assert quantize([1, 64, -5], [1, 64, -5]).tolist() == [2, 2, 2]
+    between = directions[:-1] + directions[1:]
+    got = quantize(between[:, 1], -between[:, 0])
+    assert all(mode in (m, m + 1 if m < 65 else 2) for m, mode in enumerate(got.tolist(), start=2))
+    np.testing.assert_array_equal(got, quantize_gradients(between[:, 1], -between[:, 0]))
 
 
 def test_histogram_empty_for_flat_and_tiny_blocks():

@@ -5,8 +5,10 @@ import shutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from intralab.frames import load_frame
 from intralab.reporting import read_report
 from intralab.synth import SCREEN_FIXTURES
 
@@ -29,6 +31,15 @@ def test_make_fixtures_writes_every_fixture(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == len(files)
 
 
+def test_make_fixtures_writes_size_by_size_planes_at_any_even_size(tmp_path):
+    out = tmp_path / "fixtures"
+    assert load_script("make_fixtures").main(["--out", str(out), "--size", "40", "--noise-frames", "1"]) == 0
+    for path in out.iterdir():
+        assert path.stat().st_size == 40 * 40 * 3 // 2, path.name
+    frame = load_frame(str(out / "ui-tiles.yuv"), "yuv-planar", 40, 40, 8)
+    np.testing.assert_array_equal(frame.samples, SCREEN_FIXTURES["ui-tiles"](seed=4, size=40))
+
+
 @pytest.mark.parametrize("metric", ["satd", "sad"])
 def test_ab_screen_content_writes_comparable_reports(tmp_path, capsys, metric):
     out = tmp_path / "reports"
@@ -37,6 +48,37 @@ def test_ab_screen_content_writes_comparable_reports(tmp_path, capsys, metric):
     reports = sorted(p.name for p in out.iterdir())
     assert reports == sorted(f"{name}-{tool}.json" for name in SCREEN_FIXTURES for tool in ("timd", "etimd"))
     assert read_report(str(out / reports[0])).config["metric"] == metric
+
+
+@pytest.mark.parametrize("size", [30, 40])
+def test_ab_screen_content_runs_at_sizes_not_a_multiple_of_16_or_32(size, capsys):
+    assert load_script("ab_screen_content").main(["--size", str(size), "--block-size", "8"]) == 0
+    assert "strictly better mean SAD on" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "script, args",
+    [
+        ("ab_screen_content", ["--search-range", "0"]),
+        ("ab_screen_content", ["--search-range", "-5"]),
+        ("ab_screen_content", ["--search-range", "wide"]),
+        ("ab_screen_content", ["--block-size", "7"]),
+        ("ab_screen_content", ["--size", "7"]),
+        ("ab_screen_content", ["--size", "0"]),
+        ("ab_screen_content", ["--seed", "-1"]),
+        ("make_fixtures", ["--size", "0"]),
+        ("make_fixtures", ["--size", "7"]),
+        ("make_fixtures", ["--noise-frames", "0"]),
+        ("make_fixtures", ["--seed", "-1"]),
+    ],
+)
+def test_script_input_errors_exit_2_with_one_line(script, args, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        load_script(script).main(["--out", str(tmp_path / "out"), *args])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_ab_screen_content_metric_choices_are_the_cost_metrics(monkeypatch):
