@@ -9,8 +9,10 @@ replays every frame of the workload's input variants with both
 packages, once a before b and once b before a, and sums each package's
 CPU time.  One row is printed per round, then the medians; a ratio is
 b over a, so below 1 means b is faster.  The script also checks that
-both trees derive, for every block, the same tool, fusion labels and
-costs, and the same reconstructions.
+both trees give the same reconstructions and, for every block, the same
+report record (reporting.BlockRecord: tool, fusion labels, weights and
+costs, prediction SAD, SATD and squared error, transform fields and
+pred_hash), built after the timed encode and replay.
 
 The frames and configs come from perfbench/workloads.py, which is read
 and not changed; its planes are synthesized with this checkout's
@@ -50,13 +52,13 @@ def _workloads():
 
 
 def _load(name: str):
-    """The harness and frames modules of the package name."""
-    return importlib.import_module(f"{name}.harness"), importlib.import_module(f"{name}.frames")
+    """The harness, frames and reporting modules of the package name."""
+    return tuple(importlib.import_module(f"{name}.{module}") for module in ("harness", "frames", "reporting"))
 
 
 def _run(package, wl, plane: np.ndarray, size: int) -> tuple[float, float, list, np.ndarray]:
-    """CPU seconds of one encode and one replay, each block's tool, fusion labels and costs, and the replayed samples."""
-    harness, frames = package
+    """CPU seconds of one encode and one replay, each block's report record as a dict, and the replayed samples."""
+    harness, frames, reporting = package
     cfg = harness.RunConfig(input_path="unused", width=size, height=size, bit_depth=wl.bit_depth, **wl.config)
     frame = frames.Frame(wl.bit_depth, plane)
     t0 = time.process_time()
@@ -64,8 +66,8 @@ def _run(package, wl, plane: np.ndarray, size: int) -> tuple[float, float, list,
     t1 = time.process_time()
     replayed = harness.replay_frame(frame, cfg, results)
     t2 = time.process_time()
-    decisions = [(r.tool, [(c.label(), c.cost) for c in r.fusion.modes]) for r in results]
-    return t1 - t0, t2 - t1, decisions, replayed.samples
+    records = [vars(reporting.BlockRecord.from_result(0, r)) for r in results]
+    return t1 - t0, t2 - t1, records, replayed.samples
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -79,10 +81,15 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--first", choices=SIDES, default="a", help="the package imported first")
     args = parser.parse_args(argv)
+    if args.rounds < 1 or args.frames < 1 or min(args.variants) < 0:
+        parser.exit(2, "error: --rounds and --frames must be >= 1 and --variants >= 0\n")
+    trees = {"a": args.a.resolve(), "b": args.b.resolve()}
+    for side, tree in trees.items():
+        if not (tree / "src" / "intralab").is_dir():
+            parser.exit(2, f"error: --{side} {tree} has no src/intralab\n")
 
     wl = workloads.WORKLOADS[args.workload]
     planes = [p.astype(np.uint16) for v in args.variants for p in wl.planes(v)[: args.frames]]
-    trees = {"a": args.a.resolve(), "b": args.b.resolve()}
     same = True
     with tempfile.TemporaryDirectory() as tmp:
         for side, tree in trees.items():

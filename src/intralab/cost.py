@@ -33,10 +33,11 @@ evaluation, the BV list and every template match cost through it, so a
 BV and an intra mode are costed alike.  bound_pieces gives the pieces of
 the DC lower bound the template search prunes with.
 
-sad(a, b) and satd(a, b) take two integer sample arrays of one shape
-(..., h, w) and return the cost of each (h, w) pair in the leading
-shape, a NumPy scalar for one pair.  satd(a, b) == satd(b, a) and adding
-a constant to both inputs leaves every cost unchanged.
+sad(diffs) and satd(diffs) take one integer difference array of shape
+(..., h, w), such as a stack of source-minus-prediction residuals, and
+return the cost of each (h, w) difference in the leading shape, a NumPy
+scalar for one block; fewer than 2 dimensions raise ValueError.  Both
+are even: negating the differences leaves every cost unchanged.
 """
 
 from __future__ import annotations
@@ -67,19 +68,9 @@ _KRON = {n: np.kron(_hadamard(n), _hadamard(n)).astype(np.float32) for n in (4, 
 _NORM_SHIFT = {4: 1, 8: 2}
 
 
-def _pair_diffs(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    if a.ndim < 2:
-        raise ValueError(f"expected sample arrays of 2 or more dimensions, got {a.ndim}-D")
-    return a.astype(np.int64) - b.astype(np.int64)
-
-
-def sad(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sum of absolute differences of each (h, w) pair."""
-    return np.abs(_pair_diffs(a, b)).sum(axis=(-2, -1))
+def sad(diffs: np.ndarray) -> np.ndarray:
+    """Sum of absolute differences of each (h, w) difference array (int64)."""
+    return np.abs(diffs).sum(axis=(-2, -1), dtype=np.int64)
 
 
 def _tile_satd(diffs: np.ndarray, tile: int) -> np.ndarray:
@@ -223,8 +214,8 @@ def bound_pieces(h: int, w: int, metric: str) -> list[tuple[int, int, int, int, 
     return pieces
 
 
-def satd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Hadamard transformed-difference cost of each (h, w) pair."""
-    d = _pair_diffs(a, b)
+def satd(diffs: np.ndarray) -> np.ndarray:
+    """Hadamard transformed-difference cost of each (h, w) difference array (int64)."""
+    d = np.asarray(diffs)
     lead, (h, w) = d.shape[:-2], d.shape[-2:]
     return satd_batch(d.reshape((int(np.prod(lead)), h, w))).reshape(lead)[()]

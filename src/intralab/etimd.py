@@ -482,14 +482,15 @@ def encode_block(ctx: EncodeContext, block: BlockRef) -> BlockResult:
 def measure_blocks(ctx: EncodeContext, results: list[BlockResult]) -> list[BlockResult]:
     """Fill in the measured fields of a batch of coded blocks; returns their results in order.
 
-    The blocks are stacked per shape, and each stack gets one sad, one
-    satd and one squared-error sum.  With use_hog_transform, a block's
-    transform modes are its first two fusion entries: each stack's BV
-    entries among them read their predictors back from the
-    reconstruction, and one transform_mode_for_block call maps those to
-    HoG modes.  Each (shape, transform class) of transform size then gets
-    one apply_transform and one energy_compaction call over its
-    k = h*w/4 lowest frequencies.
+    The blocks are stacked per shape, and each stack's residuals, source
+    minus prediction, are formed once: one sad, one satd and one
+    squared-error sum read that residual stack, and so do the transforms.
+    With use_hog_transform, a block's transform modes are its first two
+    fusion entries: each stack's BV entries among them read their
+    predictors back from the reconstruction, and one
+    transform_mode_for_block call maps those to HoG modes.  Each (shape,
+    transform class) of transform size then gets one apply_transform and
+    one energy_compaction call over its k = h*w/4 lowest frequencies.
     """
     by_shape: dict[tuple[int, int], list[BlockResult]] = defaultdict(list)
     for res in results:
@@ -498,7 +499,7 @@ def measure_blocks(ctx: EncodeContext, results: list[BlockResult]) -> list[Block
         origs = np.stack([ctx.original[r.block.y0 : r.block.y0 + h, r.block.x0 : r.block.x0 + w] for r in group])
         preds = np.stack([r.prediction for r in group])
         residuals = origs - preds
-        sads, satds = sad(origs, preds).tolist(), satd(origs, preds).tolist()
+        sads, satds = sad(residuals).tolist(), satd(residuals).tolist()
         sses = (residuals * residuals).sum(axis=(1, 2)).tolist()
         for res, measured in zip(group, zip(sads, satds, sses)):
             res.pred_sad, res.pred_satd, res.pred_sse = measured

@@ -18,13 +18,19 @@ measure_blocks batched it, with the single-block HoG, transform and
 compaction bodies of that time.  quantize_gradients is the brute-force
 HoG quantizer, an argmin over all 65 mode-line angles, that the sorted
 table lookup of intralab.hog must reproduce.
+
+An oracle shares no kernel with the code it checks: block_cost and
+measure_block widen both sample arrays to int64, subtract, and cost the
+difference with satd_batch_int64 or an int64 absolute sum, so none of
+these helpers, nor search_oracle built on them, calls sad, satd,
+satd_batch or layout_cost of intralab.cost.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from intralab.cost import METRICS, sad, satd, satd_tiling
+from intralab.cost import METRICS, satd_tiling
 from intralab.grid import BlockRef, ReconBuffer
 from intralab.hog import N_MODES, gradient_field
 from intralab.intra import MODE_DC, MODE_PLANAR, angle_of, mode_direction
@@ -73,11 +79,12 @@ def satd_batch_int64(diffs: np.ndarray) -> np.ndarray:
 
 
 def block_cost(a: np.ndarray, b: np.ndarray, metric: str) -> int:
-    """Dispatch on the configured template-loss metric."""
+    """Cost of the (h, w) difference a - b under the configured template-loss metric."""
+    d = np.asarray(a, dtype=np.int64) - np.asarray(b, dtype=np.int64)
     if metric == "sad":
-        return sad(a, b)
+        return int(np.abs(d).sum())
     if metric == "satd":
-        return satd(a, b)
+        return int(satd_batch_int64(d[None])[0])
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
 
 
@@ -392,16 +399,16 @@ def measure_block(block: BlockRef, fusion, predictions, prediction: np.ndarray, 
     predictions are the per-mode predictions of the fusion entries and
     prediction the fused one; orig is the block's int64 source.
     """
+    residual = orig - prediction.astype(np.int64)
     measured = dict(
-        pred_sad=sad(prediction, orig),
-        pred_satd=satd(prediction, orig),
-        pred_sse=int(((prediction.astype(np.int64) - orig) ** 2).sum()),
+        pred_sad=int(np.abs(residual).sum()),
+        pred_satd=int(satd_batch_int64(residual[None])[0]),
+        pred_sse=int((residual**2).sum()),
         transform_modes=None,
         transform_class_name=None,
         compaction=None,
     )
     if use_hog_transform:
-        residual = orig - prediction.astype(np.int64)
         measured["transform_modes"], measured["transform_class_name"], measured["compaction"] = (
             _measure_transform(block, fusion, predictions, residual)
         )

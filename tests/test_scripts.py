@@ -70,11 +70,17 @@ def test_ab_screen_content_runs_at_sizes_not_a_multiple_of_16_or_32(size, capsys
         ("make_fixtures", ["--size", "7"]),
         ("make_fixtures", ["--noise-frames", "0"]),
         ("make_fixtures", ["--seed", "-1"]),
+        ("ab_cpu", ["--a", str(SCRIPTS.parent), "--rounds", "0"]),
+        ("ab_cpu", ["--a", str(SCRIPTS.parent), "--frames", "0"]),
+        ("ab_cpu", ["--a", str(SCRIPTS.parent), "--variants", "-1"]),
+        ("ab_cpu", ["--a", str(SCRIPTS)]),
+        ("ab_cpu", ["--a", str(SCRIPTS.parent), "--b", str(SCRIPTS)]),
     ],
 )
 def test_script_input_errors_exit_2_with_one_line(script, args, tmp_path, capsys):
+    out = [] if script == "ab_cpu" else ["--out", str(tmp_path / "out")]  # ab_cpu writes no files
     with pytest.raises(SystemExit) as exc:
-        load_script(script).main(["--out", str(tmp_path / "out"), *args])
+        load_script(script).main([*out, *args])
     assert exc.value.code == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
@@ -110,19 +116,32 @@ def test_ab_cpu_runs_two_frames_of_a_workload_against_itself(capsys):
     assert not any(name.startswith("intralab_") for name in sys.modules)
 
 
-def test_ab_cpu_compares_costs(tmp_path, capsys):
-    # Doubling every template cost keeps each ranking, fusion weight and
-    # reconstruction, so only the costs tell the two trees apart.
+def _ab_cpu_against_patched(tmp_path, capsys, module, patch):
+    """ab_cpu's exit code and last line, this tree against a copy with patch appended to module."""
     root = SCRIPTS.parent
     package = tmp_path / "src" / "intralab"
     shutil.copytree(root / "src" / "intralab", package, ignore=shutil.ignore_patterns("__pycache__"))
-    with open(package / "cost.py", "a", encoding="utf-8") as fh:
-        fh.write("\n_layout_cost = layout_cost\n\n\ndef layout_cost(diffs, layout, metric):\n"
-                 "    return 2 * _layout_cost(diffs, layout, metric)\n")
+    with open(package / module, "a", encoding="utf-8") as fh:
+        fh.write(patch)
     argv = ["--a", str(root), "--b", str(tmp_path), "--workload", "natural-timd", "--variants", "1", "--frames", "1",
             "--rounds", "1"]
-    assert load_script("ab_cpu").main(argv) == 1
-    assert capsys.readouterr().out.splitlines()[-1] == "same results: NO"
+    return load_script("ab_cpu").main(argv), capsys.readouterr().out.splitlines()[-1]
+
+
+def test_ab_cpu_compares_costs(tmp_path, capsys):
+    # Doubling every template cost keeps each ranking, fusion weight and
+    # reconstruction, so only the costs tell the two trees apart.
+    patch = ("\n_layout_cost = layout_cost\n\n\ndef layout_cost(diffs, layout, metric):\n"
+             "    return 2 * _layout_cost(diffs, layout, metric)\n")
+    assert _ab_cpu_against_patched(tmp_path, capsys, "cost.py", patch) == (1, "same results: NO")
+
+
+def test_ab_cpu_compares_measured_fields(tmp_path, capsys):
+    # The measurement runs after coding, so doubling pred_satd changes no
+    # decision, cost or reconstruction: only the block records differ.
+    patch = ("\n_measure_blocks = measure_blocks\n\n\ndef measure_blocks(ctx, results):\n"
+             "    for res in _measure_blocks(ctx, results):\n        res.pred_satd *= 2\n    return results\n")
+    assert _ab_cpu_against_patched(tmp_path, capsys, "etimd.py", patch) == (1, "same results: NO")
 
 
 def test_ab_screen_content_takes_a_full_search_range(tmp_path, capsys):
