@@ -1,11 +1,17 @@
 """Fixed-size block partitioning and the causal reconstruction buffer.
 
 The encode loop walks blocks in raster order and commits one block of
-reconstruction at a time.  Mode derivation reads committed samples only,
-each noted for the read hook: through read_region, which refuses any
-other, a checked gather (tmp.gather_templates), strips the search window
-integral shows committed, or build_reference_samples, which pads its
-uncommitted border.  A violation of this causality is a bug in the caller.
+reconstruction at a time, and commit_block accepts only the block at
+the raster position.  So the committed area is a staircase: each row
+holds a committed prefix, ReconBuffer.extent[y] samples long, never
+longer than the row above's.  A rectangle is committed iff it lies in
+the frame and its bottom row's prefix reaches its right edge, the one
+rule of ReconBuffer.is_committed.  Mode derivation reads committed
+samples only, each noted for the read hook: through read_region, which
+refuses any other, a checked gather (tmp.gather_templates), strips the
+search window shows committed, or build_reference_samples, which pads
+its uncommitted border.  A violation of this causality is a bug in the
+caller.
 """
 
 from __future__ import annotations
@@ -59,17 +65,18 @@ def partition(frame_w: int, frame_h: int, block_size: int) -> list[BlockRef]:
 
 
 class ReconBuffer:
-    """Per-pixel reconstruction plane plus availability flags.
+    """Per-pixel reconstruction plane plus the committed extent of each row.
 
-    samples holds committed reconstruction values (int32); available is
-    True exactly where a block has been committed.  Both are (height,
-    width) arrays, and width and height read samples' shape.
+    samples, a (height, width) int32 array, holds committed
+    reconstruction values; extent[y] is the length of row y's committed
+    prefix (see the module docstring).  width and height read samples'
+    shape.
     """
 
     def __init__(self, width: int, height: int, bit_depth: int):
         self.bit_depth = bit_depth
         self.samples = np.zeros((height, width), dtype=np.int32)
-        self.available = np.zeros((height, width), dtype=bool)
+        self.extent = np.zeros(height, dtype=np.int64)
         self.n_committed = 0
         self.read_hook: ReadHook | None = None
 
@@ -85,13 +92,22 @@ class ReconBuffer:
         height, width = self.samples.shape
         return x >= 0 and y >= 0 and x + w <= width and y + h <= height
 
+    def is_committed(self, x, y, w, h):
+        """Whether each non-empty rectangle (x, y, w, h) lies in the frame and is committed.
+
+        The arguments are ints or integer arrays that broadcast together.
+        x | y is negative iff x or y is, and no extent exceeds the width,
+        so the last test also keeps the rectangle inside on the right.  A
+        bottom row outside the frame indexes extent modulo the height, and
+        the test on it rejects it.
+        """
+        height = self.samples.shape[0]
+        bottom = y + h - 1
+        return ((x | y) >= 0) & (bottom < height) & (x + w <= self.extent[bottom % height])
+
     def region_available(self, x: int, y: int, w: int, h: int) -> bool:
         """True iff the whole rectangle is inside the frame and committed."""
-        if w <= 0 or h <= 0:
-            return True
-        if not self.in_frame(x, y, w, h):
-            return False
-        return bool(self.available[y : y + h, x : x + w].all())
+        return w <= 0 or h <= 0 or bool(self.is_committed(x, y, w, h))
 
     def note_read(self, x: int, y: int, w: int, h: int) -> None:
         if self.read_hook is not None and w > 0 and h > 0:
@@ -107,14 +123,17 @@ class ReconBuffer:
             raise CausalityError(
                 f"read ({x},{y}) {w}x{h} reaches outside the {self.width}x{self.height} frame"
             )
-        region_flags = self.available[y : y + h, x : x + w]
-        if not region_flags.all():
+        if not self.is_committed(x, y, w, h):
             raise CausalityError(f"read ({x},{y}) {w}x{h} touches uncommitted samples")
         self.note_read(x, y, w, h)
         return self.samples[y : y + h, x : x + w].copy()
 
     def commit_block(self, block: BlockRef, recon: np.ndarray) -> None:
-        """Commit the next block in scan order; recommit or skip is an error."""
+        """Commit the next block in scan order at its raster position; any other block is an error.
+
+        The raster position is where every row of the block ends its
+        committed prefix at x0, under a full row (or the frame's top).
+        """
         if block.scan_index != self.n_committed:
             raise CommitOrderError(
                 f"block {block.scan_index} committed out of order "
@@ -122,13 +141,13 @@ class ReconBuffer:
             )
         if recon.shape != (block.h, block.w):
             raise ValueError(f"recon shape {recon.shape} != block {block.h}x{block.w}")
-        region_flags = self.available[block.y0 : block.y0 + block.h, block.x0 : block.x0 + block.w]
-        if region_flags.any():
-            raise CommitOrderError(
-                f"block {block.scan_index} overlaps already-committed samples"
-            )
-        self.samples[block.y0 : block.y0 + block.h, block.x0 : block.x0 + block.w] = recon
-        region_flags[:] = True
+        x0, y0, w, h = block.x0, block.y0, block.w, block.h
+        rows = self.extent[y0 : y0 + h]
+        in_place = self.in_frame(x0, y0, w, h) and (rows == x0).all()
+        if not (in_place and (y0 == 0 or self.extent[y0 - 1] == self.width)):
+            raise CommitOrderError(f"block {block.scan_index} at ({x0},{y0}) is not at the raster position")
+        self.samples[y0 : y0 + h, x0 : x0 + w] = recon
+        rows[:] = x0 + w
         self.n_committed += 1
 
 

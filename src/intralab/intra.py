@@ -35,11 +35,13 @@ sum peaks at 32 * 1023 + 16, and the rounded Planar numerator of an
 most 10,611,648 for the largest block the tap cache is sized for, a
 64x64 block extended by an 8-deep template to 72x72.
 
-Reference samples come from the causal reconstruction buffer.
-Unavailable positions are padded along the reference border, scanned
-from the bottom of the left column up to the corner and then along the
-above row: each takes the last available sample before it, or the first
-available one if none precedes it; a fully unavailable border pads to
+Reference samples come from the causal reconstruction buffer.  The
+border is scanned from the bottom of the left column up to the corner
+and then along the above row.  By grid's staircase invariant its
+committed samples form one run of that scan: the above row's committed
+prefix, and the top rows of the left column whose committed prefix
+reaches it.  Positions before the run take its first sample, positions
+after it its last, and a border with no committed sample pads to
 mid-gray, 1 << (bit_depth - 1).
 """
 
@@ -102,20 +104,6 @@ def mode_direction(mode: int) -> tuple[int, int]:
     return (-32, a)
 
 
-def _note_runs(buf: ReconBuffer, x: int, y: int, taken: np.ndarray, along_row: bool) -> None:
-    """Report each contiguous run of read samples, from (x, y) along a row or down a column."""
-    idx = np.flatnonzero(taken)
-    if not len(idx):
-        return
-    splits = np.flatnonzero(np.diff(idx) > 1) + 1
-    for run in np.split(idx, splits):
-        first, n = int(run[0]), int(run[-1] - run[0]) + 1
-        if along_row:
-            buf.note_read(x + first, y, n, 1)
-        else:
-            buf.note_read(x, y + first, 1, n)
-
-
 def build_reference_samples(buf: ReconBuffer, x0: int, y0: int, w: int, h: int) -> np.ndarray:
     """Padded reference line of the block at (x0, y0): above ‖ corner ‖ left, int64.
 
@@ -123,36 +111,31 @@ def build_reference_samples(buf: ReconBuffer, x0: int, y0: int, w: int, h: int) 
     row above, left the 2h samples down the left column (corner
     excluded).  The border is read into one buffer in padding scan
     order (the left column bottom-up, then the corner and the above
-    row), so padding is one forward fill, run only when a sample is
-    missing.
+    row), where its committed samples form one run (see the module
+    docstring), so padding extends the run's end samples outward.
     """
     n_left = 2 * h
-    scan = np.zeros(n_left + 2 * w + 1, dtype=np.int64)
-    avail = np.zeros(len(scan), dtype=bool)
+    scan = np.full(n_left + 2 * w + 1, 1 << (buf.bit_depth - 1), dtype=np.int64)
+    start, stop = len(scan), 0  # the committed run, scan[start:stop]
     if y0 >= 1:
-        a, b = max(x0 - 1, 0), min(x0 + 2 * w, buf.width)
+        a, b = max(x0 - 1, 0), min(x0 + 2 * w, int(buf.extent[y0 - 1]))
         if a < b:
-            at = n_left + a - (x0 - 1)
-            avail[at : at + b - a] = buf.available[y0 - 1, a:b]
-            scan[at : at + b - a] = buf.samples[y0 - 1, a:b]
-            if buf.read_hook is not None:
-                _note_runs(buf, a, y0 - 1, buf.available[y0 - 1, a:b], along_row=True)
+            buf.note_read(a, y0 - 1, b - a, 1)
+            start = n_left + a - (x0 - 1)
+            stop = start + b - a
+            scan[start:stop] = buf.samples[y0 - 1, a:b]
     if x0 >= 1:
-        a, b = y0, min(y0 + n_left, buf.height)
-        if a < b:
+        n = int(np.count_nonzero(buf.extent[y0 : y0 + n_left] >= x0))
+        if n:
+            buf.note_read(x0 - 1, y0, 1, n)
             # Left sample y lands at scan position n_left - 1 - (y - y0).
-            avail[n_left - (b - y0) : n_left - (a - y0)] = buf.available[a:b, x0 - 1][::-1]
-            scan[n_left - (b - y0) : n_left - (a - y0)] = buf.samples[a:b, x0 - 1][::-1]
-            if buf.read_hook is not None:
-                _note_runs(buf, x0 - 1, a, buf.available[a:b, x0 - 1], along_row=False)
-    if not avail.all():
-        if avail.any():
-            pos = np.where(avail, np.arange(len(scan)), -1)
-            np.maximum.accumulate(pos, out=pos)
-            pos[pos < 0] = np.argmax(avail)
-            scan = scan[pos]
-        else:
-            scan.fill(1 << (buf.bit_depth - 1))
+            scan[n_left - n : n_left] = buf.samples[y0 : y0 + n, x0 - 1][::-1]
+            # Row y0's prefix reaches x0, so the corner above it is committed
+            # and an above run, if any, continues this one.
+            start, stop = n_left - n, max(stop, n_left)
+    if start < stop:
+        scan[:start] = scan[start]
+        scan[stop:] = scan[stop - 1]
     return np.concatenate((scan[n_left:], scan[n_left : n_left + 1], scan[n_left - 1 :: -1]))
 
 

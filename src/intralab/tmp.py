@@ -30,10 +30,11 @@ bound on that tile's SATD; |sum d| bounds the SAD of the remainder
 strips and, over 4x4 pieces, the sad metric.  Summed over the usable
 strips this bounds a candidate's cost, and the sums come in O(1) from an
 integral image of the window's samples, read only for strips that the
-window's availability integral shows committed.  Candidates are
-costed in ascending bound order until the next bound is strictly above
-the best cost found; a candidate that could tie with the best always
-has a bound no higher than it, so the tie order is unaffected.
+buffer's committed-rectangle rule (grid's staircase invariant) shows
+committed.  Candidates are costed in ascending bound order until the
+next bound is strictly above the best cost found; a candidate that could
+tie with the best always has a bound no higher than it, so the tie order
+is unaffected.
 
 A template's cost is the sum of its strips' costs (cost.strip_layout),
 so the search costs each strip on its own.  For each chunk of
@@ -41,12 +42,12 @@ candidates and each strip, one flat index into the sample plane
 (cost.strip_offsets) gathers that strip for the candidates that use
 it, the block's own strip, read once per search, is subtracted, and
 cost.layout_cost costs the batch.  template_cost_at and mode evaluation
-read through gather_templates, which checks every displaced strip
-against the committed area in one vectorised test.  Both gathers index
-the sample plane through _template_index and note each displaced strip
-they read through _note_templates, so a search notes its block's own
-strips once (through read_region) and the candidates it costs, and no
-others.
+read through gather_templates, which checks every displaced strip with
+the buffer's committed-rectangle rule in one vectorised test.  Both
+gathers index the sample plane through _template_index and note each
+displaced strip they read through _note_templates, so a search notes
+its block's own strips once (through read_region) and the candidates it
+costs, and no others.
 
 tmp_search(..., below=c) returns the best candidate among those that
 cost strictly less than c, or None when no valid candidate does.
@@ -133,21 +134,19 @@ def gather_templates(
 
     Row i holds the strips moved by (dxs[i], dys[i]) in layout order, so
     (0, 0) gives the block's own template.  Every displaced strip must
-    lie inside the frame and be committed, or CausalityError is raised;
-    each one is noted as a read.  One flat index reads both the
-    availability and the sample plane.
+    lie inside the frame and be committed (ReconBuffer.is_committed, over
+    all strips and moves at once), or CausalityError is raised; each one
+    is noted as a read.
     """
-    xs, ys = dxs.tolist(), dys.tolist()
-    moves = list(zip(xs, ys))
-    for x, y, w, h in strips:
-        if x + min(xs) < 0 or y + min(ys) < 0 or x + w + max(xs) > buf.width or y + h + max(ys) > buf.height:
-            dx, dy = next(m for m in moves if not buf.in_frame(x + m[0], y + m[1], w, h))
-            raise CausalityError(f"template strip at ({x + dx},{y + dy}) {w}x{h} leaves the frame")
-    layout, index = _template_index(buf.width, strips, dxs, dys)
-    committed = buf.available.ravel()[index].all(axis=1)
+    x, y, w, h = np.array(strips).T[:, :, None]
+    committed = buf.is_committed(x + dxs, y + dys, w, h)
     if not committed.all():
-        raise CausalityError(f"template displaced by {moves[int(np.argmin(committed))]} touches uncommitted samples")
+        i = int(np.argmin(committed.all(axis=0)))
+        raise CausalityError(
+            f"template displaced by ({dxs[i]}, {dys[i]}) leaves the frame or touches uncommitted samples"
+        )
     _note_templates(buf, strips, dxs, dys)
+    layout, index = _template_index(buf.width, strips, dxs, dys)
     return layout, buf.samples.ravel()[index]
 
 
@@ -212,24 +211,22 @@ def _box_sums(ii: np.ndarray, x: int, y: int, w: int, h: int, nx: int, ny: int) 
     )
 
 
-def _window_integrals(buf: ReconBuffer, x0: int, y0: int, x1: int, y1: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integral images of availability and of the sample plane over [x0, x1) x [y0, y1).
+def _window_integral(buf: ReconBuffer, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
+    """Integral image of the sample plane over [x0, x1) x [y0, y1).
 
     The window may overhang the frame only above and to the left; the
-    overhang counts as unavailable and as zero, so its leading rows and
-    columns of each integral stay zero.  Uncommitted samples are summed
-    as they stand: _window_bounds reads a sample sum only over boxes the
-    availability integral shows committed.
+    overhang counts as zero, so the integral's leading rows and columns
+    stay zero.  Uncommitted samples are summed as they stand:
+    _window_bounds reads a sample sum only over boxes that the buffer's
+    committed-rectangle rule (grid's staircase invariant) shows
+    committed.
     """
     fx0, fy0 = max(x0, 0), max(y0, 0)
-    integrals = []
-    for plane in (buf.available, buf.samples):
-        ii = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=np.int64)
-        inner = ii[1 + fy0 - y0 :, 1 + fx0 - x0 :]
-        np.cumsum(plane[fy0:y1, fx0:x1], axis=0, dtype=np.int64, out=inner)
-        np.cumsum(inner, axis=1, out=inner)
-        integrals.append(ii)
-    return integrals[0], integrals[1]
+    ii = np.zeros((y1 - y0 + 1, x1 - x0 + 1), dtype=np.int64)
+    inner = ii[1 + fy0 - y0 :, 1 + fx0 - x0 :]
+    np.cumsum(buf.samples[fy0:y1, fx0:x1], axis=0, dtype=np.int64, out=inner)
+    np.cumsum(inner, axis=1, out=inner)
+    return ii
 
 
 def _window_bounds(buf, block, t, rects, curs, dx_lo, dx_hi, dy_lo, dy_hi, metric, strict_template):
@@ -242,19 +239,14 @@ def _window_bounds(buf, block, t, rects, curs, dx_lo, dx_hi, dy_lo, dy_hi, metri
     # The window is the extended rectangle swept over the displacements;
     # it may overhang the frame by up to t samples to the left and top.
     ex, ey, we, he = extended_rect(block, t)
-    bx0, by0 = ex + dx_lo, ey + dy_lo
-    avail_ii, sample_ii = _window_integrals(buf, bx0, by0, ex + we + dx_hi, ey + he + dy_hi)
-
-    def over_window(ii, rx, ry, rw, rh):
-        return _box_sums(ii, rx + dx_lo - bx0, ry + dy_lo - by0, rw, rh, nx, ny)
-
-    valid = over_window(avail_ii, block.x0, block.y0, block.w, block.h) == block.w * block.h
+    sample_ii = _window_integral(buf, ex + dx_lo, ey + dy_lo, ex + we + dx_hi, ey + he + dy_hi)
+    dxs, dys = np.arange(dx_lo, dx_hi + 1), np.arange(dy_lo, dy_hi + 1)[:, None]
+    valid = buf.is_committed(block.x0 + dxs, block.y0 + dys, block.w, block.h)
     bounds = np.zeros((ny, nx), dtype=np.int64)
     strip_use = []
-    dxs, dys = np.arange(dx_lo, dx_hi + 1), np.arange(dy_lo, dy_hi + 1)[:, None]
     for rect, cur in zip(rects, curs):
         sx, sy, sw, sh = rect
-        usable = over_window(avail_ii, *rect) == sw * sh
+        usable = buf.is_committed(sx + dxs, sy + dys, sw, sh)
         if strict_template:
             valid &= usable
         else:
@@ -262,7 +254,7 @@ def _window_bounds(buf, block, t, rects, curs, dx_lo, dx_hi, dy_lo, dy_hi, metri
         strip_bound = np.zeros((ny, nx), dtype=np.int64)
         for px, py, pw, ph, shift in bound_pieces(sh, sw, metric):
             cur_sum = int(cur[py : py + ph, px : px + pw].sum())
-            piece = np.abs(over_window(sample_ii, sx + px, sy + py, pw, ph) - cur_sum)
+            piece = np.abs(_box_sums(sample_ii, sx + px - ex, sy + py - ey, pw, ph, nx, ny) - cur_sum)
             if shift:
                 piece += 1 << (shift - 1)
                 piece >>= shift

@@ -7,7 +7,10 @@ float32 GEMM in intralab.cost replaced, kept as its oracle.
 build_reference_samples is the coordinate-array border gather that
 intralab.intra's slice-based one replaced, and predict_samples and
 predict_block the sample-at-a-time Planar, DC and angular formulas
-that intralab.intra's shared tap tables must reproduce.  candidate_valid is the
+that intralab.intra's shared tap tables must reproduce.  committed_mask is
+the buffer's committed area as a full (height, width) mask, and
+mask_covers reads one rectangle off it, sample by sample, in place of
+the buffer's one-row committed-rectangle rule.  candidate_valid is the
 one-candidate causality check, one rectangle at a time, that the
 window-wide checks of the template search and the BV list must agree
 with.  build_bv_list is the BV candidate list written from the
@@ -23,14 +26,17 @@ An oracle shares no kernel with the code it checks: block_cost and
 measure_block widen both sample arrays to int64, subtract, and cost the
 difference with satd_batch_int64 or an int64 absolute sum, so none of
 these helpers, nor search_oracle built on them, calls sad, satd,
-satd_batch or layout_cost of intralab.cost.
+satd_batch, satd_tiling or layout_cost of intralab.cost.  Nor do the
+causality oracles (candidate_valid, build_bv_list,
+build_reference_samples and search_oracle) ask the buffer whether a
+rectangle is committed: each reads committed_mask.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from intralab.cost import METRICS, satd_tiling
+from intralab.cost import METRICS
 from intralab.grid import BlockRef, ReconBuffer
 from intralab.hog import N_MODES, gradient_field
 from intralab.intra import MODE_DC, MODE_PLANAR, angle_of, mode_direction
@@ -67,9 +73,11 @@ def satd_batch_int64(diffs: np.ndarray) -> np.ndarray:
     """SATD of (N, h, w) diffs by the int64 kernel, with SAD remainders."""
     diffs = np.asarray(diffs, dtype=np.int64)
     n, h, w = diffs.shape
-    tile, th, tw = satd_tiling(h, w)
-    if not tile:
+    if h < 4 or w < 4:
         return np.abs(diffs).sum(axis=(1, 2))
+    # 8x8 tiles where both sides are multiples of 8, 4x4 tiles otherwise.
+    tile = 8 if h % 8 == 0 and w % 8 == 0 else 4
+    th, tw = h // tile * tile, w // tile * tile
     total = tile_satd_int64(diffs[:, :th, :tw], tile)
     if th < h:
         total = total + np.abs(diffs[:, th:, :]).sum(axis=(1, 2))
@@ -86,6 +94,20 @@ def block_cost(a: np.ndarray, b: np.ndarray, metric: str) -> int:
     if metric == "satd":
         return int(satd_batch_int64(d[None])[0])
     raise ValueError(f"unknown metric {metric!r}; expected one of {METRICS}")
+
+
+def committed_mask(buf: ReconBuffer) -> np.ndarray:
+    """(height, width) mask of the committed samples: row y's first extent[y]."""
+    return np.arange(buf.width) < buf.extent[:, None]
+
+
+def mask_covers(mask: np.ndarray, x: int, y: int, w: int, h: int) -> bool:
+    """Whether the rectangle lies in the mask's frame with every sample set; an empty one always does."""
+    if w <= 0 or h <= 0:
+        return True
+    height, width = mask.shape
+    inside = x >= 0 and y >= 0 and x + w <= width and y + h <= height
+    return inside and bool(mask[y : y + h, x : x + w].all())
 
 
 def extract_template(buf: ReconBuffer, block: BlockRef, t: int) -> tuple[np.ndarray | None, np.ndarray | None]:
@@ -115,13 +137,14 @@ def _shift(rect: tuple[int, int, int, int], bv: BlockVector) -> tuple[int, int, 
 
 def candidate_valid(buf: ReconBuffer, block: BlockRef, bv: BlockVector, t: int, strict_template: bool = True) -> bool:
     """Causality check for one candidate; (0, 0) always fails."""
-    if not buf.region_available(block.x0 + bv.dx, block.y0 + bv.dy, block.w, block.h):
+    mask = committed_mask(buf)
+    if not mask_covers(mask, block.x0 + bv.dx, block.y0 + bv.dy, block.w, block.h):
         return False
     for rect in template_rects(block, t, buf.width, buf.height):
         if rect is None:
             continue
         x, y, w, h = _shift(rect, bv)
-        if buf.region_available(x, y, w, h):
+        if mask_covers(mask, x, y, w, h):
             continue
         if not strict_template and (x + w <= 0 or y + h <= 0 or x >= buf.width or y >= buf.height):
             continue
@@ -170,12 +193,13 @@ def build_bv_list(
                 tagged.append((BlockVector(v.dx + s.dx, v.dy + s.dy), "auto-relocated"))
     ex, ey = max(block.x0 - t, 0), max(block.y0 - t, 0)
     ew, eh = block.x0 + w - ex, block.y0 + h - ey
+    mask = committed_mask(buf)
     out, seen = [], set()
     for bv, tag in tagged:
         if bv in seen:
             continue
         seen.add(bv)
-        if buf.region_available(ex + bv.dx, ey + bv.dy, ew, eh):
+        if mask_covers(mask, ex + bv.dx, ey + bv.dy, ew, eh):
             out.append((bv, tag))
     return out[:n_max]
 
@@ -233,6 +257,7 @@ def _note_runs(buf: ReconBuffer, xs: np.ndarray, ys: np.ndarray, taken: np.ndarr
 def build_reference_samples(buf: ReconBuffer, x0: int, y0: int, w: int, h: int) -> np.ndarray:
     """Padded reference line above ‖ corner ‖ left of the block at (x0, y0), one coordinate array per edge."""
     default = 1 << (buf.bit_depth - 1)
+    mask = committed_mask(buf)
 
     ax = np.arange(x0 - 1, x0 + 2 * w)
     above_avail = np.zeros(2 * w + 1, dtype=bool)
@@ -240,7 +265,7 @@ def build_reference_samples(buf: ReconBuffer, x0: int, y0: int, w: int, h: int) 
     if y0 - 1 >= 0:
         inside = (ax >= 0) & (ax < buf.width)
         cols = ax[inside]
-        above_avail[inside] = buf.available[y0 - 1, cols]
+        above_avail[inside] = mask[y0 - 1, cols]
         got = np.zeros(2 * w + 1, dtype=np.int64)
         got[inside] = buf.samples[y0 - 1, cols]
         above_vals = np.where(above_avail, got, 0)
@@ -252,7 +277,7 @@ def build_reference_samples(buf: ReconBuffer, x0: int, y0: int, w: int, h: int) 
     if x0 - 1 >= 0:
         inside = (ly >= 0) & (ly < buf.height)
         rows = ly[inside]
-        left_avail[inside] = buf.available[rows, x0 - 1]
+        left_avail[inside] = mask[rows, x0 - 1]
         got = np.zeros(2 * h, dtype=np.int64)
         got[inside] = buf.samples[rows, x0 - 1]
         left_vals = np.where(left_avail, got, 0)

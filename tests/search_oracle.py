@@ -7,7 +7,7 @@ unit tests and the acceptance suite.
 
 from __future__ import annotations
 
-from oracles import block_cost
+from oracles import block_cost, committed_mask, mask_covers
 from intralab.grid import BlockRef, ReconBuffer
 from intralab.tmp import BlockVector
 
@@ -50,16 +50,17 @@ def oracle_search(
             min(search_range, fh - block.h - block.y0) + 1,
         )
 
+    mask = committed_mask(buf)
     best = None
     for dy in dy_range:
         for dx in dx_range:
-            if not buf.region_available(block.x0 + dx, block.y0 + dy, block.w, block.h):
+            if not mask_covers(mask, block.x0 + dx, block.y0 + dy, block.w, block.h):
                 continue
             cost = 0
             ok = True
             for sx, sy, sw, sh in strips:
                 mx, my = sx + dx, sy + dy
-                if buf.region_available(mx, my, sw, sh):
+                if mask_covers(mask, mx, my, sw, sh):
                     cur = buf.samples[sy : sy + sh, sx : sx + sw]
                     ref = buf.samples[my : my + sh, mx : mx + sw]
                     cost += block_cost(ref, cur, metric)

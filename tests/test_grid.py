@@ -6,7 +6,8 @@ from hypothesis import strategies as st
 from intralab.errors import CausalityError, CommitOrderError, ValidationError
 from intralab.grid import BLOCK_SIZES, BlockRef, ReconBuffer, partition, reconstruct_block
 
-from conftest import committed_buffer
+from conftest import committed_buffer, prefix_buffer
+from oracles import committed_mask, mask_covers
 
 
 def test_partition_exact_tiling():
@@ -113,6 +114,41 @@ def test_commit_overlap_raises():
     buf.commit_block(BlockRef(0, 0, 8, 8, 0), np.zeros((8, 8), dtype=np.int32))
     with pytest.raises(CommitOrderError):
         buf.commit_block(BlockRef(4, 4, 8, 8, 1), np.zeros((8, 8), dtype=np.int32))
+
+
+def test_commit_outside_raster_position_raises():
+    # The right scan_index in the wrong place: the first block must start
+    # at (0, 0), and a block row must wait for the row above to fill.
+    buf = ReconBuffer(16, 16, 8)
+    with pytest.raises(CommitOrderError):
+        buf.commit_block(BlockRef(8, 0, 8, 8, 0), np.zeros((8, 8), dtype=np.int32))
+    buf.commit_block(BlockRef(0, 0, 8, 8, 0), np.zeros((8, 8), dtype=np.int32))
+    with pytest.raises(CommitOrderError):
+        buf.commit_block(BlockRef(0, 8, 8, 8, 1), np.zeros((8, 8), dtype=np.int32))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_committed_rectangles_match_the_mask(data):
+    # Rectangles overhanging every edge, and empty ones, on random raster prefixes.
+    fw, fh = data.draw(st.integers(1, 24)), data.draw(st.integers(1, 24))
+    block_size = data.draw(st.sampled_from(BLOCK_SIZES[:3]))
+    n_committed = data.draw(st.integers(0, len(partition(fw, fh, block_size))))
+    samples = np.arange(fw * fh).reshape(fh, fw)
+    buf, _ = prefix_buffer(samples, block_size, n_committed)
+    mask = committed_mask(buf)
+    for _ in range(20):
+        x, y = data.draw(st.integers(-3, fw + 3)), data.draw(st.integers(-3, fh + 3))
+        w, h = data.draw(st.integers(0, fw + 6)), data.draw(st.integers(0, fh + 6))
+        want = mask_covers(mask, x, y, w, h)
+        assert buf.region_available(x, y, w, h) == want
+        if not want:
+            with pytest.raises(CausalityError):
+                buf.read_region(x, y, w, h)
+        elif w and h:
+            np.testing.assert_array_equal(buf.read_region(x, y, w, h), samples[y : y + h, x : x + w])
+        else:
+            assert buf.read_region(x, y, w, h).shape == (h, w)
 
 
 def test_commit_shape_mismatch():

@@ -21,7 +21,7 @@ from intralab.tmp import (
 )
 
 from conftest import prefix_buffer
-from oracles import block_cost, candidate_valid, extract_template, template_at_bv
+from oracles import block_cost, candidate_valid, committed_mask, extract_template, template_at_bv
 from search_oracle import oracle_search
 
 
@@ -164,7 +164,7 @@ def test_uncommitted_samples_never_reach_the_search(fixture):
     for done in (9, 20, 35, 50):
         clean, blocks = prefix_buffer(samples, 8, done)
         dirty, _ = prefix_buffer(samples, 8, done)
-        hidden = ~dirty.available
+        hidden = ~committed_mask(dirty)
         dirty.samples[hidden] = rng.integers(-(2**31), 2**31, size=int(hidden.sum()), dtype=np.int32)
         block = blocks[done]
         rects = [r for r in template_rects(block, 4, 64, 64) if r is not None]
