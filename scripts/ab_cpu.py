@@ -12,7 +12,10 @@ b over a, so below 1 means b is faster.  The script also checks that
 both trees give the same reconstructions and, for every block, the same
 report record (reporting.BlockRecord: tool, fusion labels, weights and
 costs, prediction SAD, SATD and squared error, transform fields and
-pred_hash), built after the timed encode and replay.
+pred_hash), built after the timed encode and replay.  After the timed
+rounds, one untimed encode per package counts the displaced template
+strips that its tmp_search costs, as noted through ReconBuffer.read_hook,
+which shows a change in search work without timing noise.
 
 The frames and configs come from perfbench/workloads.py, which is read
 and not changed; its planes are synthesized with this checkout's
@@ -29,12 +32,14 @@ from __future__ import annotations
 import argparse
 import importlib
 import importlib.util
+import inspect
 import shutil
 import statistics
 import sys
 import tempfile
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -51,14 +56,15 @@ def _workloads():
     return module
 
 
-def _load(name: str):
-    """The harness, frames and reporting modules of the package name."""
-    return tuple(importlib.import_module(f"{name}.{module}") for module in ("harness", "frames", "reporting"))
+def _load(name: str) -> SimpleNamespace:
+    """The package's name and its harness, frames, reporting and tmp modules."""
+    modules = ("harness", "frames", "reporting", "tmp")
+    return SimpleNamespace(name=name, **{module: importlib.import_module(f"{name}.{module}") for module in modules})
 
 
 def _run(package, wl, plane: np.ndarray, size: int) -> tuple[float, float, list, np.ndarray]:
     """CPU seconds of one encode and one replay, each block's report record as a dict, and the replayed samples."""
-    harness, frames, reporting = package
+    harness, frames, reporting = package.harness, package.frames, package.reporting
     cfg = harness.RunConfig(input_path="unused", width=size, height=size, bit_depth=wl.bit_depth, **wl.config)
     frame = frames.Frame(wl.bit_depth, plane)
     t0 = time.process_time()
@@ -68,6 +74,47 @@ def _run(package, wl, plane: np.ndarray, size: int) -> tuple[float, float, list,
     t2 = time.process_time()
     records = [vars(reporting.BlockRecord.from_result(0, r)) for r in results]
     return t1 - t0, t2 - t1, records, replayed.samples
+
+
+def _strips_costed(package, wl, planes: list[np.ndarray], size: int) -> int:
+    """Displaced template strips that tmp_search costs over one run of each plane.
+
+    A search notes its block's own strips and each displaced strip it
+    costs through ReconBuffer.read_hook; tmp_search is replaced in every
+    module of the package that holds it by one that counts the notes
+    other than the block's own strips.
+    """
+    search = package.tmp.tmp_search
+    signature = inspect.signature(search)
+    count = 0
+
+    def counted(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        buf, block, t = (bound.arguments[name] for name in ("buf", "block", "t"))
+        own = set(package.tmp.template_rects(block, t, buf.width, buf.height))
+
+        def hook(*rect):
+            nonlocal count
+            count += rect not in own
+
+        previous, buf.read_hook = buf.read_hook, hook
+        try:
+            return search(*args, **kwargs)
+        finally:
+            buf.read_hook = previous
+
+    holders = [module for name, module in sys.modules.items()
+               if name.split(".")[0] == package.name and getattr(module, "tmp_search", None) is search]
+    for module in holders:
+        module.tmp_search = counted
+    try:
+        for plane in planes:
+            _run(package, wl, plane, size)
+    finally:
+        for module in holders:
+            module.tmp_search = search
+    return count
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -118,10 +165,12 @@ def main(argv: list[str] | None = None) -> int:
                 rep_ratios.append(rep["b"] / rep["a"])
                 print(f"{n:5d} {enc['a']:8.3f} {enc['b']:8.3f} {enc_ratios[-1]:6.3f} "
                       f"{rep['a']:8.3f} {rep['b']:8.3f} {rep_ratios[-1]:6.3f}")
+            strips = {side: _strips_costed(packages[side], wl, planes, workloads.SIZE) for side in SIDES}
         finally:
             sys.path.remove(tmp)
             for name in [m for m in sys.modules if m.split(".")[0] in ("intralab_a", "intralab_b")]:
                 del sys.modules[name]
+    print(f"displaced strips costed (untimed encode): a {strips['a']:,}, b {strips['b']:,}")
     print(f"median b/a: encode x{statistics.median(enc_ratios):.3f}, replay x{statistics.median(rep_ratios):.3f}")
     print(f"same results: {'yes' if same else 'NO'}")
     return 0 if same else 1

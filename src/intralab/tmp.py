@@ -23,31 +23,38 @@ the result is the valid candidate with the least (cost, |dx| + |dy|,
 dy, dx).
 
 The search is exact but does not cost every candidate (successive
-elimination, after Li & Salari, IEEE TIP 1995).  The DC coefficient of
+elimination, after Li & Salari, IEEE TIP 1995).  Its window ends at the
+last row where the displaced block can be committed: the committed
+prefixes never grow down the frame (grid's staircase invariant), so one
+binary search over ReconBuffer.extent finds it.  The DC coefficient of
 a Hadamard tile is the sum of the tile's differences, so (|sum d| + 1)
 >> 1 for a 4x4 tile, or (|sum d| + 2) >> 2 for an 8x8 tile, is a lower
 bound on that tile's SATD; |sum d| bounds the SAD of the remainder
 strips and, over 4x4 pieces, the sad metric.  Summed over the usable
 strips this bounds a candidate's cost, and the sums come in O(1) from an
-integral image of the window's samples, read only for strips that the
-buffer's committed-rectangle rule (grid's staircase invariant) shows
-committed.  Candidates are costed in ascending bound order until the
-next bound is strictly above the best cost found; a candidate that could
-tie with the best always has a bound no higher than it, so the tie order
-is unaffected.
+integral image of the window's samples, one plane of box sums per piece
+shape, read only for strips that the buffer's committed-rectangle rule
+shows committed.  Candidates are costed in ascending bound order until
+the next bound is strictly above the best cost found; a candidate that
+could tie with the best always has a bound no higher than it, so the tie
+order is unaffected.
 
 A template's cost is the sum of its strips' costs (cost.strip_layout),
 so the search costs each strip on its own.  For each chunk of
 candidates and each strip, one flat index into the sample plane
 (cost.strip_offsets) gathers that strip for the candidates that use
 it, the block's own strip, read once per search, is subtracted, and
-cost.layout_cost costs the batch.  template_cost_at and mode evaluation
+cost.layout_cost costs the batch.  Before a chunk gathers a later strip,
+it drops every candidate whose exact cost so far plus the later strips'
+bound is above the highest cost still accepted (partial distortion,
+after Bei & Gray, IEEE Trans. Commun. 1985), so a dropped candidate's
+later strips are neither gathered nor noted.  template_cost_at and mode evaluation
 read through gather_templates, which checks every displaced strip with
 the buffer's committed-rectangle rule in one vectorised test.  Both
 gathers index the sample plane through _template_index and note each
 displaced strip they read through _note_templates, so a search notes
-its block's own strips once (through read_region) and the candidates it
-costs, and no others.
+its block's own strips once (through read_region) and each displaced
+strip it costs, and no others.
 
 tmp_search(..., below=c) returns the best candidate among those that
 cost strictly less than c, or None when no valid candidate does.
@@ -58,6 +65,7 @@ the E-TIMD TMP competition runs.
 
 from __future__ import annotations
 
+from functools import cache, partial
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -121,7 +129,14 @@ def bv_predict(buf: ReconBuffer, block: BlockRef, bv: BlockVector) -> np.ndarray
 def _template_index(
     width: int, strips: Sequence[Rect], dxs: np.ndarray, dys: np.ndarray
 ) -> tuple[Layout, np.ndarray]:
-    """Layout of the strips and the flat index, into a plane of that width, of each displaced by each (dx, dy)."""
+    """Layout of the strips and the flat index, into a plane of that width, of each displaced by each (dx, dy).
+
+    The index is int64, numpy's intp here: numpy converts any other
+    index type before it gathers, so an int32 index, half the size,
+    gathers slower (a 512 x 80 strip gather from a 256 x 256 plane: 35-63
+    us with int64, 106-110 us with int32; numpy 2.4 on a shared 2-vCPU
+    host).
+    """
     x0, y0 = strips[0][:2]
     layout, offsets = strip_offsets(tuple((x - x0, y - y0, w, h) for x, y, w, h in strips), width)
     return layout, offsets + ((y0 + dys) * width + x0 + dxs)[:, None]
@@ -201,14 +216,9 @@ def template_cost_at(
     return int(layout_cost(rows[1:] - rows[0], layout, metric)[0])
 
 
-def _box_sums(ii: np.ndarray, x: int, y: int, w: int, h: int, nx: int, ny: int) -> np.ndarray:
-    """(ny, nx) sums of the w x h boxes at (x + i, y + j) of an integral image."""
-    return (
-        ii[y + h : y + h + ny, x + w : x + w + nx]
-        - ii[y : y + ny, x + w : x + w + nx]
-        - ii[y + h : y + h + ny, x : x + nx]
-        + ii[y : y + ny, x : x + nx]
-    )
+def _box_sums(ii: np.ndarray, w: int, h: int) -> np.ndarray:
+    """Sums of every w x h box of an integral image's area, indexed by the box's top-left corner."""
+    return ii[h:, w:] - ii[:-h, w:] - ii[h:, :-w] + ii[:-h, :-w]
 
 
 def _window_integral(buf: ReconBuffer, x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
@@ -230,21 +240,26 @@ def _window_integral(buf: ReconBuffer, x0: int, y0: int, x1: int, y1: int) -> np
 
 
 def _window_bounds(buf, block, t, rects, curs, dx_lo, dx_hi, dy_lo, dy_hi, metric, strict_template):
-    """Validity, cost lower bound and per-strip usability over the (ny, nx) candidate grid.
+    """Validity, cost lower bound and later strips' bounds over the (ny, nx) candidate grid.
 
-    A strip is usable where, displaced, it is fully committed; its bound
-    counts only there, so no uncommitted sample reaches a bound.
+    A strip's bound counts only where, displaced, the strip is fully
+    committed, so no uncommitted sample reaches a bound.  later[k - 1]
+    is the bound of strips k onwards, as int32 (a strip's bound is at
+    most its area times the largest sample, far below 2^31).  Every
+    bound piece of one shape slices the same plane of box sums.
     """
     nx, ny = dx_hi - dx_lo + 1, dy_hi - dy_lo + 1
     # The window is the extended rectangle swept over the displacements;
     # it may overhang the frame by up to t samples to the left and top.
     ex, ey, we, he = extended_rect(block, t)
     sample_ii = _window_integral(buf, ex + dx_lo, ey + dy_lo, ex + we + dx_hi, ey + he + dy_hi)
+    box_sums = cache(partial(_box_sums, sample_ii))
     dxs, dys = np.arange(dx_lo, dx_hi + 1), np.arange(dy_lo, dy_hi + 1)[:, None]
     valid = buf.is_committed(block.x0 + dxs, block.y0 + dys, block.w, block.h)
-    bounds = np.zeros((ny, nx), dtype=np.int64)
-    strip_use = []
-    for rect, cur in zip(rects, curs):
+    piece = np.empty((ny, nx), dtype=np.int64)
+    bounds, later = None, []
+    # Last strip first, so that bounds holds the later strips' sum when a strip is added.
+    for rect, cur in zip(rects[::-1], curs[::-1]):
         sx, sy, sw, sh = rect
         usable = buf.is_committed(sx + dxs, sy + dys, sw, sh)
         if strict_template:
@@ -253,15 +268,42 @@ def _window_bounds(buf, block, t, rects, curs, dx_lo, dx_hi, dy_lo, dy_hi, metri
             valid &= usable | _fully_outside(rect, dxs, dys, buf.width, buf.height)
         strip_bound = np.zeros((ny, nx), dtype=np.int64)
         for px, py, pw, ph, shift in bound_pieces(sh, sw, metric):
+            ox, oy = sx + px - ex, sy + py - ey
             cur_sum = int(cur[py : py + ph, px : px + pw].sum())
-            piece = np.abs(_box_sums(sample_ii, sx + px - ex, sy + py - ey, pw, ph, nx, ny) - cur_sum)
+            np.subtract(box_sums(pw, ph)[oy : oy + ny, ox : ox + nx], cur_sum, out=piece)
+            np.abs(piece, out=piece)
             if shift:
                 piece += 1 << (shift - 1)
                 piece >>= shift
             strip_bound += piece
-        bounds += strip_bound * usable
-        strip_use.append(usable.ravel())
-    return valid.ravel(), bounds.ravel(), strip_use
+        strip_bound *= usable
+        if bounds is None:
+            bounds = strip_bound
+        else:
+            later.insert(0, bounds.astype(np.int32).ravel())
+            bounds += strip_bound
+    return valid.ravel(), bounds.ravel(), later
+
+
+def _search_window(buf: ReconBuffer, block: BlockRef, search_range: int | None) -> tuple[int, int, int, int]:
+    """(dx_lo, dx_hi, dy_lo, dy_hi): the displacements that may hold a valid candidate.
+
+    They keep the displaced block within search_range and the frame, and
+    its bottom row among the rows whose committed prefix is at least the
+    block's width.  extent never grows down the frame, so those rows are
+    the top ones, counted by one binary search.  The range may be empty.
+    """
+    if search_range is None:
+        search_range = max(buf.width, buf.height)
+    if search_range < 0:
+        raise ValueError(f"search_range must be >= 0, got {search_range}")
+    rows = int(np.searchsorted(-buf.extent, -block.w, side="right"))
+    return (
+        max(-search_range, -block.x0),
+        min(search_range, buf.width - block.w - block.x0),
+        max(-search_range, -block.y0),
+        min(search_range, rows - block.h - block.y0),
+    )
 
 
 def tmp_search(
@@ -281,26 +323,21 @@ def tmp_search(
     those under the usual tie order, or None if there are none.  Without
     it every valid candidate competes.
 
-    The result is exact.  Every valid candidate gets an O(1) lower bound
-    on its cost from integral images of the window's committed samples
-    (see the module docstring).  Candidates are costed in chunks of
-    SEARCH_CHUNK, in ascending bound order, until the next bound is
-    strictly above the best cost found, so every candidate that could tie
-    with the best is still costed.
+    The result is exact.  The window is cropped to the rows where the
+    displaced block can be committed, and every valid candidate gets an
+    O(1) lower bound on its cost from an integral image of the window's
+    committed samples (see the module docstring).  Candidates are costed
+    in chunks of SEARCH_CHUNK, in ascending bound order, until the next
+    bound is strictly above the best cost found, so every candidate that
+    could tie with the best is still costed.  Within a chunk the strips
+    are costed in turn, and a candidate whose cost so far plus its later
+    strips' bound is above that cost gathers no later strip.
     """
     check_metric(metric)
-    x0, y0, w, h = block.x0, block.y0, block.w, block.h
-    frame_w, frame_h = buf.width, buf.height
-    rects = [r for r in template_rects(block, t, frame_w, frame_h) if r is not None]
+    rects = [r for r in template_rects(block, t, buf.width, buf.height) if r is not None]
     if not rects:
         return None
-
-    if search_range is None:
-        search_range = max(frame_w, frame_h)
-    if search_range < 0:
-        raise ValueError(f"search_range must be >= 0, got {search_range}")
-    dx_lo, dx_hi = max(-search_range, -x0), min(search_range, frame_w - w - x0)
-    dy_lo, dy_hi = max(-search_range, -y0), min(search_range, frame_h - h - y0)
+    dx_lo, dx_hi, dy_lo, dy_hi = _search_window(buf, block, search_range)
     if dx_lo > dx_hi or dy_lo > dy_hi:
         return None
     limit = _NO_LIMIT if below is None else below - 1  # accepted costs are <= limit
@@ -310,7 +347,7 @@ def tmp_search(
     nx = dx_hi - dx_lo + 1
     curs = [buf.read_region(*rect) for rect in rects]
     owns = [cur.ravel()[strip_layout((cur.shape,)).order] for cur in curs]
-    valid, bounds, strip_use = _window_bounds(
+    valid, bounds, later = _window_bounds(
         buf, block, t, rects, curs, dx_lo, dx_hi, dy_lo, dy_hi, metric, strict_template
     )
 
@@ -324,21 +361,34 @@ def tmp_search(
         if stop == start:
             break
         chunk = sel[start:stop]
-        dxs = dx_lo + chunk % nx
-        dys = dy_lo + chunk // nx
-        # A template's cost is the sum of its strips' costs; every strip a
-        # chunk candidate uses was checked above.
+        start = stop
         costs = np.zeros(len(chunk), dtype=np.int64)
-        for rect, own, usable in zip(rects, owns, strip_use):
-            use = np.flatnonzero(usable[chunk])
+        for k, (rect, own) in enumerate(zip(rects, owns)):
+            if k:
+                # Partial distortion: a candidate whose cost so far plus the
+                # later strips' bound is above limit cannot be accepted.
+                keep = np.flatnonzero(costs + later[k - 1][chunk] <= limit)
+                chunk, costs = chunk[keep], costs[keep]
+                if not len(chunk):
+                    break
+            dxs, dys = dx_lo + chunk % nx, dy_lo + chunk // nx
+            # A valid candidate's strip is committed unless it lies wholly
+            # outside the frame, which only a lenient candidate's may.
+            use = slice(None)
+            if not strict_template:
+                use = ~_fully_outside(rect, dxs, dys, buf.width, buf.height)
             costs[use] += _strip_costs(buf, rect, own, dxs[use], dys[use], metric)
+        if not len(costs) or (low := int(costs.min())) > limit:
+            continue
+        # Only the survivors tied at the least cost can hold the chunk's best key.
+        tied = np.flatnonzero(costs == low)
+        dxs, dys = dxs[tied], dys[tied]
         l1 = np.abs(dxs) + np.abs(dys)
-        i = np.lexsort((dxs, dys, l1, costs))[0]
-        key = (int(costs[i]), int(l1[i]), int(dys[i]), int(dxs[i]))
-        if key[0] <= limit and (best is None or key < best):
+        i = np.lexsort((dxs, dys, l1))[0]
+        key = (low, int(l1[i]), int(dys[i]), int(dxs[i]))
+        if best is None or key < best:
             best = key
             limit = key[0]
-        start = stop
     if best is None:
         return None
     cost, _, dy, dx = best

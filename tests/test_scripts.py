@@ -1,6 +1,7 @@
 """Smoke tests: the scripts run end to end on small fixtures."""
 
 import importlib.util
+import re
 import shutil
 import sys
 from pathlib import Path
@@ -112,20 +113,30 @@ def test_ab_cpu_runs_two_frames_of_a_workload_against_itself(capsys):
     assert load_script("ab_cpu").main(argv) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "natural-timd: 2 frames, a imported first; CPU s per round"
+    assert out[-3] == "displaced strips costed (untimed encode): a 0, b 0"  # TIMD runs no template search
     assert out[-2].startswith("median b/a: encode x") and out[-1] == "same results: yes"
     assert not any(name.startswith("intralab_") for name in sys.modules)
 
 
-def _ab_cpu_against_patched(tmp_path, capsys, module, patch):
-    """ab_cpu's exit code and last line, this tree against a copy with patch appended to module."""
+def _ab_cpu_against_patched(tmp_path, capsys, module, patch, workload="natural-timd", frames=1, line=-1):
+    """ab_cpu's exit code and output line, this tree against a copy with patch appended to module."""
     root = SCRIPTS.parent
     package = tmp_path / "src" / "intralab"
     shutil.copytree(root / "src" / "intralab", package, ignore=shutil.ignore_patterns("__pycache__"))
     with open(package / module, "a", encoding="utf-8") as fh:
         fh.write(patch)
-    argv = ["--a", str(root), "--b", str(tmp_path), "--workload", "natural-timd", "--variants", "1", "--frames", "1",
+    argv = ["--a", str(root), "--b", str(tmp_path), "--workload", workload, "--variants", "1", "--frames", str(frames),
             "--rounds", "1"]
-    return load_script("ab_cpu").main(argv), capsys.readouterr().out.splitlines()[-1]
+    return load_script("ab_cpu").main(argv), capsys.readouterr().out.splitlines()[line]
+
+
+def test_ab_cpu_counts_the_strips_each_side_costs(tmp_path, capsys):
+    # Smaller chunks tighten the search's limit sooner: the same results
+    # from fewer costed strips, which only the untimed count shows.
+    code, line = _ab_cpu_against_patched(tmp_path, capsys, "tmp.py", "\nSEARCH_CHUNK = 16\n", "screen-etimd", 2, -3)
+    counts = re.fullmatch(r"displaced strips costed \(untimed encode\): a ([\d,]+), b ([\d,]+)", line)
+    a, b = (int(counts[side].replace(",", "")) for side in (1, 2))
+    assert code == 0 and 0 < b < a
 
 
 def test_ab_cpu_compares_costs(tmp_path, capsys):

@@ -154,11 +154,35 @@ def test_window_validity_is_candidate_validity(width, height, block_size, t, don
     assert valid.tolist() == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    size=st.tuples(st.integers(4, 48), st.integers(4, 48)),
+    block_size=st.sampled_from([4, 8, 16]),
+    t=st.sampled_from([1, 2, 4, 6]),
+    data=st.data(),
+)
+def test_window_crop_drops_no_valid_candidate(size, block_size, t, data):
+    # The search window stops at the last row where the displaced block's
+    # bottom row can be committed: no candidate below it is valid.
+    width, height = size
+    samples = noise_frame(width, height, seed=width * 41 + height)
+    n_blocks = len(partition(width, height, block_size))
+    done = data.draw(st.integers(0, n_blocks - 1))
+    buf, blocks = prefix_buffer(samples, block_size, done)
+    block = blocks[done]
+    dx_lo, dx_hi, dy_lo, dy_hi = tmp._search_window(buf, block, None)
+    assert (dx_lo, dx_hi, dy_lo) == (-block.x0, width - block.w - block.x0, -block.y0)
+    for dy in range(max(dy_lo, dy_hi + 1), height - block.h - block.y0 + 1):
+        for dx in range(dx_lo, dx_hi + 1):
+            for strict in (True, False):
+                assert not candidate_valid(buf, block, BlockVector(dx, dy), t, strict_template=strict)
+
+
 @pytest.mark.parametrize("fixture", sorted(SCREEN_FIXTURES))
 def test_uncommitted_samples_never_reach_the_search(fixture):
     # The window's sample integral sums uncommitted samples as they stand,
-    # so whatever they hold must change no validity, bound, strip use or
-    # search result.
+    # so whatever they hold must change no validity, bound, later strips'
+    # bound or search result.
     samples = SCREEN_FIXTURES[fixture](7, 64)
     rng = np.random.default_rng(len(fixture))
     for done in (9, 20, 35, 50):
@@ -359,6 +383,32 @@ def test_search_reads_its_own_template_once(chunk, strict):
             found = tmp_search(buf, block, 8, 4, "satd", strict_template=strict)
         assert found is not None and len(notes) > len(own)  # candidates were costed
         assert [notes.count(rect) for rect in own] == [1] * len(own)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, tmp.SEARCH_CHUNK])
+def test_candidates_pruned_after_the_first_strip_never_read_the_second(chunk):
+    samples = noise_frame(48, 48, seed=17)
+    buf, blocks = prefix_buffer(samples, 8, 27)
+    block = blocks[27]  # (24, 32): both strips
+    above, left = template_rects(block, 4, 48, 48)
+    ax, ay, aw, ah = above
+    # below is the least above-strip cost of any valid candidate, so every
+    # candidate's cost exceeds the limit once its above strip is costed.
+    below = min(
+        block_cost(samples[ay + dy : ay + dy + ah, ax + dx : ax + dx + aw], samples[ay : ay + ah, ax : ax + aw], "satd")
+        for dy in range(-16, 17)
+        for dx in range(-16, 17)
+        if candidate_valid(buf, block, BlockVector(dx, dy), 4, strict_template=True)
+    )
+    notes = []
+    buf.read_hook = lambda *rect: notes.append(rect)
+    with mock.patch.object(tmp, "SEARCH_CHUNK", chunk):
+        got = tmp_search(buf, block, 16, 4, "satd", strict_template=True, below=below)
+    buf.read_hook = None
+    want = oracle_search(buf, block, 16, 4, "satd", True)
+    assert got is None and want is not None and want[1] >= below
+    assert len([r for r in notes if r[2:] == above[2:]]) > 1  # displaced above strips were costed
+    assert [r for r in notes if r[2:] == left[2:]] == [left]  # only the block's own left strip was read
 
 
 def test_lenient_candidate_without_evidence_is_valid_at_cost_0():
