@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -667,3 +668,40 @@ def test_pool_memo_key_holds_the_metric_and_every_bv_row():
                 distinct += len(bv_costs) > 1
         encode_block(ctx, block)
     assert distinct > 0
+
+
+def _fuse_oracle(predictions, weights, bit_depth, overshoot):
+    """Fusion one sample at a time: float64 sums in mode order, round half up, clip to the range.
+
+    overshoot counts the samples that the clip pulls back to 0 and to the top.
+    """
+    top = (1 << bit_depth) - 1
+    out = []
+    for values in zip(*(p.ravel().tolist() for p in predictions)):
+        acc = 0.0
+        for value, weight in zip(values, weights):
+            acc += float(weight) * float(value)
+        rounded = math.floor(acc + 0.5)
+        overshoot[0] += rounded < 0
+        overshoot[top] += rounded > top
+        out.append(min(max(rounded, 0), top))
+    return np.array(out, dtype=np.int64).reshape(predictions[0].shape)
+
+
+@pytest.mark.parametrize("bit_depth", [8, 10])
+def test_fuse_matches_scalar_oracle(rng, bit_depth):
+    top = (1 << bit_depth) - 1
+    overshoot = {0: 0, top: 0}
+    for n in range(1, 4):
+        for shape in ((8, 8), (4, 16), (16, 4)):
+            for _ in range(20):
+                # Predictions reach past both ends of the range, as a caller may hand in.
+                predictions = [rng.integers(-40, top + 41, size=shape, dtype=rng.choice([np.int32, np.int64])) for _ in range(n)]
+                weights = compute_weights(rng.integers(0, 5000, size=n).tolist())
+                if rng.random() < 0.3:
+                    weights = rng.random(n).tolist()  # any weights, not only ones summing to 1
+                want = _fuse_oracle(predictions, weights, bit_depth, overshoot)
+                out = fuse(predictions, weights, bit_depth)
+                assert out.dtype == np.int32
+                np.testing.assert_array_equal(out, want)
+    assert overshoot[0] > 0 and overshoot[top] > 0

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,3 +219,39 @@ def test_closed_loop_huge_step_matches_clamped_step(rng, bit_depth):
         np.testing.assert_array_equal(out, at_clamp)
     below = reconstruct_block(original, pred, closed_loop=True, quant_step=clamp // 2, bit_depth=bit_depth)
     assert not np.array_equal(below, pred)
+
+
+
+def _reconstruct_oracle(original, prediction, quant_step, bit_depth, overshoot):
+    """Closed-loop reconstruction one sample at a time in Python ints and floats.
+
+    overshoot counts the samples that the clip pulls back to 0 and to the top.
+    """
+    step = min(quant_step, 1 << (bit_depth + 1))
+    top = (1 << bit_depth) - 1
+    out = []
+    for o, p in zip(original.ravel().tolist(), prediction.ravel().tolist()):
+        recon = p + math.floor((o - p) / step + 0.5) * step
+        overshoot[0] += recon < 0
+        overshoot[top] += recon > top
+        out.append(min(max(recon, 0), top))
+    return np.array(out, dtype=np.int64).reshape(original.shape)
+
+
+@pytest.mark.parametrize("bit_depth", [8, 10])
+def test_closed_loop_reconstruction_matches_scalar_oracle(rng, bit_depth):
+    top = (1 << bit_depth) - 1
+    # Samples near both ends of the range, so p + level * step overshoots both clips.
+    ends = np.r_[np.arange(0, 12), np.arange(top - 11, top + 1)]
+    overshoot = {0: 0, top: 0}
+    for step in (1, 2, 3, 7, 8, 16, 37, 64, 1 << (bit_depth + 1), (1 << (bit_depth + 1)) + 3, 10**6):
+        for shape in ((8, 8), (4, 16), (3, 5)):
+            original, prediction = (
+                np.where(rng.random(shape) < 0.6, rng.choice(ends, size=shape), rng.integers(0, top + 1, size=shape))
+                for _ in range(2)
+            )
+            want = _reconstruct_oracle(original, prediction, step, bit_depth, overshoot)
+            out = reconstruct_block(original, prediction, closed_loop=True, quant_step=step, bit_depth=bit_depth)
+            assert out.dtype == np.int32
+            np.testing.assert_array_equal(out, want)
+    assert overshoot[0] > 0 and overshoot[top] > 0

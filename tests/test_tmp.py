@@ -3,10 +3,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from intralab import tmp
+from intralab.cost import strip_layout
 from intralab.errors import CausalityError
 from intralab.grid import BlockRef, ReconBuffer, partition
 from intralab.synth import SCREEN_FIXTURES, noise_frame, tiled_glyph_frame
@@ -21,7 +22,7 @@ from intralab.tmp import (
 )
 
 from conftest import prefix_buffer
-from oracles import block_cost, candidate_valid, committed_mask, extract_template, template_at_bv
+from oracles import block_cost, candidate_valid, committed_mask, extract_template, mask_covers, template_at_bv
 from search_oracle import oracle_search
 
 
@@ -447,3 +448,52 @@ def test_unknown_metric_rejected():
         tmp_search(buf, blocks[1], search_range=8, metric="ssd")
     with pytest.raises(ValueError):
         template_cost_at(buf, blocks[1], BlockVector(-8, 0), 4, "ssd")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    size=st.sampled_from([(24, 24), (32, 24), (40, 32)]),
+    block_size=st.sampled_from([4, 8]),
+    done_frac=st.floats(0, 1),
+    pick=st.floats(0, 1),
+    t=st.sampled_from([1, 2, 4, 8]),
+    moves=st.lists(st.tuples(st.integers(-44, 44), st.integers(-44, 12)), min_size=1, max_size=21),
+    valid_only=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_gather_templates_raises_iff_a_displaced_strip_is_uncommitted(
+    size, block_size, done_frac, pick, t, moves, valid_only, seed
+):
+    """Any prefix, block, depth and up to 21 moves: CausalityError iff a displaced strip
+    fails the mask oracle, otherwise the oracle's samples in layout order, each strip noted once."""
+    w, h = size
+    samples = noise_frame(w, h, seed=seed)
+    blocks = partition(w, h, block_size)
+    done = int(done_frac * len(blocks))
+    buf, _ = prefix_buffer(samples, block_size, done)
+    block = blocks[min(int(pick * len(blocks)), len(blocks) - 1)]
+    strips = [r for r in template_rects(block, t, w, h) if r is not None]
+    assume(strips)
+    mask = committed_mask(buf)
+
+    def ok(dx, dy):
+        return all(mask_covers(mask, x + dx, y + dy, sw, sh) for x, y, sw, sh in strips)
+
+    if valid_only:
+        moves = [m for m in moves if ok(*m)]
+        assume(moves)
+    dxs, dys = (np.array(v, dtype=np.int64) for v in zip(*moves))
+    reads = []
+    buf.read_hook = lambda *rect: reads.append(rect)
+    if not all(ok(*m) for m in moves):
+        with pytest.raises(CausalityError):
+            tmp.gather_templates(buf, strips, dxs, dys)
+        return
+    layout, rows = tmp.gather_templates(buf, strips, dxs, dys)
+    assert layout == strip_layout(tuple((sh, sw) for _, _, sw, sh in strips))
+    want = [
+        np.concatenate([samples[y + dy : y + dy + sh, x + dx : x + dx + sw].ravel() for x, y, sw, sh in strips])
+        for dx, dy in moves
+    ]
+    np.testing.assert_array_equal(rows, np.array(want)[:, layout.order])
+    assert reads == [(x + dx, y + dy, sw, sh) for dx, dy in moves for x, y, sw, sh in strips]
