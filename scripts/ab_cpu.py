@@ -15,7 +15,11 @@ costs, prediction SAD, SATD and squared error, transform fields and
 pred_hash), built after the timed encode and replay.  After the timed
 rounds, one untimed encode per package counts the displaced template
 strips that its tmp_search costs, as noted through ReconBuffer.read_hook,
-which shows a change in search work without timing noise.
+which shows a change in search work without timing noise.  With
+--stages, one more replay of every frame per package times the stages
+of the decoder-side derive-and-commit path (STAGES) and prints each
+one's CPU microseconds per replayed block.  A stage's time includes the
+stages it calls, each of which adds its own two clock reads.
 
 The frames and configs come from perfbench/workloads.py, which is read
 and not changed; its planes are synthesized with this checkout's
@@ -25,6 +29,7 @@ benchmark by tens of percent.
 
     python scripts/ab_cpu.py --a path/to/parent --workload screen-etimd
     python scripts/ab_cpu.py --a path/to/parent --b . --workload natural-timd --first b --rounds 5
+    python scripts/ab_cpu.py --a path/to/parent --workload smallblock-closedloop --variants 1 --rounds 1 --stages
 """
 
 from __future__ import annotations
@@ -38,6 +43,8 @@ import statistics
 import sys
 import tempfile
 import time
+from collections.abc import Callable, Iterator
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -45,6 +52,20 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("a", "b")
+# (module, function) of each stage that --stages times, in print order.
+STAGES = (
+    ("etimd", "evaluate_candidates"),
+    ("tmp", "gather_templates"),
+    ("etimd", "pool_costs"),
+    ("intra", "build_reference_samples"),
+    ("etimd", "commit_fusion"),
+    ("grid", "reconstruct_block"),
+    ("etimd", "fuse"),
+    ("etimd", "fusion_predictions"),
+    ("bvlist", "build_bv_list"),
+    ("etimd", "select_modes_etimd"),
+    ("etimd", "select_modes_timd"),
+)
 
 
 def _workloads():
@@ -62,18 +83,37 @@ def _load(name: str) -> SimpleNamespace:
     return SimpleNamespace(name=name, **{module: importlib.import_module(f"{name}.{module}") for module in modules})
 
 
+def _frame(package, wl, plane: np.ndarray, size: int) -> tuple:
+    """The package's Frame of the plane and RunConfig of the workload."""
+    cfg = package.harness.RunConfig(input_path="unused", width=size, height=size, bit_depth=wl.bit_depth, **wl.config)
+    return package.frames.Frame(wl.bit_depth, plane), cfg
+
+
 def _run(package, wl, plane: np.ndarray, size: int) -> tuple[float, float, list, np.ndarray]:
     """CPU seconds of one encode and one replay, each block's report record as a dict, and the replayed samples."""
-    harness, frames, reporting = package.harness, package.frames, package.reporting
-    cfg = harness.RunConfig(input_path="unused", width=size, height=size, bit_depth=wl.bit_depth, **wl.config)
-    frame = frames.Frame(wl.bit_depth, plane)
+    harness = package.harness
+    frame, cfg = _frame(package, wl, plane, size)
     t0 = time.process_time()
     results, _, _ = harness.encode_frame(frame, cfg)
     t1 = time.process_time()
     replayed = harness.replay_frame(frame, cfg, results)
     t2 = time.process_time()
-    records = [vars(reporting.BlockRecord.from_result(0, r)) for r in results]
+    records = [vars(package.reporting.BlockRecord.from_result(0, r)) for r in results]
     return t1 - t0, t2 - t1, records, replayed.samples
+
+
+@contextmanager
+def _replaced(package, original: Callable, attr: str, replacement: Callable) -> Iterator[None]:
+    """Replace original by replacement in every module of the package that holds it as attr, then restore."""
+    holders = [module for name, module in sys.modules.items()
+               if name.split(".")[0] == package.name and getattr(module, attr, None) is original]
+    for module in holders:
+        setattr(module, attr, replacement)
+    try:
+        yield
+    finally:
+        for module in holders:
+            setattr(module, attr, original)
 
 
 def _strips_costed(package, wl, planes: list[np.ndarray], size: int) -> int:
@@ -104,17 +144,42 @@ def _strips_costed(package, wl, planes: list[np.ndarray], size: int) -> int:
         finally:
             buf.read_hook = previous
 
-    holders = [module for name, module in sys.modules.items()
-               if name.split(".")[0] == package.name and getattr(module, "tmp_search", None) is search]
-    for module in holders:
-        module.tmp_search = counted
-    try:
+    with _replaced(package, search, "tmp_search", counted):
         for plane in planes:
             _run(package, wl, plane, size)
-    finally:
-        for module in holders:
-            module.tmp_search = search
     return count
+
+
+def _stage_times(package, wl, planes: list[np.ndarray], size: int) -> dict[str, float]:
+    """CPU microseconds per block of one replay of each plane ("replay") and of each of STAGES within it.
+
+    Each plane is encoded first, untimed; every stage function is then
+    replaced in every module of the package that holds it by one that
+    sums its CPU time.
+    """
+    spent = dict.fromkeys(["replay"] + [name for _, name in STAGES], 0.0)
+
+    def timed(name: str, fn: Callable) -> Callable:
+        def wrapper(*args, **kwargs):
+            start = time.process_time()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                spent[name] += time.process_time() - start
+
+        return wrapper
+
+    blocks = 0
+    for plane in planes:
+        frame, cfg = _frame(package, wl, plane, size)
+        results, _, _ = package.harness.encode_frame(frame, cfg)
+        with ExitStack() as stack:
+            for module, name in STAGES:
+                fn = getattr(importlib.import_module(f"{package.name}.{module}"), name)
+                stack.enter_context(_replaced(package, fn, name, timed(name, fn)))
+            timed("replay", package.harness.replay_frame)(frame, cfg, results)
+        blocks += len(results)
+    return {name: 1e6 * s / blocks for name, s in spent.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -127,6 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--frames", type=int, default=workloads.CYCLE, help="frames of each variant")
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--first", choices=SIDES, default="a", help="the package imported first")
+    parser.add_argument("--stages", action="store_true", help="also time each of STAGES over one more replay")
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.frames < 1 or min(args.variants) < 0:
         parser.exit(2, "error: --rounds and --frames must be >= 1 and --variants >= 0\n")
@@ -166,10 +232,19 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{n:5d} {enc['a']:8.3f} {enc['b']:8.3f} {enc_ratios[-1]:6.3f} "
                       f"{rep['a']:8.3f} {rep['b']:8.3f} {rep_ratios[-1]:6.3f}")
             strips = {side: _strips_costed(packages[side], wl, planes, workloads.SIZE) for side in SIDES}
+            if args.stages:
+                stages = {side: _stage_times(packages[side], wl, planes, workloads.SIZE) for side in SIDES}
         finally:
             sys.path.remove(tmp)
             for name in [m for m in sys.modules if m.split(".")[0] in ("intralab_a", "intralab_b")]:
                 del sys.modules[name]
+    if args.stages:
+        print("stages: CPU us per replayed block, one more replay of every frame")
+        print(f"{'stage':<24s} {'a':>8s} {'b':>8s} {'b/a':>6s}")
+        for name, a in stages["a"].items():
+            b = stages["b"][name]
+            if a or b:
+                print(f"{name:<24s} {a:8.1f} {b:8.1f} " + (f"{b / a:6.3f}" if a else f"{'-':>6s}"))
     print(f"displaced strips costed (untimed encode): a {strips['a']:,}, b {strips['b']:,}")
     print(f"median b/a: encode x{statistics.median(enc_ratios):.3f}, replay x{statistics.median(rep_ratios):.3f}")
     print(f"same results: {'yes' if same else 'NO'}")

@@ -118,6 +118,23 @@ def test_ab_cpu_runs_two_frames_of_a_workload_against_itself(capsys):
     assert not any(name.startswith("intralab_") for name in sys.modules)
 
 
+def test_ab_cpu_stages_times_each_stage_of_one_replay_per_side(capsys):
+    root = SCRIPTS.parent
+    argv = ["--a", str(root), "--b", str(root), "--workload", "natural-timd", "--variants", "1", "--frames", "1",
+            "--rounds", "1", "--stages"]
+    assert load_script("ab_cpu").main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    start = out.index("stages: CPU us per replayed block, one more replay of every frame")
+    assert out[start + 1].split() == ["stage", "a", "b", "b/a"]
+    rows = {line.split()[0]: [float(v) for v in line.split()[1:]] for line in out[start + 2 : -3]}
+    # TIMD builds no BV list and never selects by the E-TIMD rule, so those rows are left out.
+    assert list(rows) == ["replay", "evaluate_candidates", "gather_templates", "pool_costs", "build_reference_samples",
+                          "commit_fusion", "reconstruct_block", "fuse", "fusion_predictions", "select_modes_timd"]
+    for name, (a, b, _) in rows.items():
+        assert 0 < a <= rows["replay"][0] and 0 < b <= rows["replay"][1], name
+    assert out[-1] == "same results: yes"
+
+
 def _ab_cpu_against_patched(tmp_path, capsys, module, patch, workload="natural-timd", frames=1, line=-1):
     """ab_cpu's exit code and output line, this tree against a copy with patch appended to module."""
     root = SCRIPTS.parent
