@@ -33,7 +33,7 @@ from itertools import islice
 
 import numpy as np
 
-from .grid import BlockRef, ReconBuffer
+from .grid import BLOCK_SIZES, BlockRef, ReconBuffer
 from .tmp import BlockVector, extended_rect
 
 DEFAULT_N_MAX = 20
@@ -49,7 +49,7 @@ class Provenance(str, Enum):
     AUTO_RELOCATED = "auto-relocated"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BvCandidate:
     bv: BlockVector
     provenance: Provenance
@@ -58,13 +58,20 @@ class BvCandidate:
 class BvStore:
     """Pixel-position lookup of the integer-pel BVs each committed block used.
 
-    _owner maps each pixel of the (height, width) frame to its block's
-    entry in _bvs; its shape is the store's only record of the frame size.
+    _owner maps each pixel of the (height, width) frame, grown by _MARGIN
+    samples on every side, to its block's entry in _bvs; its shape is the
+    store's only record of the frame size.  The margin covers every
+    sampling point of any block, which lies at most 2 * w + 1 samples
+    left or right of it and 2 * h + 1 above or below (_sampling_offsets),
+    so sample_spatial_bvs reads all of them with one gather and finds
+    entry 0 outside the frame.
     """
+
+    _MARGIN = 2 * BLOCK_SIZES[-1] + 1
 
     def __init__(self, width: int, height: int):
         # Entry 0 is the empty tuple of every pixel no committed block covers.
-        self._owner = np.zeros((height, width), dtype=np.int32)
+        self._owner = np.zeros((height + 2 * self._MARGIN, width + 2 * self._MARGIN), dtype=np.int32)
         self._bvs: list[tuple[BlockVector, ...]] = [()]
 
     def add(
@@ -75,17 +82,19 @@ class BvStore:
         bvs is non-empty exactly when the prediction used a BV (IntraTMP
         copy, or BV modes inside an E-TIMD fusion).
         """
-        region = self._owner[block.y0 : block.y0 + block.h, block.x0 : block.x0 + block.w]
-        if region.any():
+        x0, y0 = block.x0 + self._MARGIN, block.y0 + self._MARGIN
+        region = self._owner[y0 : y0 + block.h, x0 : x0 + block.w]
+        if np.count_nonzero(region):
             raise ValueError(f"block {block.scan_index} overlaps a block already in the store")
         region[:] = len(self._bvs)
         self._bvs.append(tuple(normalize_bv(bv, precision) for bv in bvs))
 
     def bvs_at(self, x: int, y: int) -> tuple[BlockVector, ...]:
         """Integer-pel BVs of the block covering pixel (x, y); () where no block does."""
+        m = self._MARGIN
         height, width = self._owner.shape
-        if 0 <= x < width and 0 <= y < height:
-            return self._bvs[self._owner.item(y, x)]
+        if 0 <= x < width - 2 * m and 0 <= y < height - 2 * m:
+            return self._bvs[self._owner.item(y + m, x + m)]
         return ()
 
 
@@ -109,14 +118,25 @@ def _sampling_offsets(w: int, h: int) -> tuple[tuple[int, int], ...]:
     return tuple(points)
 
 
+@lru_cache(maxsize=64)
+def _sampling_index(w: int, h: int, stride: int) -> np.ndarray:
+    """Flat offsets of the sampling points of any (h, w) block from its origin, in a plane of that stride."""
+    index = np.array([py * stride + px for px, py in _sampling_offsets(w, h)])
+    index.setflags(write=False)  # shared by every caller
+    return index
+
+
 def sample_spatial_bvs(store: BvStore, block: BlockRef) -> list[BlockVector]:
     """BVs of the blocks under the sampling points, in visit order.
 
+    One gather reads the store's entry under every point (see BvStore).
     Duplicates are kept here; the list builder deduplicates downstream.
     """
+    owner, m = store._owner, store._MARGIN
+    origin = (block.y0 + m) * owner.shape[1] + block.x0 + m
     out: list[BlockVector] = []
-    for px, py in _sampling_offsets(block.w, block.h):
-        out += store.bvs_at(block.x0 + px, block.y0 + py)
+    for entry in owner.take(_sampling_index(block.w, block.h, owner.shape[1]) + origin).tolist():
+        out += store._bvs[entry]
     return out
 
 
@@ -154,7 +174,5 @@ def build_bv_list(
     # The displaced block and its strips together cover the displaced
     # template-extended block, so one rectangle check is the strict check.
     ex, ey, ew, eh = extended_rect(block, t)
-    kept = (
-        BvCandidate(bv, prov) for bv, prov in tagged.items() if buf.region_available(ex + bv.dx, ey + bv.dy, ew, eh)
-    )
+    kept = (BvCandidate(bv, prov) for bv, prov in tagged.items() if buf.is_committed(ex + bv.dx, ey + bv.dy, ew, eh))
     return list(islice(kept, n_max))

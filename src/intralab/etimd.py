@@ -20,7 +20,7 @@ The pool stays on arrays: evaluate_candidates returns a read-only
 CandidatePool of int64 costs (ALL_MODES order, then BV-list order) that
 builds a ModeCandidate, whose kind follows from its mode or BV, only for
 an entry that is read.  Both selectors rank with one np.lexsort over the
-cost and the tie keys of _tie_keys, accept a pool or any candidate list,
+cost and the tie place of _tie_keys, accept a pool or any candidate list,
 and build candidates only for the selected modes; "not yet selected"
 means by position in the pool.
 
@@ -41,7 +41,7 @@ Screen content repeats, and so do its pools.  pool_costs costs a pool
 from every input of it: the template-extended block's size (we, he),
 the template strips relative to it, the metric, the padded reference
 line, and every gathered template row (the block's own, then each
-listed BV's), both packed as uint16, which holds any 8- or 10-bit
+listed BV's), packed together as uint16, which holds any 8- or 10-bit
 sample.  A function of its arguments alone is exact under any cache,
 so EncodeContext.memo is functools.lru_cache(POOL_MEMO_ENTRIES) of it,
 and derive_fusion hands that to evaluate_candidates.  The samples are
@@ -128,7 +128,7 @@ _KIND_RANK = {"angular": 0, "planar": 1, "dc": 2, "bv": 3}
 _MODE_KIND = {MODE_PLANAR: "planar", MODE_DC: "dc"}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class ModeCandidate:
     """One pool entry with its template loss: an intra mode, or a BV when bv is set (list_index -1 if unlisted)."""
 
@@ -159,12 +159,13 @@ class CandidatePool(Sequence[ModeCandidate]):
     """Read-only pool of template losses: ALL_MODES order, then BV-list order.
 
     A ModeCandidate is built only when an entry is indexed or iterated.
+    costs is a read-only int64 view of the costs given.
     """
 
     def __init__(self, costs: np.ndarray, bv_list: Sequence[BvCandidate] = ()) -> None:
         if len(costs) != len(ALL_MODES) + len(bv_list):
             raise ValueError("costs must cover ALL_MODES and then every listed BV")
-        self.costs = np.array(costs, dtype=np.int64)
+        self.costs = np.asarray(costs, dtype=np.int64).view()
         self.costs.flags.writeable = False
         self.bv_list = tuple(bv_list)
 
@@ -172,7 +173,7 @@ class CandidatePool(Sequence[ModeCandidate]):
         return len(self.costs)
 
     def __getitem__(self, i: int) -> ModeCandidate:
-        cost = int(self.costs[i])  # raises IndexError past either end, which ends iteration
+        cost = self.costs.item(i)  # raises IndexError past either end, which ends iteration
         i = operator.index(i) % len(self.costs)
         if i < len(ALL_MODES):
             return ModeCandidate(cost, ALL_MODES[i])
@@ -181,19 +182,24 @@ class CandidatePool(Sequence[ModeCandidate]):
 
 
 def _tie_keys(candidates: Sequence[ModeCandidate]) -> tuple[np.ndarray, np.ndarray]:
-    """Kind rank and sub of each candidate: sub is the intra mode or the BV list index."""
+    """Kind rank of each candidate and its place in the tie order: by kind rank, then by sub.
+
+    sub is the intra mode or the BV list index; equal keys keep their order.
+    """
     ranks = np.array([_KIND_RANK[c.kind] for c in candidates], dtype=np.int64)
     subs = np.array([c.mode if c.bv is None else c.list_index for c in candidates], dtype=np.int64)
-    return ranks, subs
+    places = np.empty(len(ranks), dtype=np.int64)
+    places[np.lexsort((subs, ranks))] = np.arange(len(ranks))
+    return ranks, places
 
 
 @lru_cache(maxsize=64)
 def _pool_rank_keys(n_bv: int) -> tuple[np.ndarray, np.ndarray]:
     """_tie_keys of every entry of a pool with n_bv listed BVs; the keys read no vector."""
     bvs = [ModeCandidate(0, None, BlockVector(0, 0), j) for j in range(n_bv)]
-    ranks, subs = _tie_keys([ModeCandidate(0, mode) for mode in ALL_MODES] + bvs)
-    ranks.flags.writeable = subs.flags.writeable = False  # shared by every caller
-    return ranks, subs
+    ranks, places = _tie_keys([ModeCandidate(0, mode) for mode in ALL_MODES] + bvs)
+    ranks.flags.writeable = places.flags.writeable = False  # shared by every caller
+    return ranks, places
 
 
 @dataclass
@@ -228,25 +234,32 @@ def fuse(predictions: Sequence[np.ndarray], weights: Sequence[float], bit_depth:
     """Weighted sum of predictions, rounded half up and clipped to range."""
     if len(predictions) != len(weights) or not predictions:
         raise ValueError("predictions and weights must pair up")
-    acc = np.zeros(predictions[0].shape, dtype=np.float64)
-    for pred, w in zip(predictions, weights):
-        acc += float(w) * pred.astype(np.float64)
-    out = np.floor(acc + 0.5)
-    return np.clip(out, 0, (1 << bit_depth) - 1).astype(np.int32)
+    # The float64 sum runs in mode order from the first product, as 0.0 + p == p.
+    acc = np.multiply(predictions[0], float(weights[0]), dtype=np.float64)
+    for pred, w in zip(predictions[1:], weights[1:]):
+        acc += np.multiply(pred, float(w), dtype=np.float64)
+    acc += 0.5
+    np.floor(acc, out=acc)
+    np.maximum(acc, 0, out=acc)
+    np.minimum(acc, (1 << bit_depth) - 1, out=acc)
+    return acc.astype(np.int32)
 
 
-def pool_costs(we: int, he: int, strips: tuple[Rect, ...], metric: str, line: bytes, rows: bytes) -> np.ndarray:
+def pool_costs(we: int, he: int, strips: tuple[Rect, ...], metric: str, samples: bytes) -> np.ndarray:
     """Costs of the pool these inputs make: ALL_MODES order, then one per BV row.
 
-    line is the padded reference line of the (he, we) template-extended
-    block and rows its gathered template rows (the block's own first),
-    both packed as uint16; strips are the template's rectangles relative
-    to that block.  The costs depend on these arguments alone, which is
-    what lets EncodeContext.memo cache them.
+    samples packs, as uint16, the 2 * (we + he + 1) samples of the padded
+    reference line of the (he, we) template-extended block and then its
+    gathered template rows (the block's own first); strips are the
+    template's rectangles relative to that block.  The costs depend on
+    these arguments alone, which is what lets EncodeContext.memo cache
+    them.
     """
     layout = strip_layout(tuple((h, w) for _, _, w, h in strips))
-    preds = predict_template(np.frombuffer(line, dtype=np.uint16), we, he, strips)
-    rows = np.frombuffer(rows, dtype=np.uint16).reshape(-1, preds.shape[1])
+    samples = np.frombuffer(samples, dtype=np.uint16)
+    n_line = 2 * (we + he + 1)
+    preds = predict_template(samples[:n_line], we, he, strips)
+    rows = samples[n_line:].reshape(-1, preds.shape[1])
     diffs = np.concatenate((preds, rows[1:])) if len(rows) > 1 else preds
     diffs -= rows[0]
     return layout_cost(diffs, layout, metric)
@@ -282,25 +295,23 @@ def evaluate_candidates(
     ex, ey, we, he = extended_rect(block, t)
     strips = tuple((x - ex, y - ey, w, h) for x, y, w, h in rects)
     line = build_reference_samples(buf, ex, ey, we, he)
-    dxs = np.array([0] + [c.bv.dx for c in bv_list], dtype=np.int64)
-    dys = np.array([0] + [c.bv.dy for c in bv_list], dtype=np.int64)
-    _, rows = gather_templates(buf, rects, dxs, dys)
-    packed = (line.astype(np.uint16).tobytes(), rows.astype(np.uint16).tobytes())
-    return CandidatePool(costing(we, he, strips, metric, *packed), bv_list)
+    _, rows = gather_templates(buf, rects, [0, *(c.bv.dx for c in bv_list)], [0, *(c.bv.dy for c in bv_list)])
+    packed = np.concatenate((line, rows), axis=None, dtype=np.uint16, casting="unsafe").tobytes()
+    return CandidatePool(costing(we, he, strips, metric, packed), bv_list)
 
 
 def _ranking(candidates: Sequence[ModeCandidate]) -> tuple[list[int], list[int], np.ndarray]:
-    """Positions of a pool or candidate list in ranking order, their kind ranks, and the costs.
+    """Positions of a pool or candidate list in ranking order, the kind rank at each rank, and the costs.
 
-    The one ranking rule sorts on the cost, then on the tie keys of _tie_keys.
+    The one ranking rule sorts on the cost, then on the tie place of _tie_keys.
     """
     if isinstance(candidates, CandidatePool):
         cost = candidates.costs
-        kind_rank, sub = _pool_rank_keys(len(candidates.bv_list))
+        kind_rank, place = _pool_rank_keys(len(candidates.bv_list))
     else:
         cost = np.array([c.cost for c in candidates], dtype=np.int64)
-        kind_rank, sub = _tie_keys(candidates)
-    order = np.lexsort((sub, kind_rank, cost))
+        kind_rank, place = _tie_keys(candidates)
+    order = np.lexsort((place, cost))
     return order.tolist(), kind_rank[order].tolist(), cost
 
 
@@ -325,8 +336,8 @@ def select_modes_timd(candidates: Sequence[ModeCandidate]) -> FusionSet:
         raise ValueError("TIMD needs angular candidates")
     second = _first_rank(ranks, "angular", first + 1)
     extra = min(_first_rank(ranks, "planar"), _first_rank(ranks, "dc"))
-    best = cost[order[first]]
-    picked = [first] + [r for r in (second, extra) if r < len(ranks) and cost[order[r]] < 2 * best]
+    best = cost.item(order[first])
+    picked = [first] + [r for r in (second, extra) if r < len(ranks) and cost.item(order[r]) < 2 * best]
     return _fusion_of(candidates, order, picked)
 
 
@@ -341,11 +352,12 @@ def select_modes_etimd(candidates: Sequence[ModeCandidate]) -> FusionSet:
     order, ranks, cost = _ranking(candidates)
     if not ranks:
         raise ValueError("empty candidate pool")
-    if len(ranks) < 2 or 2 * cost[order[1]] >= 3 * cost[order[0]]:
+    if len(ranks) < 2 or 2 * cost.item(order[1]) >= 3 * cost.item(order[0]):
         return _fusion_of(candidates, order, [0])
-    # The two selected modes hold ranks 0 and 1, so the third comes after them.
-    third = min(_first_rank(ranks, kind, 2) for kind in ("planar", "dc", "bv"))
-    return _fusion_of(candidates, order, [0, 1] if third == len(ranks) else [0, 1, third])
+    # The two selected modes hold ranks 0 and 1, so the third is the first
+    # later rank of a Planar, DC or BV candidate: of any kind but angular.
+    third = next((r for r in range(2, len(ranks)) if ranks[r] != _KIND_RANK["angular"]), None)
+    return _fusion_of(candidates, order, [0, 1] if third is None else [0, 1, third])
 
 
 @dataclass

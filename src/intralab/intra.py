@@ -115,10 +115,10 @@ def build_reference_samples(buf: ReconBuffer, x0: int, y0: int, w: int, h: int) 
     docstring), so padding extends the run's end samples outward.
     """
     n_left = 2 * h
-    scan = np.full(n_left + 2 * w + 1, 1 << (buf.bit_depth - 1), dtype=np.int64)
+    scan = np.empty(n_left + 2 * w + 1, dtype=np.int64)  # the padding below fills all but the run
     start, stop = len(scan), 0  # the committed run, scan[start:stop]
     if y0 >= 1:
-        a, b = max(x0 - 1, 0), min(x0 + 2 * w, int(buf.extent[y0 - 1]))
+        a, b = max(x0 - 1, 0), min(x0 + 2 * w, buf.extent.item(y0 - 1))
         if a < b:
             buf.note_read(a, y0 - 1, b - a, 1)
             start = n_left + a - (x0 - 1)
@@ -136,6 +136,8 @@ def build_reference_samples(buf: ReconBuffer, x0: int, y0: int, w: int, h: int) 
     if start < stop:
         scan[:start] = scan[start]
         scan[stop:] = scan[stop - 1]
+    else:
+        scan.fill(1 << (buf.bit_depth - 1))
     return np.concatenate((scan[n_left:], scan[n_left : n_left + 1], scan[n_left - 1 :: -1]))
 
 

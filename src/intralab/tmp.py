@@ -50,7 +50,8 @@ bound is above the highest cost still accepted (partial distortion,
 after Bei & Gray, IEEE Trans. Commun. 1985), so a dropped candidate's
 later strips are neither gathered nor noted.  template_cost_at and mode evaluation
 read through gather_templates, which checks every displaced strip with
-the buffer's committed-rectangle rule in one vectorised test.  Both
+the buffer's committed-rectangle rule, one test on ints per strip and
+move.  Both
 gathers index the sample plane through _template_index and note each
 displaced strip they read through _note_templates, so a search notes
 its block's own strips once (through read_region) and each displaced
@@ -126,49 +127,51 @@ def bv_predict(buf: ReconBuffer, block: BlockRef, bv: BlockVector) -> np.ndarray
     return buf.read_region(block.x0 + bv.dx, block.y0 + bv.dy, block.w, block.h)
 
 
-def _template_index(
-    width: int, strips: Sequence[Rect], dxs: np.ndarray, dys: np.ndarray
-) -> tuple[Layout, np.ndarray]:
-    """Layout of the strips and the flat index, into a plane of that width, of each displaced by each (dx, dy).
+def _template_index(width: int, strips: Sequence[Rect], starts: np.ndarray) -> tuple[Layout, np.ndarray]:
+    """Layout of the strips and the flat index, into a plane of that width, of the strips moved to each start.
 
-    The index is int64, numpy's intp here: numpy converts any other
-    index type before it gathers, so an int32 index, half the size,
-    gathers slower (a 512 x 80 strip gather from a 256 x 256 plane: 35-63
-    us with int64, 106-110 us with int32; numpy 2.4 on a shared 2-vCPU
-    host).
+    starts holds the flat position of the first strip's top-left sample
+    after each move.  The index is int64, numpy's intp here: numpy
+    converts any other index type before it gathers, so an int32 index,
+    half the size, gathers slower (a 512 x 80 strip gather from a 256 x
+    256 plane: 35-63 us with int64, 106-110 us with int32; numpy 2.4 on
+    a shared 2-vCPU host).
     """
     x0, y0 = strips[0][:2]
     layout, offsets = strip_offsets(tuple((x - x0, y - y0, w, h) for x, y, w, h in strips), width)
-    return layout, offsets + ((y0 + dys) * width + x0 + dxs)[:, None]
+    return layout, np.add.outer(starts, offsets)
 
 
-def gather_templates(
-    buf: ReconBuffer, strips: Sequence[Rect], dxs: np.ndarray, dys: np.ndarray
-) -> tuple[Layout, np.ndarray]:
+def gather_templates(buf: ReconBuffer, strips: Sequence[Rect], dxs, dys) -> tuple[Layout, np.ndarray]:
     """Layout of the strips and their samples displaced by each (dx, dy), read causally.
 
+    dxs and dys are equal-length int sequences or 1-D integer arrays.
     Row i holds the strips moved by (dxs[i], dys[i]) in layout order, so
     (0, 0) gives the block's own template.  Every displaced strip must
-    lie inside the frame and be committed (ReconBuffer.is_committed, over
-    all strips and moves at once), or CausalityError is raised; each one
-    is noted as a read.
+    lie inside the frame and be committed, or CausalityError is raised;
+    each one is noted as a read.  The check asks ReconBuffer.is_committed
+    once per strip and move, on ints: the calls of a few moves cost less
+    than the numpy calls of one test over all of them.
     """
-    x, y, w, h = np.array(strips).T[:, :, None]
-    committed = buf.is_committed(x + dxs, y + dys, w, h)
-    if not committed.all():
-        i = int(np.argmin(committed.all(axis=0)))
-        raise CausalityError(
-            f"template displaced by ({dxs[i]}, {dys[i]}) leaves the frame or touches uncommitted samples"
-        )
+    x0, y0 = strips[0][:2]
+    width = buf.width
+    starts = []
+    for dx, dy in zip(dxs, dys):
+        for x, y, w, h in strips:
+            if not buf.is_committed(x + dx, y + dy, w, h):
+                raise CausalityError(
+                    f"template displaced by ({dx}, {dy}) leaves the frame or touches uncommitted samples"
+                )
+        starts.append((y0 + dy) * width + x0 + dx)
     _note_templates(buf, strips, dxs, dys)
-    layout, index = _template_index(buf.width, strips, dxs, dys)
-    return layout, buf.samples.ravel()[index]
+    layout, index = _template_index(width, strips, np.array(starts, dtype=np.int64))
+    return layout, buf.samples.take(index)
 
 
-def _note_templates(buf: ReconBuffer, strips: Sequence[Rect], dxs: np.ndarray, dys: np.ndarray) -> None:
+def _note_templates(buf: ReconBuffer, strips: Sequence[Rect], dxs, dys) -> None:
     """Note each strip displaced by each (dx, dy) as a read."""
     if buf.read_hook is not None:
-        for dx, dy in zip(dxs.tolist(), dys.tolist()):
+        for dx, dy in zip(np.asarray(dxs).tolist(), np.asarray(dys).tolist()):
             for x, y, w, h in strips:
                 buf.note_read(x + dx, y + dy, w, h)
 
@@ -186,8 +189,9 @@ def _strip_costs(
     screen-etimd encodes by 9-16%.
     """
     _note_templates(buf, [rect], dxs, dys)
-    layout, index = _template_index(buf.width, [rect], dxs, dys)
-    diffs = buf.samples.ravel()[index]
+    x, y = rect[:2]
+    layout, index = _template_index(buf.width, [rect], (y + dys) * buf.width + x + dxs)
+    diffs = buf.samples.take(index)
     del index
     diffs -= own
     return layout_cost(diffs, layout, metric)
@@ -212,7 +216,7 @@ def template_cost_at(
     ]
     if not strips:
         return 0
-    layout, rows = gather_templates(buf, strips, np.array([0, bv.dx]), np.array([0, bv.dy]))
+    layout, rows = gather_templates(buf, strips, (0, bv.dx), (0, bv.dy))
     return int(layout_cost(rows[1:] - rows[0], layout, metric)[0])
 
 
