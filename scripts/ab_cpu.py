@@ -16,9 +16,10 @@ pred_hash), built after the timed encode and replay.  After the timed
 rounds, one untimed encode per package counts the displaced template
 strips that its tmp_search costs, as noted through ReconBuffer.read_hook,
 which shows a change in search work without timing noise.  With
---stages, one more replay of every frame per package times the stages
-of the decoder-side derive-and-commit path (STAGES) and prints each
-one's CPU microseconds per replayed block.  A stage's time includes the
+--stages, one more replay of every frame per package, the two taking
+turns frame by frame, times the stages of the decoder-side
+derive-and-commit path (STAGES) and prints each one's CPU microseconds
+per replayed block.  A stage's time includes the
 stages it calls, each of which adds its own two clock reads.
 
 The frames and configs come from perfbench/workloads.py, which is read
@@ -150,36 +151,39 @@ def _strips_costed(package, wl, planes: list[np.ndarray], size: int) -> int:
     return count
 
 
-def _stage_times(package, wl, planes: list[np.ndarray], size: int) -> dict[str, float]:
-    """CPU microseconds per block of one replay of each plane ("replay") and of each of STAGES within it.
+def _stage_times(packages: dict, wl, planes: list[np.ndarray], size: int) -> dict[str, dict[str, float]]:
+    """Each side's CPU microseconds per block of one replay of each plane ("replay") and of each of STAGES in it.
 
-    Each plane is encoded first, untimed; every stage function is then
+    The sides take turns frame by frame, in alternating order.  Each
+    plane is encoded first, untimed; every stage function is then
     replaced in every module of the package that holds it by one that
     sums its CPU time.
     """
-    spent = dict.fromkeys(["replay"] + [name for _, name in STAGES], 0.0)
-
-    def timed(name: str, fn: Callable) -> Callable:
-        def wrapper(*args, **kwargs):
-            start = time.process_time()
-            try:
-                return fn(*args, **kwargs)
-            finally:
-                spent[name] += time.process_time() - start
-
-        return wrapper
-
+    spent = {side: dict.fromkeys(["replay"] + [name for _, name in STAGES], 0.0) for side in packages}
     blocks = 0
-    for plane in planes:
-        frame, cfg = _frame(package, wl, plane, size)
-        results, _, _ = package.harness.encode_frame(frame, cfg)
-        with ExitStack() as stack:
-            for module, name in STAGES:
-                fn = getattr(importlib.import_module(f"{package.name}.{module}"), name)
-                stack.enter_context(_replaced(package, fn, name, timed(name, fn)))
-            timed("replay", package.harness.replay_frame)(frame, cfg, results)
+    for n, plane in enumerate(planes):
+        for side in SIDES[:: 1 - 2 * (n % 2)]:
+            package, sums = packages[side], spent[side]
+
+            def timed(name: str, fn: Callable) -> Callable:
+                def wrapper(*args, **kwargs):
+                    start = time.process_time()
+                    try:
+                        return fn(*args, **kwargs)
+                    finally:
+                        sums[name] += time.process_time() - start
+
+                return wrapper
+
+            frame, cfg = _frame(package, wl, plane, size)
+            results, _, _ = package.harness.encode_frame(frame, cfg)
+            with ExitStack() as stack:
+                for module, name in STAGES:
+                    fn = getattr(importlib.import_module(f"{package.name}.{module}"), name)
+                    stack.enter_context(_replaced(package, fn, name, timed(name, fn)))
+                timed("replay", package.harness.replay_frame)(frame, cfg, results)
         blocks += len(results)
-    return {name: 1e6 * s / blocks for name, s in spent.items()}
+    return {side: {name: 1e6 * s / blocks for name, s in sums.items()} for side, sums in spent.items()}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -233,7 +237,7 @@ def main(argv: list[str] | None = None) -> int:
                       f"{rep['a']:8.3f} {rep['b']:8.3f} {rep_ratios[-1]:6.3f}")
             strips = {side: _strips_costed(packages[side], wl, planes, workloads.SIZE) for side in SIDES}
             if args.stages:
-                stages = {side: _stage_times(packages[side], wl, planes, workloads.SIZE) for side in SIDES}
+                stages = _stage_times(packages, wl, planes, workloads.SIZE)
         finally:
             sys.path.remove(tmp)
             for name in [m for m in sys.modules if m.split(".")[0] in ("intralab_a", "intralab_b")]:

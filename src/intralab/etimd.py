@@ -238,11 +238,9 @@ def fuse(predictions: Sequence[np.ndarray], weights: Sequence[float], bit_depth:
     acc = np.multiply(predictions[0], float(weights[0]), dtype=np.float64)
     for pred, w in zip(predictions[1:], weights[1:]):
         acc += np.multiply(pred, float(w), dtype=np.float64)
-    acc += 0.5
-    np.floor(acc, out=acc)
-    np.maximum(acc, 0, out=acc)
-    np.minimum(acc, (1 << bit_depth) - 1, out=acc)
-    return acc.astype(np.int32)
+    out = np.floor(acc + 0.5)
+    # In-place maximum and minimum: np.clip's Python wrapper costs more than both.
+    return np.minimum(np.maximum(out, 0, out=out), (1 << bit_depth) - 1, out=out).astype(np.int32)
 
 
 def pool_costs(we: int, he: int, strips: tuple[Rect, ...], metric: str, samples: bytes) -> np.ndarray:
@@ -296,8 +294,9 @@ def evaluate_candidates(
     strips = tuple((x - ex, y - ey, w, h) for x, y, w, h in rects)
     line = build_reference_samples(buf, ex, ey, we, he)
     _, rows = gather_templates(buf, rects, [0, *(c.bv.dx for c in bv_list)], [0, *(c.bv.dy for c in bv_list)])
-    packed = np.concatenate((line, rows), axis=None, dtype=np.uint16, casting="unsafe").tobytes()
-    return CandidatePool(costing(we, he, strips, metric, packed), bv_list)
+    packed = np.empty(len(line) + rows.size, dtype=np.uint16)
+    packed[: len(line)], packed[len(line) :] = line, rows.ravel()
+    return CandidatePool(costing(we, he, strips, metric, packed.tobytes()), bv_list)
 
 
 def _ranking(candidates: Sequence[ModeCandidate]) -> tuple[list[int], list[int], np.ndarray]:

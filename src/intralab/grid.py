@@ -147,13 +147,12 @@ class ReconBuffer:
         if recon.shape != (block.h, block.w):
             raise ValueError(f"recon shape {recon.shape} != block {block.h}x{block.w}")
         x0, y0, w, h = block.x0, block.y0, block.w, block.h
-        extent = self.extent
         # extent never grows down the frame, so its first and last rows bound the block's.
-        in_place = self.in_frame(x0, y0, w, h) and extent.item(y0) == x0 == extent.item(y0 + h - 1)
-        if not (in_place and (y0 == 0 or extent.item(y0 - 1) == self.width)):
+        in_place = self.in_frame(x0, y0, w, h) and self.extent.item(y0) == x0 == self.extent.item(y0 + h - 1)
+        if not (in_place and (y0 == 0 or self.extent.item(y0 - 1) == self.width)):
             raise CommitOrderError(f"block {block.scan_index} at ({x0},{y0}) is not at the raster position")
         self.samples[y0 : y0 + h, x0 : x0 + w] = recon
-        extent[y0 : y0 + h] = x0 + w
+        self.extent[y0 : y0 + h] = x0 + w
         self.n_committed += 1
 
 
@@ -179,12 +178,7 @@ def reconstruct_block(
     quant_step = min(quant_step, 1 << (bit_depth + 1))
     # float64 holds every value below exactly: residuals and levels times
     # the step stay far below 2^53, so this is the integer arithmetic.
-    recon = np.subtract(original, prediction, dtype=np.float64)
-    recon /= quant_step
-    recon += 0.5
-    np.floor(recon, out=recon)
-    recon *= quant_step
-    recon += prediction
-    np.maximum(recon, 0, out=recon)
-    np.minimum(recon, (1 << bit_depth) - 1, out=recon)
-    return recon.astype(np.int32)
+    levels = np.floor(np.subtract(original, prediction, dtype=np.float64) / quant_step + 0.5)
+    recon = levels * quant_step + prediction
+    # In-place maximum and minimum: np.clip's Python wrapper costs more than both.
+    return np.minimum(np.maximum(recon, 0, out=recon), (1 << bit_depth) - 1, out=recon).astype(np.int32)

@@ -153,18 +153,16 @@ def gather_templates(buf: ReconBuffer, strips: Sequence[Rect], dxs, dys) -> tupl
     once per strip and move, on ints: the calls of a few moves cost less
     than the numpy calls of one test over all of them.
     """
-    x0, y0 = strips[0][:2]
-    width = buf.width
-    starts = []
     for dx, dy in zip(dxs, dys):
         for x, y, w, h in strips:
             if not buf.is_committed(x + dx, y + dy, w, h):
                 raise CausalityError(
                     f"template displaced by ({dx}, {dy}) leaves the frame or touches uncommitted samples"
                 )
-        starts.append((y0 + dy) * width + x0 + dx)
     _note_templates(buf, strips, dxs, dys)
-    layout, index = _template_index(width, strips, np.array(starts, dtype=np.int64))
+    x0, y0 = strips[0][:2]
+    starts = np.array([(y0 + dy) * buf.width + x0 + dx for dx, dy in zip(dxs, dys)], dtype=np.int64)
+    layout, index = _template_index(buf.width, strips, starts)
     return layout, buf.samples.take(index)
 
 
