@@ -6,7 +6,11 @@ the raster position.  So the committed area is a staircase: each row
 holds a committed prefix, ReconBuffer.extent[y] samples long, never
 longer than the row above's.  A rectangle is committed iff it lies in
 the frame and its bottom row's prefix reaches its right edge, the one
-rule of ReconBuffer.is_committed.  Mode derivation reads committed
+rule of ReconBuffer.is_committed.  Its one inequality takes ints or
+arrays: a rectangle of ints is tested on Python ints alone, with no
+numpy call, which is how the per-block checks (a BV candidate, a
+displaced template strip, a read) stay cheap, and arrays test a whole
+search window at once.  Mode derivation reads committed
 samples only, each noted for the read hook: through read_region, which
 refuses any other, a checked gather (tmp.gather_templates), strips the
 search window shows committed, or build_reference_samples, which pads
@@ -101,8 +105,8 @@ class ReconBuffer:
         bottom row outside the frame indexes extent modulo the height, and
         the test on it rejects it.  The one inequality serves both: on ints
         it reads the bottom row's prefix with extent.item and returns a
-        Python bool without a numpy call (a sevenfold saving per scalar
-        test), on arrays it gathers the prefixes.
+        Python bool without a numpy call, on arrays it gathers the
+        prefixes.
         """
         height = self.samples.shape[0]
         bottom = y + h - 1

@@ -705,3 +705,22 @@ def test_fuse_matches_scalar_oracle(rng, bit_depth):
                 assert out.dtype == np.int32
                 np.testing.assert_array_equal(out, want)
     assert overshoot[0] > 0 and overshoot[top] > 0
+
+
+# Weights and predictions whose float64 sum lands on the other side of a
+# half in reverse mode order, so only the mode order rounds as the oracle does.
+_ORDER_SENSITIVE = [
+    ([0.7407407407407407, 0.1866096866096866, 0.07264957264957266], [44, 206, 557]),
+    ([0.343312101910828, 0.5585987261146497, 0.0980891719745223], [855, 74, 88]),
+    ([0.20168067226890757, 0.2850140056022409, 0.5133053221288515], [644, 679, 721]),
+    ([0.33116883116883117, 0.2597402597402597, 0.4090909090909091], [273, 812, 878]),
+]
+
+
+@pytest.mark.parametrize("weights, values", _ORDER_SENSITIVE)
+def test_fuse_sums_in_mode_order(weights, values):
+    predictions = [np.full((4, 4), v, dtype=np.int32) for v in values]
+    overshoot = {0: 0, 1023: 0}
+    want = _fuse_oracle(predictions, weights, 10, overshoot)
+    assert not np.array_equal(want, _fuse_oracle(predictions[::-1], weights[::-1], 10, overshoot))
+    np.testing.assert_array_equal(fuse(predictions, weights, 10), want)

@@ -455,23 +455,30 @@ def test_unknown_metric_rejected():
     size=st.sampled_from([(24, 24), (32, 24), (40, 32)]),
     block_size=st.sampled_from([4, 8]),
     done_frac=st.floats(0, 1),
-    pick=st.floats(0, 1),
+    pick=st.one_of(st.none(), st.floats(0, 1)),
     t=st.sampled_from([1, 2, 4, 8]),
-    moves=st.lists(st.tuples(st.integers(-44, 44), st.integers(-44, 12)), min_size=1, max_size=21),
-    valid_only=st.booleans(),
+    kind=st.sampled_from(["any", "valid", "one-any"]),
     seed=st.integers(0, 2**16),
+    data=st.data(),
 )
 def test_gather_templates_raises_iff_a_displaced_strip_is_uncommitted(
-    size, block_size, done_frac, pick, t, moves, valid_only, seed
+    size, block_size, done_frac, pick, t, kind, seed, data
 ):
     """Any prefix, block, depth and up to 21 moves: CausalityError iff a displaced strip
-    fails the mask oracle, otherwise the oracle's samples in layout order, each strip noted once."""
+    fails the mask oracle, otherwise the oracle's samples in layout order, each strip noted once.
+
+    The block is the next one to code (pick None) or any other.  The
+    moves reach past the frame's left, top and right edges and onto the
+    block's own uncommitted rows; they are drawn at random, or all valid,
+    or all valid but one drawn at random, put at any place, so that only
+    that one can fail, through any of its strips.
+    """
     w, h = size
     samples = noise_frame(w, h, seed=seed)
     blocks = partition(w, h, block_size)
-    done = int(done_frac * len(blocks))
+    done = int(done_frac * (len(blocks) - 1))
     buf, _ = prefix_buffer(samples, block_size, done)
-    block = blocks[min(int(pick * len(blocks)), len(blocks) - 1)]
+    block = blocks[done if pick is None else min(int(pick * len(blocks)), len(blocks) - 1)]
     strips = [r for r in template_rects(block, t, w, h) if r is not None]
     assume(strips)
     mask = committed_mask(buf)
@@ -479,8 +486,12 @@ def test_gather_templates_raises_iff_a_displaced_strip_is_uncommitted(
     def ok(dx, dy):
         return all(mask_covers(mask, x + dx, y + dy, sw, sh) for x, y, sw, sh in strips)
 
-    if valid_only:
-        moves = [m for m in moves if ok(*m)]
+    move = st.tuples(st.integers(-block.x0 - t - 2, w - block.x0 + 2), st.integers(-block.y0 - t - 2, 4))
+    moves = data.draw(st.lists(move, min_size=1, max_size=21))
+    if kind != "any":
+        drawn, moves = moves[0], [m for m in moves[1:] if ok(*m)]
+        if kind == "one-any":
+            moves.insert(data.draw(st.integers(0, len(moves))), drawn)
         assume(moves)
     dxs, dys = (np.array(v, dtype=np.int64) for v in zip(*moves))
     reads = []
