@@ -160,28 +160,28 @@ def _stage_times(packages: dict, wl, planes: list[np.ndarray], size: int) -> dic
     sums its CPU time.
     """
     spent = {side: dict.fromkeys(["replay"] + [name for _, name in STAGES], 0.0) for side in packages}
+
+    def timed(sums: dict[str, float], name: str, fn: Callable) -> Callable:
+        def wrapper(*args, **kwargs):
+            start = time.process_time()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                sums[name] += time.process_time() - start
+
+        return wrapper
+
     blocks = 0
     for n, plane in enumerate(planes):
         for side in SIDES[:: 1 - 2 * (n % 2)]:
-            package, sums = packages[side], spent[side]
-
-            def timed(name: str, fn: Callable) -> Callable:
-                def wrapper(*args, **kwargs):
-                    start = time.process_time()
-                    try:
-                        return fn(*args, **kwargs)
-                    finally:
-                        sums[name] += time.process_time() - start
-
-                return wrapper
-
+            package = packages[side]
             frame, cfg = _frame(package, wl, plane, size)
             results, _, _ = package.harness.encode_frame(frame, cfg)
             with ExitStack() as stack:
                 for module, name in STAGES:
                     fn = getattr(importlib.import_module(f"{package.name}.{module}"), name)
-                    stack.enter_context(_replaced(package, fn, name, timed(name, fn)))
-                timed("replay", package.harness.replay_frame)(frame, cfg, results)
+                    stack.enter_context(_replaced(package, fn, name, timed(spent[side], name, fn)))
+                timed(spent[side], "replay", package.harness.replay_frame)(frame, cfg, results)
         blocks += len(results)
     return {side: {name: 1e6 * s / blocks for name, s in sums.items()} for side, sums in spent.items()}
 
