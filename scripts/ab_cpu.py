@@ -7,7 +7,10 @@ into this process, --first one first.  After one untimed frame per
 package, which fills their lazy caches, each round encodes and
 replays every frame of the workload's input variants with both
 packages, once a before b and once b before a, and sums each package's
-CPU time.  One row is printed per round, then the medians; a ratio is
+CPU time.  One row is printed per round, then each package's minor
+page faults over those rounds (ru_minflt read around each of its
+encode-and-replay runs), which show an allocator that hands memory back
+to the system and faults it in again, then the medians; a ratio is
 b over a, so below 1 means b is faster.  The script also checks that
 both trees give the same reconstructions and, for every block, the same
 report record (reporting.BlockRecord: tool, fusion labels, weights and
@@ -16,11 +19,13 @@ pred_hash), built after the timed encode and replay.  After the timed
 rounds, one untimed encode per package counts the displaced template
 strips that its tmp_search costs, as noted through ReconBuffer.read_hook,
 which shows a change in search work without timing noise.  With
---stages, one more replay of every frame per package, the two taking
-turns frame by frame, times the stages of the decoder-side
-derive-and-commit path (STAGES) and prints each one's CPU microseconds
-per replayed block.  A stage's time includes the
-stages it calls, each of which adds its own two clock reads.
+--stages, --rounds more runs each encode and replay every frame once
+per package, the two taking turns frame by frame.  They time the
+encode's search stages (ENCODE_STAGES) and the stages of the
+decoder-side derive-and-commit path (REPLAY_STAGES), and the script
+prints each one's CPU microseconds per block, the median over the runs.
+A stage's time includes the stages it calls, each of which adds its own
+two clock reads.
 
 The frames and configs come from perfbench/workloads.py, which is read
 and not changed; its planes are synthesized with this checkout's
@@ -30,7 +35,7 @@ benchmark by tens of percent.
 
     python scripts/ab_cpu.py --a path/to/parent --workload screen-etimd
     python scripts/ab_cpu.py --a path/to/parent --b . --workload natural-timd --first b --rounds 5
-    python scripts/ab_cpu.py --a path/to/parent --workload smallblock-closedloop --variants 1 --rounds 1 --stages
+    python scripts/ab_cpu.py --a path/to/parent --workload smallblock-closedloop --variants 1 --rounds 3 --stages
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ import argparse
 import importlib
 import importlib.util
 import inspect
+import resource
 import shutil
 import statistics
 import sys
@@ -53,8 +59,16 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("a", "b")
-# (module, function) of each stage that --stages times, in print order.
-STAGES = (
+# (module, function) of each stage that --stages times, in print order:
+# the search stages of the encode, then the derive-and-commit stages of
+# the replay.  A stage that a tree lacks reads 0.
+ENCODE_STAGES = (
+    ("tmp", "tmp_search"),
+    ("tmp", "_window_bounds"),
+    ("cost", "hadamard_planes"),
+    ("tmp", "_strip_costs"),
+)
+REPLAY_STAGES = (
     ("etimd", "evaluate_candidates"),
     ("tmp", "gather_templates"),
     ("etimd", "pool_costs"),
@@ -90,17 +104,19 @@ def _frame(package, wl, plane: np.ndarray, size: int) -> tuple:
     return package.frames.Frame(wl.bit_depth, plane), cfg
 
 
-def _run(package, wl, plane: np.ndarray, size: int) -> tuple[float, float, list, np.ndarray]:
-    """CPU seconds of one encode and one replay, each block's report record as a dict, and the replayed samples."""
+def _run(package, wl, plane: np.ndarray, size: int) -> tuple[float, float, int, list, np.ndarray]:
+    """CPU seconds of one encode and one replay, the minor page faults of both, each block's report record as a dict, and the replayed samples."""
     harness = package.harness
     frame, cfg = _frame(package, wl, plane, size)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     t0 = time.process_time()
     results, _, _ = harness.encode_frame(frame, cfg)
     t1 = time.process_time()
     replayed = harness.replay_frame(frame, cfg, results)
     t2 = time.process_time()
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
     records = [vars(package.reporting.BlockRecord.from_result(0, r)) for r in results]
-    return t1 - t0, t2 - t1, records, replayed.samples
+    return t1 - t0, t2 - t1, faults, records, replayed.samples
 
 
 @contextmanager
@@ -152,14 +168,15 @@ def _strips_costed(package, wl, planes: list[np.ndarray], size: int) -> int:
 
 
 def _stage_times(packages: dict, wl, planes: list[np.ndarray], size: int) -> dict[str, dict[str, float]]:
-    """Each side's CPU microseconds per block of one replay of each plane ("replay") and of each of STAGES in it.
+    """Each side's CPU microseconds per block of one encode and one replay of each plane and of each stage in them.
 
-    The sides take turns frame by frame, in alternating order.  Each
-    plane is encoded first, untimed; every stage function is then
-    replaced in every module of the package that holds it by one that
-    sums its CPU time.
+    The rows are "encode", ENCODE_STAGES, "replay" and REPLAY_STAGES.
+    The sides take turns frame by frame, in alternating order.  Every
+    stage function is replaced in every module of the package that holds
+    it by one that sums its CPU time.
     """
-    spent = {side: dict.fromkeys(["replay"] + [name for _, name in STAGES], 0.0) for side in packages}
+    names = ["encode"] + [n for _, n in ENCODE_STAGES] + ["replay"] + [n for _, n in REPLAY_STAGES]
+    spent = {side: dict.fromkeys(names, 0.0) for side in packages}
 
     def timed(sums: dict[str, float], name: str, fn: Callable) -> Callable:
         def wrapper(*args, **kwargs):
@@ -171,17 +188,24 @@ def _stage_times(packages: dict, wl, planes: list[np.ndarray], size: int) -> dic
 
         return wrapper
 
+    def wrapped(stack: ExitStack, side: str, stages: tuple) -> None:
+        package = packages[side]
+        for module, name in stages:
+            fn = getattr(importlib.import_module(f"{package.name}.{module}"), name, None)
+            if fn is not None:
+                stack.enter_context(_replaced(package, fn, name, timed(spent[side], name, fn)))
+
     blocks = 0
     for n, plane in enumerate(planes):
         for side in SIDES[:: 1 - 2 * (n % 2)]:
-            package = packages[side]
-            frame, cfg = _frame(package, wl, plane, size)
-            results, _, _ = package.harness.encode_frame(frame, cfg)
+            harness = packages[side].harness
+            frame, cfg = _frame(packages[side], wl, plane, size)
             with ExitStack() as stack:
-                for module, name in STAGES:
-                    fn = getattr(importlib.import_module(f"{package.name}.{module}"), name)
-                    stack.enter_context(_replaced(package, fn, name, timed(spent[side], name, fn)))
-                timed(spent[side], "replay", package.harness.replay_frame)(frame, cfg, results)
+                wrapped(stack, side, ENCODE_STAGES)
+                results, _, _ = timed(spent[side], "encode", harness.encode_frame)(frame, cfg)
+            with ExitStack() as stack:
+                wrapped(stack, side, REPLAY_STAGES)
+                timed(spent[side], "replay", harness.replay_frame)(frame, cfg, results)
         blocks += len(results)
     return {side: {name: 1e6 * s / blocks for name, s in sums.items()} for side, sums in spent.items()}
 
@@ -196,7 +220,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--frames", type=int, default=workloads.CYCLE, help="frames of each variant")
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--first", choices=SIDES, default="a", help="the package imported first")
-    parser.add_argument("--stages", action="store_true", help="also time each of STAGES over one more replay")
+    parser.add_argument("--stages", action="store_true",
+                        help="also time each of ENCODE_STAGES and REPLAY_STAGES over --rounds more runs")
     args = parser.parse_args(argv)
     if args.rounds < 1 or args.frames < 1 or min(args.variants) < 0:
         parser.exit(2, "error: --rounds and --frames must be >= 1 and --variants >= 0\n")
@@ -221,29 +246,34 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{args.workload}: {len(planes)} frames, {order[0]} imported first; CPU s per round")
             print(f"{'round':>5s} {'enc a':>8s} {'enc b':>8s} {'b/a':>6s} {'rep a':>8s} {'rep b':>8s} {'b/a':>6s}")
             enc_ratios, rep_ratios = [], []
+            faults = dict.fromkeys(SIDES, 0)
             for n in range(args.rounds):
                 enc, rep = dict.fromkeys(SIDES, 0.0), dict.fromkeys(SIDES, 0.0)
                 for plane in planes:
                     for sides in (SIDES, SIDES[::-1]):
                         out = {}
                         for side in sides:
-                            e, r, *out[side] = _run(packages[side], wl, plane, workloads.SIZE)
+                            e, r, f, *out[side] = _run(packages[side], wl, plane, workloads.SIZE)
                             enc[side] += e
                             rep[side] += r
+                            faults[side] += f
                         same &= out["a"][0] == out["b"][0] and np.array_equal(out["a"][1], out["b"][1])
                 enc_ratios.append(enc["b"] / enc["a"])
                 rep_ratios.append(rep["b"] / rep["a"])
                 print(f"{n:5d} {enc['a']:8.3f} {enc['b']:8.3f} {enc_ratios[-1]:6.3f} "
                       f"{rep['a']:8.3f} {rep['b']:8.3f} {rep_ratios[-1]:6.3f}")
+            print(f"minor page faults (timed rounds): a {faults['a']:,}, b {faults['b']:,}")
             strips = {side: _strips_costed(packages[side], wl, planes, workloads.SIZE) for side in SIDES}
             if args.stages:
-                stages = _stage_times(packages, wl, planes, workloads.SIZE)
+                runs = [_stage_times(packages, wl, planes, workloads.SIZE) for _ in range(args.rounds)]
+                stages = {side: {name: statistics.median(run[side][name] for run in runs) for name in runs[0][side]}
+                          for side in SIDES}
         finally:
             sys.path.remove(tmp)
             for name in [m for m in sys.modules if m.split(".")[0] in ("intralab_a", "intralab_b")]:
                 del sys.modules[name]
     if args.stages:
-        print("stages: CPU us per replayed block, one more replay of every frame")
+        print(f"stages: CPU us per block, median of {args.rounds} more encodes and replays of every frame")
         print(f"{'stage':<24s} {'a':>8s} {'b':>8s} {'b/a':>6s}")
         for name, a in stages["a"].items():
             b = stages["b"][name]

@@ -26,12 +26,22 @@ SAD remainder.  Each strip is tiled as satd_tiling tiles it alone, so
 the layout cost of stacked strips is the sum of their separate costs.
 strip_offsets(strips, width) places that order from a plane's origin,
 for the intra template prediction and tmp's gathers alike.
-layout_cost, the one template-cost kernel and the only place that picks
-SATD or SAD, costs a whole batch of templates gathered in that order
+layout_cost, the template-cost kernel of mode evaluation and of one
+template match, costs a whole batch of templates gathered in that order
 with one satd_batch call per tile size and one absolute sum; mode
-evaluation, the BV list and every template match cost through it, so a
-BV and an intra mode are costed alike.  bound_pieces gives the pieces of
-the DC lower bound the template search prunes with.
+evaluation and the BV list cost through it, so a BV and an intra mode
+are costed alike.  bound_pieces gives the pieces of the DC lower bound
+the template search prunes with.
+
+The template search costs its strips' SATD tiles in the transform
+domain instead, which gives the same integer costs.  hadamard_planes
+holds the 16 Hadamard coefficients of every 4x4 tile position of a
+region, one int16 plane each, built once by separable butterflies.
+The transform is linear, so coefficient_cost costs a tile as the
+normalized absolute sum of its coefficient vector minus another's, and
+an 8x8 tile from its four 4x4 sub-tiles, because the Sylvester H8 is
+H2 (x) H4.  tile_origins places a strip's tiles for that gather.
+Only layout_cost, tile_origins and bound_pieces pick SATD or SAD.
 
 sad(diffs) and satd(diffs) take one integer difference array of shape
 (..., h, w), such as a stack of source-minus-prediction residuals, and
@@ -94,6 +104,84 @@ def satd_tiling(h: int, w: int) -> tuple[int, int, int]:
         return 0, 0, 0
     tile = 8 if (h % 8 == 0 and w % 8 == 0) else 4
     return tile, (h // tile) * tile, (w // tile) * tile
+
+
+@lru_cache(maxsize=256)
+def tile_origins(h: int, w: int, metric: str) -> tuple[int, np.ndarray]:
+    """The Hadamard tile of an h x w region under metric and the (y, x) origin of each 4x4 sub-tile of its tiles.
+
+    The tile is satd_tiling's under satd, and 0 (no tiles) under sad.
+    The origins are (2, tiles) for 4x4 tiles.  For 8x8 tiles they are
+    (2, 4, tiles): each tile's top-left, top-right, bottom-left and
+    bottom-right sub-tile.  Tile 0 has no origins.
+    """
+    check_metric(metric)
+    tile, th, tw = satd_tiling(h, w) if metric == "satd" else (0, 0, 0)
+    origins = np.mgrid[0:th:tile or 1, 0:tw:tile or 1].reshape(2, -1)
+    if tile == 8:
+        origins = origins[:, None] + np.array([[0, 0, 4, 4], [0, 4, 0, 4]])[:, :, None]
+    origins.setflags(write=False)  # shared by every caller
+    return tile, origins
+
+
+def _butterflies(a: np.ndarray, axis: int, out: np.ndarray) -> None:
+    """out[k] = coefficient k of the 4-point Hadamard transform of every 4 consecutive entries of a along axis.
+
+    The pair sums and differences are stacked, so each butterfly stage is
+    two ufunc calls.
+    """
+    lead = (slice(None),) * axis
+    first, second = a[(*lead, slice(None, -1))], a[(*lead, slice(1, None))]
+    pairs = np.empty((2, *first.shape), dtype=a.dtype)
+    np.add(first, second, out=pairs[0])
+    np.subtract(first, second, out=pairs[1])
+    low, high = (slice(None), *lead, slice(None, -2)), (slice(None), *lead, slice(2, None))
+    np.add(pairs[low], pairs[high], out=out[:2])
+    np.subtract(pairs[low], pairs[high], out=out[2:])
+
+
+def hadamard_planes(samples: np.ndarray, bit_depth: int) -> np.ndarray:
+    """The 16 Hadamard coefficients of every 4x4 tile of an (h, w) sample region: int16, (16, h - 3, w - 3).
+
+    planes[:, y, x] is the coefficient vector of the tile whose top-left
+    sample is (x, y), from separable butterflies: a 4-point transform
+    along each row, then along each column of those.  The transform is
+    linear, so a tile's coefficient difference from another tile is the
+    transform of their sample difference.  A coefficient of samples below
+    2^10 is at most 16 * 1023 = 16,368 in magnitude, so the difference of
+    two is at most 32,736 < 2^15 and int16 holds both; a bit depth above
+    10 raises ValueError.  A tile's coefficients read its own 16 samples
+    alone, so a sample outside the range reaches only the tiles that
+    cover it.
+    """
+    if bit_depth > 10:
+        raise ValueError(f"coefficient planes hold samples of at most 10 bits, got {bit_depth}")
+    h, w = samples.shape
+    rows = np.empty((4, h, w - 3), dtype=np.int16)
+    _butterflies(samples.astype(np.int16), 1, rows)
+    planes = np.empty((4, 4, h - 3, w - 3), dtype=np.int16)
+    _butterflies(rows, 1, planes)
+    return planes.reshape(16, h - 3, w - 3)
+
+
+def coefficient_cost(coeffs: np.ndarray, own: np.ndarray, tile: int) -> np.ndarray:
+    """SATD of each of n candidates' tiles against the block's own, from 4x4 coefficient vectors (int64).
+
+    coeffs, (16, *sub, n) as gathered from hadamard_planes at a strip's
+    tile_origins, holds every candidate's sub-tile vectors and own,
+    (16, *sub), the block's; coeffs is overwritten.  An 8x8 tile's 64
+    coefficients are the four sums A +- B +- C +- D of its sub-tiles'
+    vectors (top-left, top-right, bottom-left, bottom-right), since the
+    Sylvester H8 is H2 (x) H4; those run in int32.
+    """
+    coeffs -= own[..., None]
+    if tile == 4:
+        sums = np.abs(coeffs, out=coeffs).sum(axis=0, dtype=np.int32)
+    else:
+        a, b, c, d = coeffs.astype(np.int32).transpose(1, 0, 2, 3)
+        sums = sum(np.abs(q).sum(axis=0) for q in (a + b + c + d, a - b + c - d, a + b - c - d, a - b - c + d))
+    shift = _NORM_SHIFT[tile]
+    return ((sums + (1 << (shift - 1))) >> shift).sum(axis=0, dtype=np.int64)
 
 
 def satd_batch(diffs: np.ndarray) -> np.ndarray:

@@ -14,8 +14,12 @@ search window at once.  Mode derivation reads committed
 samples only, each noted for the read hook: through read_region, which
 refuses any other, a checked gather (tmp.gather_templates), strips the
 search window shows committed, or build_reference_samples, which pads
-its uncommitted border.  A violation of this causality is a bug in the
-caller.
+its uncommitted border.  The template search alone also reads its whole
+window, committed or not and unnoted, into two derived planes: the
+integral image of its cost bounds and the Hadamard coefficient planes
+(cost.hadamard_planes) of its SATD.  From either it takes only sums and
+tiles that lie in strips the window shows committed, and it notes each
+strip it costs.  A violation of this causality is a bug in the caller.
 """
 
 from __future__ import annotations

@@ -40,22 +40,32 @@ could tie with the best always has a bound no higher than it, so the tie
 order is unaffected.
 
 A template's cost is the sum of its strips' costs (cost.strip_layout),
-so the search costs each strip on its own.  For each chunk of
-candidates and each strip, one flat index into the sample plane
-(cost.strip_offsets) gathers that strip for the candidates that use
-it, the block's own strip, read once per search, is subtracted, and
-cost.layout_cost costs the batch.  Before a chunk gathers a later strip,
-it drops every candidate whose exact cost so far plus the later strips'
+so the search costs each strip on its own, and it costs a strip's
+Hadamard tiles in the transform domain.  The transform is linear, so
+a tile's SATD is the normalized absolute sum of its coefficient vector
+minus the block's.  The first chunk that costs a tile builds the
+window's coefficient planes (cost.hadamard_planes: the 16 coefficients
+of every 4x4 tile position, one int16 plane each), over the window's
+displaced strips and the block's own, displacement (0, 0).  For each
+chunk of candidates and each strip, one flat index, tiles first, gathers
+the strip's tile vectors (cost.tile_origins) for the candidates that use
+it, and cost.coefficient_cost subtracts the block's own vectors, read
+from the same planes, and sums them; an 8x8 tile is costed from its four
+4x4 sub-tiles.  The strip's SAD remainder, or the whole strip under the
+sad metric, is gathered as samples through one flat index into the
+sample plane (cost.strip_offsets) and costed against the block's own
+strip, read once per search.  Before a chunk gathers a later strip, it
+drops every candidate whose exact cost so far plus the later strips'
 bound is above the highest cost still accepted (partial distortion,
 after Bei & Gray, IEEE Trans. Commun. 1985), so a dropped candidate's
-later strips are neither gathered nor noted.  template_cost_at and mode evaluation
-read through gather_templates, which checks every displaced strip with
-the buffer's committed-rectangle rule, one test on ints per strip and
-move.  Both
-gathers index the sample plane through _template_index and note each
-displaced strip they read through _note_templates, so a search notes
-its block's own strips once (through read_region) and each displaced
-strip it costs, and no others.
+later strips are neither gathered nor noted.  template_cost_at and mode
+evaluation read through gather_templates, which checks every displaced
+strip with the buffer's committed-rectangle rule, one test on ints per
+strip and move, and indexes the sample plane through _template_index;
+both cost through cost.layout_cost.  Both the search and gather_templates
+note each displaced strip they read through _note_templates, so a
+search notes its block's own strips once (through read_region) and
+each displaced strip it costs, and no others.
 
 tmp_search(..., below=c) returns the best candidate among those that
 cost strictly less than c, or None when no valid candidate does.
@@ -67,11 +77,12 @@ the E-TIMD TMP competition runs.
 from __future__ import annotations
 
 from functools import cache, partial
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .cost import Layout, Rect, bound_pieces, check_metric, layout_cost, strip_layout, strip_offsets
+from .cost import Layout, Rect, bound_pieces, check_metric, coefficient_cost, hadamard_planes, layout_cost
+from .cost import strip_layout, strip_offsets, tile_origins
 from .errors import CausalityError
 from .grid import BlockRef, ReconBuffer
 
@@ -175,24 +186,43 @@ def _note_templates(buf: ReconBuffer, strips: Sequence[Rect], dxs, dys) -> None:
 
 
 def _strip_costs(
-    buf: ReconBuffer, rect: Rect, own: np.ndarray, dxs: np.ndarray, dys: np.ndarray, metric: str
+    buf: ReconBuffer, rect: Rect, own: np.ndarray, dxs: np.ndarray, dys: np.ndarray, metric: str,
+    planes: Callable[[], np.ndarray], origin: tuple[int, int],
 ) -> np.ndarray:
     """Matching cost of the strip rect displaced by each (dx, dy) against own, its samples in its layout.
 
     Each displaced strip is noted as a read; nothing is checked, so every
-    one must already be known to be committed.  The gather index is freed
-    before the rows are costed: it is twice their size, and holding it
-    through the costing raised a search's peak heap enough that the
-    allocator handed the heap back between searches, which slowed
-    screen-etimd encodes by 9-16%.
+    one must already be known to be committed.  Under SATD the strip's
+    Hadamard tiles are costed from the window's coefficient planes, whose
+    top-left sample is origin: each candidate's tile vectors are gathered,
+    tiles first, and the block's own, read from the same planes at
+    displacement (0, 0), are subtracted (cost.coefficient_cost).  The SAD
+    remainder, or the whole strip under SAD, is gathered as samples.  The
+    gather index is freed before the rows are costed: it is twice their
+    size, and holding it through the costing raised a search's peak heap
+    enough that the allocator handed the heap back between searches,
+    which slowed screen-etimd encodes by 9-16%.
     """
     _note_templates(buf, [rect], dxs, dys)
-    x, y = rect[:2]
-    layout, index = _template_index(buf.width, [rect], (y + dys) * buf.width + x + dxs)
-    diffs = buf.samples.take(index)
-    del index
-    diffs -= own
-    return layout_cost(diffs, layout, metric)
+    x, y, w, h = rect
+    layout, offsets = strip_offsets(((0, 0, w, h),), buf.width)
+    tile, origins = tile_origins(h, w, metric)
+    costs = 0  # a strip without tiles has a SAD remainder: the whole strip
+    if tile:
+        coeffs = planes()
+        width = coeffs.shape[2]
+        coeffs = coeffs.reshape(16, -1)
+        subs = (y - origin[1] + origins[0]) * width + x - origin[0] + origins[1]
+        index = np.add.outer(subs, dys * width + dxs)
+        costs = coefficient_cost(coeffs.take(index, axis=1), coeffs[:, subs], tile)
+    rest = layout.rest if tile else 0
+    if rest < len(offsets):
+        index = np.add.outer((y + dys) * buf.width + x + dxs, offsets[rest:])
+        diffs = buf.samples.take(index)
+        del index
+        diffs -= own[rest:]
+        costs = costs + np.abs(diffs).sum(axis=1)
+    return costs
 
 
 def template_cost_at(
@@ -347,6 +377,12 @@ def tmp_search(
         return None
 
     nx = dx_hi - dx_lo + 1
+    # The coefficient planes cover the window's strips and the block's own
+    # (displacement (0, 0)); only a chunk that costs a tile builds them.
+    ex, ey, we, he = extended_rect(block, t)
+    origin = max(ex + dx_lo, 0), max(ey + dy_lo, 0)
+    window = buf.samples[origin[1] : ey + he + max(dy_hi, 0), origin[0] : ex + we + dx_hi]
+    planes = cache(partial(hadamard_planes, window, buf.bit_depth))
     curs = [buf.read_region(*rect) for rect in rects]
     owns = [cur.ravel()[strip_layout((cur.shape,)).order] for cur in curs]
     valid, bounds, later = _window_bounds(
@@ -379,7 +415,7 @@ def tmp_search(
             use = slice(None)
             if not strict_template:
                 use = ~_fully_outside(rect, dxs, dys, buf.width, buf.height)
-            costs[use] += _strip_costs(buf, rect, own, dxs[use], dys[use], metric)
+            costs[use] += _strip_costs(buf, rect, own, dxs[use], dys[use], metric, planes, origin)
         if not len(costs) or (low := int(costs.min())) > limit:
             continue
         # Only the survivors tied at the least cost can hold the chunk's best key.

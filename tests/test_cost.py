@@ -8,11 +8,14 @@ from intralab.cost import (
     METRICS,
     SATD_MAX_DIFF,
     bound_pieces,
+    coefficient_cost,
+    hadamard_planes,
     layout_cost,
     sad,
     satd,
     satd_batch,
     strip_layout,
+    tile_origins,
 )
 
 from oracles import block_cost, satd_batch_int64
@@ -297,3 +300,46 @@ def test_layout_cost_equals_per_strip_kernel(seed, t, size, clip, depths, metric
     oracle = satd_batch_int64 if metric == "satd" else (lambda d: np.abs(d).sum(axis=(1, 2)))
     assert got.tolist() == sum(oracle(s) for s in strips).tolist()
 
+
+
+# --- coefficient planes against the int64 oracle, tile by tile ------------
+
+
+@pytest.mark.parametrize("bit_depth", [8, 10])
+def test_coefficient_planes_cost_every_tile_as_the_int64_oracle(bit_depth):
+    rng = np.random.default_rng(bit_depth)
+    peak = (1 << bit_depth) - 1
+    h, w = 21, 26
+    region = rng.integers(0, peak + 1, size=(h, w))
+    # A saturated checkerboard beside its inverse: an odd move between
+    # them differs by 16 * peak in a tile coefficient, the int16 extreme.
+    checker = peak * (np.indices((8, 8)).sum(axis=0) % 2)
+    region[:8, :8], region[:8, 8:16], region[8:16, :8] = checker, peak - checker, peak
+    planes = hadamard_planes(region, bit_depth)
+    assert planes.dtype == np.int16 and planes.shape == (16, h - 3, w - 3)
+    assert np.abs(planes.astype(np.int64)[:, 0, 0] - planes[:, 0, 1]).max() == 16 * peak
+
+    for tile in (4, 8):
+        _, subs = tile_origins(tile, tile, "satd")  # one tile's sub-tile origins
+        ys, xs = (part.ravel() for part in np.mgrid[: h - tile + 1, : w - tile + 1])
+        coeffs = planes[:, subs[0][..., None] + ys, subs[1][..., None] + xs]
+        for oy, ox in [(0, 0), (0, 1), (8, 0), (4, 3), (h - tile, w - tile)]:
+            own = planes[:, subs[0] + oy, subs[1] + ox]
+            got = coefficient_cost(coeffs.copy(), own, tile)
+            diffs = [region[y : y + tile, x : x + tile] - region[oy : oy + tile, ox : ox + tile] for y, x in zip(ys, xs)]
+            assert got.dtype == np.int64
+            assert got.tolist() == satd_batch_int64(np.array(diffs)).tolist()
+
+
+def test_tile_origins_cover_the_satd_tiles():
+    assert tile_origins(3, 12, "satd")[0] == 0 and tile_origins(12, 3, "satd")[1].size == 0
+    assert tile_origins(8, 8, "sad")[0] == 0 and tile_origins(8, 8, "sad")[1].size == 0
+    tile, origins = tile_origins(6, 13, "satd")  # one row of three 4x4 tiles, a SAD remainder
+    assert tile == 4 and origins.tolist() == [[0, 0, 0], [0, 4, 8]]
+    tile, origins = tile_origins(8, 16, "satd")
+    assert tile == 8 and origins.tolist() == [[[0, 0], [0, 0], [4, 4], [4, 4]], [[0, 8], [4, 12], [0, 8], [4, 12]]]
+
+
+def test_coefficient_planes_reject_more_than_10_bits():
+    with pytest.raises(ValueError):
+        hadamard_planes(np.zeros((4, 4), dtype=np.int32), 12)

@@ -115,24 +115,44 @@ def test_ab_cpu_runs_two_frames_of_a_workload_against_itself(capsys):
     assert out[0] == "natural-timd: 2 frames, a imported first; CPU s per round"
     assert out[-3] == "displaced strips costed (untimed encode): a 0, b 0"  # TIMD runs no template search
     assert out[-2].startswith("median b/a: encode x") and out[-1] == "same results: yes"
+    faults = re.fullmatch(r"minor page faults \(timed rounds\): a ([\d,]+), b ([\d,]+)", out[-4])
+    assert faults and all(int(faults[side].replace(",", "")) >= 0 for side in (1, 2))
     assert not any(name.startswith("intralab_") for name in sys.modules)
 
 
-def test_ab_cpu_stages_times_each_stage_of_one_replay_per_side(capsys):
+def _ab_cpu_stage_rows(capsys, workload: str, rounds: int) -> dict[str, list[float]]:
+    """Each stage row ab_cpu --stages prints for one frame of workload, this tree against itself."""
     root = SCRIPTS.parent
-    argv = ["--a", str(root), "--b", str(root), "--workload", "natural-timd", "--variants", "1", "--frames", "1",
-            "--rounds", "1", "--stages"]
+    argv = ["--a", str(root), "--b", str(root), "--workload", workload, "--variants", "1", "--frames", "1",
+            "--rounds", str(rounds), "--stages"]
     assert load_script("ab_cpu").main(argv) == 0
     out = capsys.readouterr().out.splitlines()
-    start = out.index("stages: CPU us per replayed block, one more replay of every frame")
+    start = out.index(f"stages: CPU us per block, median of {rounds} more encodes and replays of every frame")
     assert out[start + 1].split() == ["stage", "a", "b", "b/a"]
-    rows = {line.split()[0]: [float(v) for v in line.split()[1:]] for line in out[start + 2 : -3]}
-    # TIMD builds no BV list and never selects by the E-TIMD rule, so those rows are left out.
-    assert list(rows) == ["replay", "evaluate_candidates", "gather_templates", "pool_costs", "build_reference_samples",
-                          "commit_fusion", "reconstruct_block", "fuse", "fusion_predictions", "select_modes_timd"]
-    for name, (a, b, _) in rows.items():
-        assert 0 < a <= rows["replay"][0] and 0 < b <= rows["replay"][1], name
     assert out[-1] == "same results: yes"
+    return {line.split()[0]: [float(v) for v in line.split()[1:]] for line in out[start + 2 : -3]}
+
+
+def test_ab_cpu_stages_times_each_stage_of_one_replay_per_side(capsys):
+    rows = _ab_cpu_stage_rows(capsys, "natural-timd", 1)
+    # TIMD never searches, builds no BV list and never selects by the
+    # E-TIMD rule, so those rows are left out.
+    assert list(rows) == ["encode", "replay", "evaluate_candidates", "gather_templates", "pool_costs",
+                          "build_reference_samples", "commit_fusion", "reconstruct_block", "fuse", "fusion_predictions",
+                          "select_modes_timd"]
+    for name, (a, b, _) in rows.items():
+        total = rows["encode" if name == "encode" else "replay"]
+        assert 0 < a <= total[0] and 0 < b <= total[1], name
+
+
+def test_ab_cpu_stages_times_the_search_stages_of_the_encode(capsys):
+    rows = _ab_cpu_stage_rows(capsys, "screen-etimd", 3)
+    search = ["tmp_search", "_window_bounds", "hadamard_planes", "_strip_costs"]
+    assert list(rows)[:6] == ["encode", *search, "replay"]
+    for side in (0, 1):
+        # Each stage's time includes the stages it calls.
+        assert 0 < rows["hadamard_planes"][side] <= rows["_strip_costs"][side] <= rows["tmp_search"][side]
+        assert 0 < rows["_window_bounds"][side] <= rows["tmp_search"][side] <= rows["encode"][side]
 
 
 def _ab_cpu_against_patched(tmp_path, capsys, module, patch, workload="natural-timd", frames=1, line=-1):

@@ -368,6 +368,78 @@ def test_search_with_limit_matches_oracle(
     assert (None if got is None else (got.bv, got.cost)) == want
 
 
+def _saturated_frame(width: int, height: int, kind: str, period: int, seed: int) -> np.ndarray:
+    """A 0/1023 checkerboard or stripe pattern with about 3% of its samples flipped.
+
+    An odd move over a period-1 checkerboard meets the inverse tile, so
+    tile coefficient differences reach the 10-bit extreme of 16 * 1023.
+    """
+    y, x = np.mgrid[:height, :width]
+    pattern = {"checker": x // period + y // period, "hstripes": y // period, "vstripes": x // period}[kind] % 2
+    flips = np.random.default_rng(seed).random((height, width)) < 0.03
+    return ((pattern ^ flips) * 1023).astype(np.uint16)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    width=st.integers(24, 48),
+    height=st.integers(24, 48),
+    # Weighted toward SATD over 8x8 tiles, which no other search test costs.
+    block_size=st.sampled_from([8, 16, 4]),
+    t=st.sampled_from([8, 8, 1, 2, 4, 6]),
+    metric=st.sampled_from(["satd", "satd", "sad"]),
+    strict=st.booleans(),
+    search_range=st.one_of(st.none(), st.integers(1, 32)),
+    content=st.sampled_from(["checker", "noise10", "noise8", "hstripes", "vstripes"]),
+    period=st.sampled_from([1, 2, 4]),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_search_matches_oracle_on_8x8_tiles_and_10_bit_extremes(
+    width, height, block_size, t, metric, strict, search_range, content, period, seed, data
+):
+    # t = 8 over 8- and 16-sample blocks gives strips of 8x8 tiles, and
+    # saturated 10-bit patterns drive tile coefficients to their extremes.
+    if content.startswith("noise"):
+        bit_depth = int(content[5:])
+        samples = noise_frame(width, height, seed=seed, bit_depth=bit_depth)
+    else:
+        bit_depth = 10
+        samples = _saturated_frame(width, height, content, period, seed)
+    # A block t from the left and a template-extended block's height from the
+    # top has full-depth strips, and the rows above it can hold a candidate.
+    inner = [b.scan_index for b in partition(width, height, block_size) if b.x0 >= t and b.y0 >= b.h + t]
+    k = data.draw(st.sampled_from(inner) if inner else st.integers(0, 0), label="committed blocks")
+    buf, blocks = prefix_buffer(samples, block_size, k, bit_depth)
+    block = blocks[k]
+
+    want = oracle_search(buf, block, search_range, t, metric, strict)
+    top = 0 if want is None else want[1]
+    # A below at or under the best cost still costs every candidate bounded under it.
+    below = data.draw(st.sampled_from([None, top + 1, top, top // 2, 2 * top + 2]), label="below")
+    if want is not None and below is not None and want[1] >= below:
+        want = None
+    chunk = data.draw(st.sampled_from([512, 7, 1]), label="chunk")
+    with mock.patch.object(tmp, "SEARCH_CHUNK", chunk):
+        got = tmp_search(buf, block, search_range, t, metric, strict_template=strict, below=below)
+    assert (None if got is None else (got.bv, got.cost)) == want
+
+
+@pytest.mark.parametrize("content", ["checker", "hstripes", "vstripes"])
+@pytest.mark.parametrize("block_size, done", [(8, 27), (8, 35), (16, 7)])
+def test_search_matches_oracle_on_saturated_8x8_tiles(content, block_size, done):
+    # Every strip is 8 deep over whole 8x8 tiles, on 10-bit content whose
+    # tile coefficients differ by up to 16 * 1023.
+    samples = _saturated_frame(48, 48, content, 1, seed=done)
+    buf, blocks = prefix_buffer(samples, block_size, done, 10)
+    block = blocks[done]
+    assert all(r[2] % 8 == r[3] % 8 == 0 for r in template_rects(block, 8, 48, 48))
+    for strict in (True, False):
+        want = oracle_search(buf, block, None, 8, "satd", strict)
+        got = tmp_search(buf, block, None, 8, "satd", strict_template=strict)
+        assert want is not None and (got.bv, got.cost) == want
+
+
 @pytest.mark.parametrize("strict", [False, True])
 @pytest.mark.parametrize("chunk", [1, 7, tmp.SEARCH_CHUNK])
 def test_search_reads_its_own_template_once(chunk, strict):
